@@ -3,13 +3,15 @@
 #include <sys/mman.h>
 #include <unistd.h>
 
+#include <cerrno>
 #include <cstdint>
 #include <new>
+#include <system_error>
 #include <utility>
 
 #include "kernel/report.hpp"
 
-// ASan cannot follow swapcontext on its own (it sees one linear stack and
+// ASan cannot follow a stack switch on its own (it sees one linear stack and
 // reports false use-after-scope when we land on another fiber); the fiber
 // annotations below tell it about every switch so sanitized builds are
 // clean. See https://github.com/google/sanitizers/issues/189.
@@ -21,6 +23,7 @@
 #endif
 #endif
 #ifdef RTSC_ASAN_FIBERS
+#include <sanitizer/asan_interface.h>
 #include <sanitizer/common_interface_defs.h>
 #endif
 
@@ -37,6 +40,49 @@
 #endif
 #ifdef RTSC_TSAN_FIBERS
 #include <sanitizer/tsan_interface.h>
+#endif
+
+#if defined(__x86_64__)
+// rtsc_ctx_switch(save_sp, load_sp): push the SysV callee-saved registers and
+// the floating-point control state onto the current stack, store the stack
+// pointer in *save_sp, switch to load_sp and pop the same frame from there.
+// The frame, in 8-byte words upwards from a saved stack pointer:
+//   [0] MXCSR (bytes 0-3) and x87 control word (bytes 4-5)
+//   [1] r15  [2] r14  [3] r13  [4] r12  [5] rbx  [6] rbp  [7] return address
+// Everything else is caller-saved, so the compiler already keeps it out of
+// registers across this call. The signal mask is not switched (DESIGN.md §7).
+extern "C" void rtsc_ctx_switch(void** save_sp, void* load_sp);
+asm(R"(
+    .pushsection .text
+    .globl rtsc_ctx_switch
+    .hidden rtsc_ctx_switch
+    .type rtsc_ctx_switch, @function
+    .p2align 4
+rtsc_ctx_switch:
+    pushq %rbp
+    pushq %rbx
+    pushq %r12
+    pushq %r13
+    pushq %r14
+    pushq %r15
+    subq $8, %rsp
+    stmxcsr (%rsp)
+    fnstcw 4(%rsp)
+    movq %rsp, (%rdi)
+    movq %rsi, %rsp
+    ldmxcsr (%rsp)
+    fldcw 4(%rsp)
+    addq $8, %rsp
+    popq %r15
+    popq %r14
+    popq %r13
+    popq %r12
+    popq %rbx
+    popq %rbp
+    ret
+    .size rtsc_ctx_switch, .-rtsc_ctx_switch
+    .popsection
+)");
 #endif
 
 namespace rtsc::kernel {
@@ -93,24 +139,40 @@ Coroutine* Coroutine::current() noexcept { return g_current; }
 
 Coroutine::Coroutine(Body body, std::size_t stack_bytes) : body_(std::move(body)) {
     const std::size_t pg = page_size();
-    const std::size_t usable = round_up(stack_bytes < 4 * pg ? 4 * pg : stack_bytes, pg);
-    map_bytes_ = usable + pg; // one guard page below the stack
-    void* mem = ::mmap(nullptr, map_bytes_, PROT_READ | PROT_WRITE,
+    stack_size_ = round_up(stack_bytes < 4 * pg ? 4 * pg : stack_bytes, pg);
+    void* mem = ::mmap(nullptr, stack_size_ + pg, PROT_READ | PROT_WRITE,
                        MAP_PRIVATE | MAP_ANONYMOUS | MAP_STACK, -1, 0);
     if (mem == MAP_FAILED) throw std::bad_alloc{};
-    stack_base_ = mem;
-    ::mprotect(mem, pg, PROT_NONE);
+    // One guard page below the stack. Without it an overflow would silently
+    // run into whatever is mapped beneath, so failing to set it is fatal.
+    if (::mprotect(mem, pg, PROT_NONE) != 0) {
+        const int err = errno;
+        ::munmap(mem, stack_size_ + pg);
+        throw std::system_error(err, std::generic_category(),
+                                "Coroutine: cannot protect the stack guard page");
+    }
+    stack_lo_ = static_cast<char*>(mem) + pg;
 
+#if defined(__x86_64__)
+    // The frame the first rtsc_ctx_switch into this stack pops: default MXCSR
+    // and x87 control word, zeroed registers, then entry() as the return
+    // address with a null return address above it. entry() therefore starts
+    // exactly as if called (rsp = 8 mod 16), and backtraces end there.
+    auto* top = reinterpret_cast<std::uint64_t*>(static_cast<char*>(stack_lo_) +
+                                                 stack_size_);
+    std::uint64_t* frame = top - 9;
+    frame[0] = 0x1F80u | (std::uint64_t{0x037F} << 32);
+    for (int i = 1; i <= 6; ++i) frame[i] = 0;
+    frame[7] = reinterpret_cast<std::uint64_t>(&Coroutine::entry);
+    frame[8] = 0;
+    sp_ = frame;
+#else
     ::getcontext(&ctx_);
-    ctx_.uc_stack.ss_sp = static_cast<char*>(mem) + pg;
-    ctx_.uc_stack.ss_size = usable;
+    ctx_.uc_stack.ss_sp = stack_lo_;
+    ctx_.uc_stack.ss_size = stack_size_;
     ctx_.uc_link = nullptr; // bodies always return through run_body -> yield
-
-    // makecontext only passes ints; split the object pointer across two.
-    const auto self = reinterpret_cast<std::uintptr_t>(this);
-    ::makecontext(&ctx_, reinterpret_cast<void (*)()>(&Coroutine::trampoline), 2,
-                  static_cast<unsigned>(self >> 32),
-                  static_cast<unsigned>(self & 0xffffffffu));
+    ::makecontext(&ctx_, &Coroutine::entry, 0);
+#endif
 
 #ifdef RTSC_TSAN_FIBERS
     tsan_fiber_ = __tsan_create_fiber(0);
@@ -121,14 +183,16 @@ Coroutine::~Coroutine() {
 #ifdef RTSC_TSAN_FIBERS
     if (tsan_fiber_) __tsan_destroy_fiber(tsan_fiber_);
 #endif
-    if (stack_base_) ::munmap(stack_base_, map_bytes_);
+#ifdef RTSC_ASAN_FIBERS
+    // Frames of a body that never returned keep their redzones poisoned; a
+    // later mapping at this address must not inherit them.
+    __asan_unpoison_memory_region(stack_lo_, stack_size_);
+#endif
+    const std::size_t pg = page_size();
+    ::munmap(static_cast<char*>(stack_lo_) - pg, stack_size_ + pg);
 }
 
-void Coroutine::trampoline(unsigned hi, unsigned lo) {
-    auto* self = reinterpret_cast<Coroutine*>((static_cast<std::uintptr_t>(hi) << 32) |
-                                              static_cast<std::uintptr_t>(lo));
-    self->run_body();
-}
+void Coroutine::entry() { g_current->run_body(); }
 
 void Coroutine::run_body() {
     // First instruction on this fiber's stack: complete the switch that
@@ -146,7 +210,23 @@ void Coroutine::run_body() {
     // so its fake stack is destroyed (nullptr) rather than parked.
     start_switch_fiber(nullptr, asan_return_stack_, asan_return_stack_size_);
     tsan_switch_fiber(tsan_caller_);
+    switch_out();
+}
+
+void Coroutine::switch_in() {
+#if defined(__x86_64__)
+    rtsc_ctx_switch(&return_sp_, sp_);
+#else
+    ::swapcontext(&return_ctx_, &ctx_);
+#endif
+}
+
+void Coroutine::switch_out() {
+#if defined(__x86_64__)
+    rtsc_ctx_switch(&sp_, return_sp_);
+#else
     ::swapcontext(&ctx_, &return_ctx_);
+#endif
 }
 
 void Coroutine::resume() {
@@ -156,10 +236,10 @@ void Coroutine::resume() {
     g_current = this;
     started_ = true;
     void* caller_fake = nullptr;
-    start_switch_fiber(&caller_fake, ctx_.uc_stack.ss_sp, ctx_.uc_stack.ss_size);
+    start_switch_fiber(&caller_fake, stack_lo_, stack_size_);
     tsan_caller_ = tsan_this_fiber();
     tsan_switch_fiber(tsan_fiber_);
-    ::swapcontext(&return_ctx_, &ctx_);
+    switch_in();
     finish_switch_fiber(caller_fake, nullptr, nullptr);
     g_current = prev;
     if (eptr_) {
@@ -172,7 +252,7 @@ void Coroutine::yield() {
     start_switch_fiber(&asan_fake_stack_, asan_return_stack_,
                        asan_return_stack_size_);
     tsan_switch_fiber(tsan_caller_);
-    ::swapcontext(&ctx_, &return_ctx_);
+    switch_out();
     // Re-entered: refresh the resumer's stack extents — a different context
     // (e.g. a task performing a kill) may have resumed us this time.
     finish_switch_fiber(asan_fake_stack_, &asan_return_stack_,

@@ -1,5 +1,5 @@
 #pragma once
-// Stackful cooperative coroutines built on POSIX ucontext.
+// Stackful cooperative coroutines.
 //
 // The discrete-event kernel runs every simulation process on its own stack
 // and switches between them cooperatively — exactly one coroutine (or the
@@ -7,11 +7,18 @@
 // OSCI SystemC reference simulator. Stacks are mmap-allocated with a guard
 // page below the stack so an overflow faults instead of corrupting a
 // neighbouring coroutine.
+//
+// On x86-64 a switch is a small hand-written routine that saves only what
+// the SysV ABI makes callee-saved (rbp, rbx, r12-r15, MXCSR and the x87
+// control word) and swaps stack pointers, with no system call. Other
+// architectures fall back to POSIX ucontext. DESIGN.md §7 has the details.
 
 #include <cstddef>
 #include <exception>
 #include <functional>
+#if !defined(__x86_64__)
 #include <ucontext.h>
+#endif
 
 namespace rtsc::kernel {
 
@@ -49,14 +56,23 @@ public:
     [[nodiscard]] static Coroutine* current() noexcept;
 
 private:
-    static void trampoline(unsigned hi, unsigned lo);
+    static void entry();
     void run_body();
+    /// Park the resumer and continue this coroutine.
+    void switch_in();
+    /// Park this coroutine and continue its resumer.
+    void switch_out();
 
     Body body_;
-    void* stack_base_ = nullptr;   // mmap'ed region including guard page
-    std::size_t map_bytes_ = 0;
+    void* stack_lo_ = nullptr;     // usable stack; the guard page lies below
+    std::size_t stack_size_ = 0;
+#if defined(__x86_64__)
+    void* sp_ = nullptr;           // this coroutine's stack pointer while parked
+    void* return_sp_ = nullptr;    // the resumer's stack pointer while parked
+#else
     ucontext_t ctx_{};
     ucontext_t return_ctx_{};
+#endif
     bool started_ = false;
     bool finished_ = false;
     std::exception_ptr eptr_;

@@ -1,7 +1,15 @@
-// Unit tests for the ucontext coroutine layer.
+// Unit tests for the coroutine layer: the hand-written x86-64 register switch
+// (ucontext on other architectures), stacks and guard pages.
 #include <gtest/gtest.h>
 
+#include <array>
+#include <cfenv>
+#include <cmath>
+#include <cstdint>
+#include <cstdio>
+#include <memory>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "kernel/context.hpp"
@@ -9,6 +17,35 @@
 
 using rtsc::kernel::Coroutine;
 using rtsc::kernel::SimulationError;
+
+namespace {
+
+/// The address as an integer the optimizer cannot reason about, so an
+/// alignment check on an alignas(16) local is really made at run time.
+std::uintptr_t opaque_address(const void* p) {
+    auto v = reinterpret_cast<std::uintptr_t>(p);
+    asm volatile("" : "+r"(v));
+    return v;
+}
+
+/// Rounds with the SSE unit, which follows MXCSR: 2.5 becomes 2 to nearest
+/// and 3 upward. fegetround() reads the x87 control word.
+double sse_round(double x) {
+    volatile double v = x;
+    return std::nearbyint(v);
+}
+
+volatile int g_never = -1; // recursion depth that is never reached
+
+int recurse(int depth) {
+    volatile char frame[512];
+    frame[depth % 512] = 1;
+    if (depth == g_never) return 0;
+    const int below = recurse(depth + 1);
+    return below + frame[(depth + 1) % 512]; // keeps the frame live
+}
+
+} // namespace
 
 TEST(CoroutineTest, RunsToCompletion) {
     bool ran = false;
@@ -62,10 +99,69 @@ TEST(CoroutineTest, NestedCoroutines) {
     EXPECT_TRUE(outer.finished());
 }
 
+TEST(CoroutineTest, YieldFromInsideNestedResume) {
+    std::vector<int> order;
+    Coroutine* inner_ptr = nullptr;
+    Coroutine* outer_ptr = nullptr;
+    Coroutine inner([&] {
+        order.push_back(2);
+        Coroutine::current()->yield(); // back to outer, its resumer
+        EXPECT_EQ(Coroutine::current(), inner_ptr);
+        order.push_back(5);
+        Coroutine::current()->yield(); // back to the test body this time
+        order.push_back(7);
+    });
+    Coroutine outer([&] {
+        order.push_back(1);
+        inner.resume();
+        EXPECT_EQ(Coroutine::current(), outer_ptr);
+        order.push_back(3);
+        Coroutine::current()->yield(); // inner stays parked mid-body
+        order.push_back(6);
+        inner.resume();
+        order.push_back(8);
+    });
+    inner_ptr = &inner;
+    outer_ptr = &outer;
+    outer.resume();
+    EXPECT_EQ(Coroutine::current(), nullptr);
+    order.push_back(4);
+    inner.resume(); // a different resumer than last time
+    EXPECT_EQ(Coroutine::current(), nullptr);
+    outer.resume();
+    EXPECT_TRUE(inner.finished());
+    EXPECT_TRUE(outer.finished());
+    EXPECT_EQ(order, (std::vector<int>{1, 2, 3, 4, 5, 6, 7, 8}));
+}
+
 TEST(CoroutineTest, ExceptionPropagatesToResumer) {
     Coroutine co([] { throw std::runtime_error("boom"); });
     EXPECT_THROW(co.resume(), std::runtime_error);
     EXPECT_TRUE(co.finished());
+}
+
+TEST(CoroutineTest, ExceptionCaughtInsideBodyAcrossYield) {
+    std::vector<std::string> caught;
+    const auto yield_then_throw = [](const char* what) {
+        Coroutine::current()->yield();
+        throw std::runtime_error(what);
+    };
+    Coroutine co([&] {
+        for (const char* what : {"first", "second"}) {
+            try {
+                yield_then_throw(what);
+            } catch (const std::runtime_error& e) {
+                caught.emplace_back(e.what());
+            }
+        }
+    });
+    co.resume();
+    EXPECT_TRUE(caught.empty());
+    co.resume();
+    EXPECT_EQ(caught, (std::vector<std::string>{"first"}));
+    co.resume();
+    EXPECT_TRUE(co.finished());
+    EXPECT_EQ(caught, (std::vector<std::string>{"first", "second"}));
 }
 
 TEST(CoroutineTest, ResumeAfterFinishThrows) {
@@ -102,6 +198,97 @@ TEST(CoroutineTest, ManyCoroutinesInterleave) {
     for (auto& c : cos) EXPECT_TRUE(c->finished());
 }
 
+TEST(CoroutineTest, LocalsSurviveManyInterleavedSwitches) {
+    // 3 coroutines x 2000 rounds x 2 switches per round = 12k switches. Each
+    // body keeps integer and floating-point state live across every yield.
+    constexpr int kRounds = 2000;
+    const auto step = [](std::uint64_t acc, int c, int i) {
+        return acc * 6364136223846793005ull + static_cast<std::uint64_t>(c * 7919 + i);
+    };
+    std::array<std::uint64_t, 3> acc_out{};
+    std::array<double, 3> sum_out{};
+    std::array<int, 3> wrong_current{};
+    std::vector<std::unique_ptr<Coroutine>> cos;
+    for (int c = 0; c < 3; ++c) {
+        cos.push_back(std::make_unique<Coroutine>([&, c] {
+            Coroutine* self = Coroutine::current();
+            std::uint64_t acc = static_cast<std::uint64_t>(c) + 1;
+            double sum = 0.25 * c;
+            for (int i = 0; i < kRounds; ++i) {
+                acc = step(acc, c, i);
+                sum += 0.5;
+                self->yield();
+                if (Coroutine::current() != self) ++wrong_current[c];
+            }
+            acc_out[c] = acc;
+            sum_out[c] = sum;
+        }));
+    }
+    for (int i = 0; i <= kRounds; ++i)
+        for (auto& co : cos) co->resume();
+    for (int c = 0; c < 3; ++c) {
+        std::uint64_t acc = static_cast<std::uint64_t>(c) + 1;
+        for (int i = 0; i < kRounds; ++i) acc = step(acc, c, i);
+        EXPECT_TRUE(cos[c]->finished());
+        EXPECT_EQ(acc_out[c], acc) << "coroutine " << c;
+        EXPECT_EQ(sum_out[c], 0.25 * c + 0.5 * kRounds) << "coroutine " << c;
+        EXPECT_EQ(wrong_current[c], 0) << "coroutine " << c;
+    }
+}
+
+TEST(CoroutineTest, StackAlignedAtEntryAndAfterYield) {
+    bool aligned_at_entry = false;
+    bool aligned_after_yield = false;
+    std::string printed_at_entry, printed_after_yield;
+    const auto print = [](double v) {
+        char buf[32];
+        std::snprintf(buf, sizeof buf, "%f", v); // SSE spills need alignment
+        return std::string(buf);
+    };
+    Coroutine co([&] {
+        alignas(16) unsigned char a[16] = {};
+        aligned_at_entry = opaque_address(a) % 16 == 0;
+        printed_at_entry = print(1.5);
+        Coroutine::current()->yield();
+        alignas(16) unsigned char b[16] = {};
+        aligned_after_yield = opaque_address(b) % 16 == 0;
+        printed_after_yield = print(-2.25);
+    });
+    co.resume();
+    co.resume();
+    EXPECT_TRUE(co.finished());
+    EXPECT_TRUE(aligned_at_entry);
+    EXPECT_TRUE(aligned_after_yield);
+    EXPECT_EQ(printed_at_entry, "1.500000");
+    EXPECT_EQ(printed_after_yield, "-2.250000");
+}
+
+TEST(CoroutineTest, RoundingModeIsPerCoroutine) {
+    ASSERT_EQ(std::fegetround(), FE_TONEAREST);
+    int mode_at_entry = -1, mode_after_yield = -1;
+    double round_after_yield = 0;
+    Coroutine co([&] {
+        mode_at_entry = std::fegetround();
+        std::fesetround(FE_UPWARD);
+        Coroutine::current()->yield();
+        mode_after_yield = std::fegetround();
+        round_after_yield = sse_round(2.5);
+    });
+    co.resume();
+    // The coroutine's FE_UPWARD did not leak into its resumer...
+    EXPECT_EQ(std::fegetround(), FE_TONEAREST);
+    EXPECT_EQ(sse_round(2.5), 2.0);
+    // ...and the resumer's own mode does not leak into the coroutine.
+    std::fesetround(FE_DOWNWARD);
+    co.resume();
+    EXPECT_EQ(std::fegetround(), FE_DOWNWARD);
+    std::fesetround(FE_TONEAREST);
+    EXPECT_TRUE(co.finished());
+    EXPECT_EQ(mode_at_entry, FE_TONEAREST);
+    EXPECT_EQ(mode_after_yield, FE_UPWARD);
+    EXPECT_EQ(round_after_yield, 3.0);
+}
+
 TEST(CoroutineTest, DeepStackUsageWithinLimit) {
     // Recursion that uses a good chunk of the default 128 KiB stack.
     std::function<int(int)> rec = [&](int d) -> int {
@@ -114,4 +301,16 @@ TEST(CoroutineTest, DeepStackUsageWithinLimit) {
     Coroutine co([&] { result = rec(100); });
     co.resume();
     EXPECT_EQ(result, 0);
+}
+
+TEST(CoroutineDeathTest, StackOverflowHitsGuardPage) {
+    ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+    // Unbounded recursion must fault on the guard page, never return or run
+    // into a neighbouring mapping.
+    EXPECT_DEATH(
+        {
+            Coroutine co([] { recurse(0); }, 16 * 1024);
+            co.resume();
+        },
+        "");
 }
