@@ -86,9 +86,8 @@ std::unique_ptr<r::SchedulingPolicy> make_policy(PolicyKind kind) {
     return nullptr;
 }
 
-struct FswitchCounter : r::TaskObserver {
+struct FswitchCounter : r::Observer {
     std::uint64_t switches = 0;
-    void on_task_state(const r::Task&, r::TaskState, r::TaskState) override {}
     void on_overhead(const r::Processor&, r::OverheadKind kind, Time, Time,
                      const r::Task*) override {
         if (kind == r::OverheadKind::frequency_switch) ++switches;

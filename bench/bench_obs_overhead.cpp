@@ -1,6 +1,6 @@
-// Observability hook overhead: the engine probe sites (scheduler run,
+// Observability hook overhead: the engine hook sites (scheduler run,
 // dispatch, preempt, block/wake, resource acquire/release) cost one untaken
-// branch each when no MetricsCollector is attached. This bench pins that
+// branch each when no observer is subscribed. This bench pins that
 // claim with numbers: the token-ring workload from bench_engine_compare is
 // timed bare, with a collector attached, and with the full causal-attribution
 // analyzer (per-job blame decomposition) behind the collector, on both
@@ -61,8 +61,8 @@ enum class Lane { bare, collector, attribution, streaming };
 constexpr const char* kStreamPath = "bench_obs_stream.tmp.perfetto-bench";
 
 /// Same token-ring + periodic-IRQ workload as bench_engine_compare, with an
-/// optional metrics collector (and optionally the attribution analyzer fed
-/// through it) attached. Returns the dispatch count so the configurations
+/// optional metrics collector (and optionally the attribution analyzer it
+/// subscribes) attached. Returns the dispatch count so the configurations
 /// can be checked to have simulated identical behaviour.
 std::uint64_t run_ring(r::EngineKind kind, int n_tasks, int rounds, Lane lane) {
     k::Simulator sim;

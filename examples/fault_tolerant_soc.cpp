@@ -34,7 +34,6 @@
 #include "rtos/interrupt.hpp"
 #include "rtos/processor.hpp"
 #include "trace/constraints.hpp"
-#include "trace/marker.hpp"
 #include "trace/recorder.hpp"
 
 namespace k = rtsc::kernel;
@@ -139,18 +138,18 @@ Outcome run(std::uint64_t seed, bool inject, tr::Recorder* rec = nullptr) {
         plan.task_crashes.push_back(
             {&control, 2_ms, /*restart=*/true, /*restart_delay=*/100_us});
     }
-    // Markers fan out to the recorder and both stream writers through one
-    // tee, so every export carries the same fault/watchdog/deadline instants.
-    tr::MarkerTee markers;
-    if (rec != nullptr) {
-        markers.add(*rec);
-        markers.add(*stream);
-        markers.add(*live);
-        watchdog.set_trace(&markers);
-        handler.set_trace(&markers);
-    }
+    // The recorder and both stream writers subscribe to every marker
+    // source, so each export carries the same fault/watchdog/deadline
+    // instants.
     f::FaultInjector injector(sim, plan, seed);
-    if (rec != nullptr) injector.set_trace(&markers);
+    if (rec != nullptr) {
+        for (r::Observer* o : std::initializer_list<r::Observer*>{
+                 rec, stream.get(), live.get()}) {
+            watchdog.add_observer(*o);
+            handler.add_observer(*o);
+            injector.add_observer(*o);
+        }
+    }
     injector.arm();
 
     sim.run_until(8_ms);

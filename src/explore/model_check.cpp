@@ -23,16 +23,6 @@ constexpr Leg kLegs[] = {
     {"threaded/exact", rtos::EngineKind::rtos_thread, false},
 };
 
-bool has_broken_row(const fuzz::RunResult& r, std::string* which) {
-    for (const auto* stream : {&r.metrics, &r.attribution})
-        for (const std::string& row : *stream)
-            if (row.find("BROKEN") != std::string::npos) {
-                *which = row;
-                return true;
-            }
-    return false;
-}
-
 } // namespace
 
 RunOutcome check_model_once(const fuzz::ModelSpec& spec,
@@ -89,10 +79,10 @@ RunOutcome check_model_once(const fuzz::ModelSpec& spec,
         }
     }
     // Conservation invariants that broke identically on both engines.
-    std::string broken;
-    if (has_broken_row(results[0], &broken)) {
+    const fuzz::Divergence broken = fuzz::conservation_break(results[0]);
+    if (broken.diverged) {
         out.violation = true;
-        out.diagnosis = "conservation invariant broke: " + broken;
+        out.diagnosis = "conservation invariant broke: " + broken.lhs;
         return out;
     }
     // A schedule that fails where the default schedule did not (or vice

@@ -5,7 +5,6 @@
 #include "kernel/simulator.hpp"
 #include "rtos/processor.hpp"
 #include "rtos/task.hpp"
-#include "trace/marker.hpp"
 
 namespace rtsc::fault {
 
@@ -67,9 +66,9 @@ void DeadlineMissHandler::agent_body() {
 void DeadlineMissHandler::apply(const Entry& e) {
     ++handled_;
     rtos::Task& t = *e.task;
-    if (trace_ != nullptr)
-        trace_->mark("deadline", "miss:" + t.name() + " (" +
-                                     to_string(e.policy.action) + ")");
+    for (rtos::Observer* o : observers_)
+        o->on_marker("deadline", "miss:" + t.name() + " (" +
+                                 to_string(e.policy.action) + ")");
     sim_.reporter().report(
         k::Severity::warning,
         "deadline miss on task '" + t.name() + "' at " + sim_.now().to_string() +

@@ -20,9 +20,6 @@
 namespace rtsc::kernel {
 class Process;
 }
-namespace rtsc::trace {
-class MarkerSink;
-}
 
 namespace rtsc::fault {
 
@@ -46,10 +43,10 @@ public:
     [[nodiscard]] std::uint64_t restarts() const noexcept { return restarts_; }
     [[nodiscard]] std::uint64_t demotions() const noexcept { return demotions_; }
 
-    /// Record every handled miss as an instant marker ("deadline" category)
-    /// in `rec`. Pass nullptr to detach. The recorder must outlive the
-    /// handler.
-    void set_trace(trace::MarkerSink* rec) noexcept { trace_ = rec; }
+    /// Report every handled miss as an instant marker ("deadline" category)
+    /// to `obs` (Observer::on_marker); a no-op when it is already
+    /// subscribed. The observer must outlive the handler.
+    void add_observer(rtos::Observer& obs) { observers_.add(obs); }
 
 private:
     struct Entry {
@@ -66,7 +63,7 @@ private:
     std::deque<Entry> pending_;
     kernel::Event wake_;
     kernel::Process* agent_ = nullptr;
-    trace::MarkerSink* trace_ = nullptr;
+    rtos::ObserverList observers_;
     std::uint64_t handled_ = 0;
     std::uint64_t unhandled_ = 0;
     std::uint64_t kills_ = 0;

@@ -8,7 +8,6 @@
 #include "rtos/interrupt.hpp"
 #include "rtos/processor.hpp"
 #include "rtos/task.hpp"
-#include "trace/marker.hpp"
 
 namespace rtsc::fault {
 
@@ -89,7 +88,8 @@ void FaultInjector::arm_task_crash(const TaskCrash& e) {
             if (!t->body_finished()) {
                 t->kill();
                 ++counters_.tasks_crashed;
-                if (trace_ != nullptr) trace_->mark("fault", "crash:" + t->name());
+                for (rtos::Observer* o : observers_)
+                    o->on_marker("fault", "crash:" + t->name());
                 // A killed Running task still pays save + sched during the
                 // unwind; restart only once the incarnation fully retired.
                 // TaskRetired fires at the same instant on both engines —
@@ -100,8 +100,8 @@ void FaultInjector::arm_task_crash(const TaskCrash& e) {
             if (restart) {
                 t->processor().restart_task(*t, restart_delay);
                 ++counters_.tasks_restarted;
-                if (trace_ != nullptr)
-                    trace_->mark("fault", "restart:" + t->name());
+                for (rtos::Observer* o : observers_)
+                    o->on_marker("fault", "restart:" + t->name());
             }
         });
     p.set_daemon(true);
@@ -189,8 +189,8 @@ void FaultInjector::arm_irq_spurious(const IrqSpurious& e, std::uint64_t salt) {
                 if (!until.is_zero() && sim_.now() > until) return;
                 line->raise_spurious();
                 ++counters_.irqs_spurious;
-                if (trace_ != nullptr)
-                    trace_->mark("fault", "irq_spurious:" + line->name());
+                for (rtos::Observer* o : observers_)
+                    o->on_marker("fault", "irq_spurious:" + line->name());
             }
         });
     p.set_daemon(true);
@@ -205,8 +205,8 @@ void FaultInjector::arm_message_loss(const MessageLoss& e, std::uint64_t salt) {
     e.channel->set_loss_hook([this, rng, p, channel]() -> bool {
         if (draw01(*rng) >= p) return false;
         ++counters_.messages_lost;
-        if (trace_ != nullptr)
-            trace_->mark("fault", "msg_loss:" + channel->name());
+        for (rtos::Observer* o : observers_)
+            o->on_marker("fault", "msg_loss:" + channel->name());
         return true;
     });
 }

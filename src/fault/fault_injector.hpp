@@ -18,12 +18,10 @@
 #include <vector>
 
 #include "fault/fault_plan.hpp"
+#include "rtos/observer.hpp"
 
 namespace rtsc::kernel {
 class Simulator;
-}
-namespace rtsc::trace {
-class MarkerSink;
 }
 
 namespace rtsc::fault {
@@ -53,11 +51,11 @@ public:
     [[nodiscard]] std::uint64_t seed() const noexcept { return seed_; }
     [[nodiscard]] const FaultPlan& plan() const noexcept { return plan_; }
 
-    /// Record injected faults (crashes, restarts, spurious interrupts,
-    /// message losses) as instant markers ("fault" category) in `rec`. Call
-    /// before arm(); pass nullptr to detach. The recorder must outlive the
-    /// injector.
-    void set_trace(trace::MarkerSink* rec) noexcept { trace_ = rec; }
+    /// Report injected faults (crashes, restarts, spurious interrupts,
+    /// message losses) as instant markers ("fault" category) to `obs`
+    /// (Observer::on_marker); a no-op when it is already subscribed. Call
+    /// before arm(). The observer must outlive the injector.
+    void add_observer(rtos::Observer& obs) { observers_.add(obs); }
 
 private:
     /// One deterministic stream per plan entry, derived from the campaign
@@ -76,7 +74,7 @@ private:
     std::uint64_t seed_;
     bool armed_ = false;
     Counters counters_;
-    trace::MarkerSink* trace_ = nullptr;
+    rtos::ObserverList observers_;
     /// RNG streams referenced by the installed hooks; stable addresses.
     std::vector<std::unique_ptr<std::mt19937_64>> streams_;
 };

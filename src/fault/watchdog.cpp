@@ -3,7 +3,6 @@
 #include "kernel/simulator.hpp"
 #include "rtos/processor.hpp"
 #include "rtos/task.hpp"
-#include "trace/marker.hpp"
 
 namespace rtsc::fault {
 
@@ -46,9 +45,9 @@ void Watchdog::body() {
 void Watchdog::fire() {
     ++timeouts_;
     k::Simulator& sim = task_.processor().simulator();
-    if (trace_ != nullptr)
-        trace_->mark("watchdog", "timeout:" + task_.name() + " (" +
-                                     to_string(policy_.action) + ")");
+    for (rtos::Observer* o : observers_)
+        o->on_marker("watchdog", "timeout:" + task_.name() + " (" +
+                                         to_string(policy_.action) + ")");
     sim.reporter().report(
         k::Severity::warning,
         "watchdog timeout on task '" + task_.name() + "' at " +

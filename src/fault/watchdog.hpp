@@ -14,15 +14,10 @@
 #include "fault/recovery.hpp"
 #include "kernel/event.hpp"
 #include "kernel/time.hpp"
+#include "rtos/observer.hpp"
 
 namespace rtsc::kernel {
 class Process;
-}
-namespace rtsc::rtos {
-class Task;
-}
-namespace rtsc::trace {
-class MarkerSink;
 }
 
 namespace rtsc::fault {
@@ -45,9 +40,10 @@ public:
     [[nodiscard]] kernel::Time last_beat() const noexcept { return last_beat_; }
     [[nodiscard]] const RecoveryPolicy& policy() const noexcept { return policy_; }
 
-    /// Record every timeout as an instant marker ("watchdog" category) in
-    /// `rec`. Pass nullptr to detach. The recorder must outlive the watchdog.
-    void set_trace(trace::MarkerSink* rec) noexcept { trace_ = rec; }
+    /// Report every timeout as an instant marker ("watchdog" category) to
+    /// `obs` (Observer::on_marker); a no-op when it is already subscribed.
+    /// The observer must outlive the watchdog.
+    void add_observer(rtos::Observer& obs) { observers_.add(obs); }
 
 private:
     void body();
@@ -60,7 +56,7 @@ private:
     kernel::Time last_beat_{};
     std::uint64_t timeouts_ = 0;
     kernel::Process* proc_ = nullptr;
-    trace::MarkerSink* trace_ = nullptr;
+    rtos::ObserverList observers_;
 };
 
 } // namespace rtsc::fault

@@ -375,7 +375,7 @@ RunResult run_model(const ModelSpec& spec, r::EngineKind kind,
         if (!plan.empty()) {
             injector = std::make_unique<fault::FaultInjector>(sim, std::move(plan),
                                                               spec.seed);
-            injector->set_trace(&rec);
+            injector->add_observer(rec);
             injector->arm();
         }
 
@@ -537,6 +537,17 @@ std::string Divergence::to_string() const {
            "\n  procedural: " + lhs + "\n  threaded:   " + rhs;
 }
 
+Divergence conservation_break(const RunResult& r) {
+    const std::pair<const char*, const std::vector<std::string>*> streams[] = {
+        {"metrics", &r.metrics}, {"attribution", &r.attribution}};
+    for (const auto& [name, rows] : streams)
+        for (std::size_t i = 0; i < rows->size(); ++i)
+            if ((*rows)[i].find("BROKEN") != std::string::npos)
+                return {true, std::string(name) + " [conservation]", i,
+                        (*rows)[i], (*rows)[i]};
+    return {};
+}
+
 Divergence compare(const RunResult& procedural, const RunResult& threaded) {
     Divergence d;
     if (procedural.error != threaded.error) {
@@ -582,6 +593,8 @@ Divergence diff_engines(const ModelSpec& spec, RunResult* procedural,
         d = compare(b, b_exact);
         if (d.diverged) d.stream += " [threaded: skip-ahead vs exact]";
     }
+    // A conservation break every leg shares passes all the diffs above.
+    if (!d.diverged) d = conservation_break(a);
     if (procedural != nullptr) *procedural = std::move(a);
     if (threaded != nullptr) *threaded = std::move(b);
     return d;

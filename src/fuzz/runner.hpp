@@ -70,9 +70,18 @@ struct Divergence {
 [[nodiscard]] Divergence compare(const RunResult& procedural,
                                  const RunResult& threaded);
 
+/// The first conservation-invariant row of one run — a BROKEN-ENERGY
+/// ledger row in `metrics` or a BROKEN-INVARIANT job row in `attribution` —
+/// reported as a Divergence whose stream is "metrics [conservation]" or
+/// "attribution [conservation]" and whose lhs and rhs both hold the row.
+/// Not diverged when the run balances. Diffing legs cannot see a break they
+/// all share, so diff_engines and the schedule explorer both apply this.
+[[nodiscard]] Divergence conservation_break(const RunResult& r);
+
 /// Run the spec on both engines — each with the skip-ahead fast path forced
 /// on AND forced off — and diff all four runs (engine-vs-engine plus
-/// skip-ahead-vs-exact per engine). Optional out-params receive the full
+/// skip-ahead-vs-exact per engine); when they agree, report a conservation
+/// break (conservation_break). Optional out-params receive the full
 /// skip-ahead-enabled results (for reporting).
 [[nodiscard]] Divergence diff_engines(const ModelSpec& spec,
                                       RunResult* procedural = nullptr,

@@ -110,9 +110,8 @@ public:
             TaskWaiter w{task};
             waiters_.push_back(&w);
             WaiterGuard guard(w, waiters_); // unwind/timeout-safe dereg
-            rtos::SchedulerEngine& eng = task->processor().engine();
-            if (eng.probe()) eng.set_block_context(this);
-            (void)eng.block_timed(*task, rtos::TaskState::waiting, timeout);
+            (void)task->processor().engine().block_timed(
+                *task, rtos::TaskState::waiting, timeout, this);
             // A delivery racing the timeout at the same instant wins: the
             // occurrence was consumed on this waiter's behalf.
             record(task, AccessKind::await_op, now() - started, true);

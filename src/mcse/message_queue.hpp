@@ -126,10 +126,8 @@ public:
                         return false;
                     }
                     blocked = true;
-                    rtos::SchedulerEngine& eng = task->processor().engine();
-                    if (eng.probe()) eng.set_block_context(this);
-                    (void)eng.block_timed(*task, rtos::TaskState::waiting,
-                                          remaining);
+                    (void)task->processor().engine().block_timed(
+                        *task, rtos::TaskState::waiting, remaining, this);
                     // If a write delivered while the timeout wake was in
                     // flight, the loop condition spots it: delivery wins.
                 }

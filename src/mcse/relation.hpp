@@ -19,7 +19,7 @@
 #include "kernel/event.hpp"
 #include "kernel/simulator.hpp"
 #include "kernel/time.hpp"
-#include "rtos/probe.hpp"
+#include "rtos/observer.hpp"
 #include "rtos/processor.hpp"
 #include "rtos/task.hpp"
 
@@ -51,15 +51,9 @@ enum class AccessKind : std::uint8_t {
     return "?";
 }
 
-/// Observer of communication accesses; the trace layer implements this.
-class CommObserver {
-public:
-    virtual ~CommObserver() = default;
-    /// `task` is nullptr for hardware-process accesses. `blocked` tells
-    /// whether the caller had to wait before the access completed.
-    virtual void on_access(const Relation& rel, const rtos::Task* task,
-                           AccessKind kind, bool blocked) = 0;
-};
+/// Former name of the observer interface, kept for source compatibility;
+/// relation accesses arrive through rtos::Observer::on_access.
+using CommObserver = rtos::Observer;
 
 class Relation {
 public:
@@ -75,7 +69,9 @@ public:
     [[nodiscard]] const std::string& name() const noexcept { return name_; }
     [[nodiscard]] virtual const char* type_name() const noexcept = 0;
 
-    void add_observer(CommObserver& obs) { observers_.push_back(&obs); }
+    /// Subscribe `obs` to this relation's accesses (Observer::on_access); a
+    /// no-op when it is already subscribed.
+    void add_observer(rtos::Observer& obs) { observers_.add(obs); }
 
     // ---- accumulated statistics (Figure 8 "(4)" channel utilisation) ----
     struct AccessStats {
@@ -150,7 +146,7 @@ protected:
             ++stats_.blocked_accesses;
             stats_.blocked_time += blocked_for;
         }
-        for (CommObserver* o : observers_)
+        for (rtos::Observer* o : observers_)
             o->on_access(*this, task, kind, blocked);
     }
     /// Convenience overload deriving `blocked` from a non-zero duration.
@@ -168,8 +164,7 @@ protected:
         WaiterGuard guard(w, list); // unwind-safe: kill() cleans up
         rtos::SchedulerEngine& eng = w.task->processor().engine();
         do {
-            if (eng.probe()) eng.set_block_context(this);
-            eng.block(*w.task, state);
+            eng.block(*w.task, state, this);
         } while (!w.delivered);
     }
 
@@ -205,7 +200,7 @@ private:
     kernel::Simulator& sim_;
     std::string name_;
     kernel::Event hw_wake_;
-    std::vector<CommObserver*> observers_;
+    rtos::ObserverList observers_;
     AccessStats stats_;
     std::function<bool()> loss_hook_;
     std::uint64_t lost_ = 0;

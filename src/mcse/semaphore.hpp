@@ -18,7 +18,7 @@
 
 #include "mcse/relation.hpp"
 #include "rtos/engine.hpp"
-#include "rtos/probe.hpp"
+#include "rtos/observer.hpp"
 
 namespace rtsc::mcse {
 
@@ -95,10 +95,8 @@ public:
                         return false;
                     }
                     blocked = true;
-                    rtos::SchedulerEngine& eng = task->processor().engine();
-                    if (eng.probe()) eng.set_block_context(this);
-                    (void)eng.block_timed(*task, rtos::TaskState::waiting,
-                                          remaining);
+                    (void)task->processor().engine().block_timed(
+                        *task, rtos::TaskState::waiting, remaining, this);
                     // If a release() delivered while the timeout wake was in
                     // flight, the loop condition spots it: delivery wins.
                 }
@@ -146,10 +144,9 @@ public:
     void release() {
         ++count_;
         account_zero();
-        if (rtos::Task* task = rtos::current_task()) {
-            if (auto* p = task->processor().engine().probe())
-                p->on_resource_release(task->processor(), *task, *this);
-        }
+        if (rtos::Task* task = rtos::current_task())
+            for (rtos::Observer* o : task->processor().observers())
+                o->on_resource_release(task->processor(), *task, *this);
         deliver_one();
         hw_wake().notify();
         record(rtos::current_task(), AccessKind::unlock_op,
@@ -210,8 +207,8 @@ private:
     }
 
     void notify_acquire(rtos::Task& task) {
-        if (auto* p = task.processor().engine().probe())
-            p->on_resource_acquire(task.processor(), task, *this);
+        for (rtos::Observer* o : task.processor().observers())
+            o->on_resource_acquire(task.processor(), task, *this);
     }
 
     /// A delivered-but-unconsumed unit flows back when the waiter's stack

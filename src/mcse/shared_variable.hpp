@@ -142,8 +142,8 @@ private:
             locked_ = true;
             owner_ = task;
             lock_since_ = now();
-            if (auto* p = task->processor().engine().probe())
-                p->on_resource_acquire(task->processor(), *task, *this);
+            for (rtos::Observer* o : task->processor().observers())
+                o->on_resource_acquire(task->processor(), *task, *this);
             if (protection_ == Protection::preemption_lock)
                 task->processor().lock_preemption();
         } else {
@@ -164,8 +164,8 @@ private:
         rtos::Task* released_by = owner_;
         owner_ = nullptr;
         if (released_by != nullptr) {
-            if (auto* p = released_by->processor().engine().probe())
-                p->on_resource_release(released_by->processor(), *released_by,
+            for (rtos::Observer* o : released_by->processor().observers())
+                o->on_resource_release(released_by->processor(), *released_by,
                                        *this);
             if (boosted_owner_ == released_by) {
                 boosted_owner_ = nullptr;

@@ -4,7 +4,7 @@
 
 #include "kernel/simulator.hpp"
 #include "mcse/relation.hpp"
-#include "rtos/engine.hpp"
+#include "obs/collector.hpp"
 #include "trace/constraints.hpp"
 
 namespace rtsc::obs {
@@ -13,12 +13,11 @@ namespace k = rtsc::kernel;
 namespace r = rtsc::rtos;
 
 Attribution::~Attribution() {
-    for (r::Processor* cpu : attached_)
-        if (cpu->engine().probe() == this) cpu->engine().set_probe(nullptr);
+    for (r::Processor* cpu : attached_) cpu->remove_observer(*this);
+    if (collector_ != nullptr) collector_->set_attribution(nullptr);
 }
 
 void Attribution::attach(r::Processor& cpu) {
-    cpu.engine().set_probe(this);
     cpu.add_observer(*this);
     attached_.push_back(&cpu);
     (void)cpu_ctx(cpu);
@@ -308,10 +307,6 @@ void Attribution::finish_job(TaskCtx& c, k::Time now, bool aborted) {
         v.blocker_count = j.blk_count;
         on_complete_lite_(v);
     }
-    if (on_complete_) {
-        materialize(); // eager: the legacy hook wants the full JobRecord
-        on_complete_(jobs_.back());
-    }
 }
 
 void Attribution::materialize() const {
@@ -425,17 +420,12 @@ void Attribution::end_episode(TaskCtx& c, k::Time now) {
     if (c.cpu->open_episodes > 0) --c.cpu->open_episodes;
 }
 
-// ------------------------------------------------------------- probe hooks
+// ------------------------------------------------------------ engine hooks
 
 void Attribution::on_block(const r::Processor&, const r::Task& t,
                            r::TaskState kind, const mcse::Relation* on) {
     TaskCtx& c = task_ctx(t);
     c.blocked_rel = kind == r::TaskState::waiting_resource ? on : nullptr;
-}
-
-void Attribution::on_wake(const r::Processor&, const r::Task&) {
-    // The Ready transition itself (on_task_state) carries the segmentation;
-    // nothing extra to do here.
 }
 
 void Attribution::on_resource_acquire(const r::Processor&, const r::Task& t,

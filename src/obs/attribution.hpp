@@ -2,7 +2,7 @@
 // Attribution: causal latency decomposition — "why did this job take 7 ms,
 // and who is to blame for the deadline miss?"
 //
-// An online analyzer fed by the EngineProbe hooks and TaskObserver
+// An online rtos::Observer fed by the engine hooks and task-state
 // notifications of both scheduler engines. Every job (one response episode,
 // same release/completion rule as obs::MetricsCollector and
 // trace::ConstraintMonitor) is tiled into contiguous segments at every edge
@@ -38,7 +38,7 @@
 #include <vector>
 
 #include "kernel/time.hpp"
-#include "rtos/probe.hpp"
+#include "rtos/observer.hpp"
 #include "rtos/processor.hpp"
 #include "rtos/task.hpp"
 
@@ -51,7 +51,9 @@ class ConstraintMonitor;
 
 namespace rtsc::obs {
 
-class Attribution final : public rtos::EngineProbe, public rtos::TaskObserver {
+class MetricsCollector;
+
+class Attribution final : public rtos::Observer {
 public:
     /// What the job was doing during one tiled segment of its response window.
     enum class SliceKind : std::uint8_t { exec, ready, blocked };
@@ -155,8 +157,8 @@ public:
         std::vector<PathItem> critical_path;
     };
 
-    /// Zero-allocation view of one completed job, handed to the lite
-    /// completion hook straight from the analyzer's compact per-job record —
+    /// Zero-allocation view of one completed job, handed to the completion
+    /// hook straight from the analyzer's compact per-job record —
     /// no strings, no vectors, no JobRecord materialization. `preemptors`
     /// holds every slot that took the CPU during the job's ready windows
     /// (ISR tasks included — split on Task::isr_task); `blockers` are
@@ -183,11 +185,10 @@ public:
     Attribution& operator=(const Attribution&) = delete;
     ~Attribution() override;
 
-    /// Instrument `cpu` directly: installs this analyzer as the engine probe
-    /// and as a task observer. Call before Simulator::run(). To combine with
-    /// a MetricsCollector on the same processor (single probe slot), attach
-    /// the collector and hand this analyzer to
-    /// MetricsCollector::set_attribution instead.
+    /// Subscribe this analyzer to `cpu`'s events. Call before
+    /// Simulator::run(). MetricsCollector::set_attribution subscribes it to
+    /// the collector's processors as well. Destroying the analyzer
+    /// unsubscribes it.
     void attach(rtos::Processor& cpu);
 
     // ---- results ----
@@ -224,32 +225,22 @@ public:
     [[nodiscard]] std::vector<DeadlineMissReport> miss_reports(
         const trace::ConstraintMonitor& monitor) const;
 
-    /// Invoked on every job completion/abort (after the record is stored).
-    /// Forces eager JobRecord materialization on each completion — prefer
-    /// set_completion_hook_lite on hot paths.
-    void set_completion_hook(std::function<void(const JobRecord&)> hook) {
-        on_complete_ = std::move(hook);
-    }
-
-    /// Allocation-free variant: receives a CompletionView over the compact
-    /// per-job record instead of a materialized JobRecord.
-    /// MetricsCollector::set_attribution uses it for the blame
-    /// counters/histograms.
+    /// Invoked on every job completion/abort with an allocation-free
+    /// CompletionView over the compact per-job record (no JobRecord is
+    /// materialized). MetricsCollector::set_attribution installs it for the
+    /// blame counters/histograms.
     void set_completion_hook_lite(
         std::function<void(const CompletionView&)> hook) {
         on_complete_lite_ = std::move(hook);
     }
 
-    // ---- EngineProbe ----
+    // ---- rtos::Observer ----
     void on_block(const rtos::Processor& cpu, const rtos::Task& t,
                   rtos::TaskState kind, const mcse::Relation* on) override;
-    void on_wake(const rtos::Processor& cpu, const rtos::Task& t) override;
     void on_resource_acquire(const rtos::Processor& cpu, const rtos::Task& t,
                              const mcse::Relation& r) override;
     void on_resource_release(const rtos::Processor& cpu, const rtos::Task& t,
                              const mcse::Relation& r) override;
-
-    // ---- TaskObserver ----
     void on_task_state(const rtos::Task& task, rtos::TaskState from,
                        rtos::TaskState to) override;
     void on_overhead(const rtos::Processor& cpu, rtos::OverheadKind kind,
@@ -257,6 +248,8 @@ public:
                      const rtos::Task* about) override;
 
 private:
+    friend class MetricsCollector; // links collector_, see set_attribution
+
     static constexpr std::size_t kOvKinds = 4;
 
     /// Per-processor context: who runs, the exact integral of overhead
@@ -424,8 +417,9 @@ private:
     std::vector<JobCore> cores_;      ///< completed jobs, completion order
     /// Per-culprit shares of finished jobs, packed arenas referenced by
     /// JobCore spans. pre_pool_ keeps ISR entries too (the materializer and
-    /// the lite hook split on Task::isr_task); blk_pool_ is name-merged and
-    /// name-sorted already (map iteration order at finish time).
+    /// the completion hook split on Task::isr_task); blk_pool_ is
+    /// name-merged and name-sorted already (map iteration order at finish
+    /// time).
     std::vector<std::pair<const rtos::Task*, kernel::Time>> pre_pool_;
     std::vector<std::pair<std::string, kernel::Time>> blk_pool_;
     /// materialize() scratch (kept across jobs to avoid per-job allocation)
@@ -433,9 +427,9 @@ private:
     std::map<const mcse::Relation*, const rtos::Task*> owner_of_;
     mutable std::vector<JobRecord> jobs_;  ///< lazy cache over cores_
     std::vector<BlockEpisode> episodes_;
-    std::function<void(const JobRecord&)> on_complete_;
     std::function<void(const CompletionView&)> on_complete_lite_;
     std::vector<rtos::Processor*> attached_;
+    MetricsCollector* collector_ = nullptr; ///< recording this analyzer's blame
 };
 
 } // namespace rtsc::obs

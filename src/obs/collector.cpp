@@ -1,9 +1,8 @@
 #include "obs/collector.hpp"
 
-
 #include <algorithm>
+
 #include "obs/attribution.hpp"
-#include "rtos/engine.hpp"
 
 namespace rtsc::obs {
 
@@ -11,16 +10,15 @@ namespace k = rtsc::kernel;
 namespace r = rtsc::rtos;
 
 MetricsCollector::~MetricsCollector() {
-    // The engine keeps a raw probe pointer; clear it so a collector with a
-    // shorter lifetime than the processor cannot dangle. (Task observers are
-    // only notified during simulation, which the collector must outlive
-    // anyway, matching trace::Recorder's contract.)
-    for (r::Processor* cpu : attached_)
-        if (cpu->engine().probe() == this) cpu->engine().set_probe(nullptr);
+    // Processors keep raw observer pointers; unsubscribe so a collector with
+    // a shorter lifetime than its processors cannot dangle, and unplug the
+    // analyzer, whose completion hook points back here.
+    for (r::Processor* cpu : attached_) cpu->remove_observer(*this);
+    set_attribution(nullptr);
 }
 
 void MetricsCollector::attach(r::Processor& cpu) {
-    cpu.engine().set_probe(this);
+    if (attr_ != nullptr) attr_->attach(cpu);
     cpu.add_observer(*this);
     attached_.push_back(&cpu);
     (void)cpu_metrics(cpu); // create the catalogue eagerly: stable snapshots
@@ -59,12 +57,6 @@ MetricsCollector::TaskMetrics& MetricsCollector::task_metrics(
     return tasks_.back();
 }
 
-// on_scheduler_run / on_dispatch / on_preempt are NOT forwarded to the
-// attribution: it keeps the EngineProbe no-op defaults for all three (its
-// segmentation derives entirely from state transitions, blocks and overhead
-// charges), and these are the highest-frequency probe hooks. If Attribution
-// ever overrides one of them, forward it here again.
-
 void MetricsCollector::on_scheduler_run(const r::Processor& cpu,
                                         std::size_t ready_len) {
     CpuMetrics& m = cpu_metrics(cpu);
@@ -86,33 +78,6 @@ void MetricsCollector::on_preempt(const r::Processor& cpu, const r::Task&,
     CpuMetrics& m = cpu_metrics(cpu);
     m.preemptions->inc();
     m.preempt_depth->record(static_cast<std::uint64_t>(depth));
-}
-
-void MetricsCollector::on_block(const r::Processor& cpu, const r::Task& t,
-                                r::TaskState kind, const mcse::Relation* on) {
-    if (attr_) attr_->on_block(cpu, t, kind, on);
-}
-
-void MetricsCollector::on_wake(const r::Processor& cpu, const r::Task& t) {
-    if (attr_) attr_->on_wake(cpu, t);
-}
-
-void MetricsCollector::on_resource_acquire(const r::Processor& cpu,
-                                           const r::Task& t,
-                                           const mcse::Relation& rel) {
-    if (attr_) attr_->on_resource_acquire(cpu, t, rel);
-}
-
-void MetricsCollector::on_resource_release(const r::Processor& cpu,
-                                           const r::Task& t,
-                                           const mcse::Relation& rel) {
-    if (attr_) attr_->on_resource_release(cpu, t, rel);
-}
-
-void MetricsCollector::on_overhead(const r::Processor& cpu,
-                                   r::OverheadKind kind, k::Time start,
-                                   k::Time duration, const r::Task* about) {
-    if (attr_) attr_->on_overhead(cpu, kind, start, duration, about);
 }
 
 MetricsCollector::BlameMetrics& MetricsCollector::blame_metrics(
@@ -159,8 +124,16 @@ Counter& MetricsCollector::culprit_counter(
 }
 
 void MetricsCollector::set_attribution(Attribution* a) {
+    if (attr_ != nullptr) {
+        attr_->set_completion_hook_lite(nullptr);
+        attr_->collector_ = nullptr;
+    }
     attr_ = a;
     if (a == nullptr) return;
+    // An analyzer feeds one collector at a time.
+    if (a->collector_ != nullptr) a->collector_->set_attribution(nullptr);
+    a->collector_ = this;
+    for (r::Processor* cpu : attached_) a->attach(*cpu);
     a->set_completion_hook_lite([this](const Attribution::CompletionView& v) {
         BlameMetrics& m = blame_metrics(*v.task);
         // The preemptor view is per-slot (Task identity); the catalogue
@@ -199,7 +172,6 @@ void MetricsCollector::set_attribution(Attribution* a) {
 
 void MetricsCollector::on_task_state(const r::Task& task, r::TaskState from,
                                      r::TaskState to) {
-    if (attr_) attr_->on_task_state(task, from, to);
     if (from == to) return; // creation announcement
     // Release: leaving a synchronization wait (or creation) for Ready starts
     // a response episode — same rule as trace::ConstraintMonitor. Completion:

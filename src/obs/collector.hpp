@@ -1,5 +1,5 @@
 #pragma once
-// MetricsCollector: the sink behind the kernel/engine instrumentation hooks.
+// MetricsCollector: an rtos::Observer turning engine events into metrics.
 // Attach it to one or more Processors and it populates a MetricsRegistry
 // with the standard catalogue (docs/OBSERVABILITY.md):
 //
@@ -32,14 +32,15 @@
 //
 // All values are simulated-time quantities: the registry contents are
 // engine-equivalent (procedural vs threaded) and bit-identical across runs.
-// When no collector is attached the hooks cost one untaken branch each.
+// When nothing observes a processor its hook sites cost one untaken branch
+// each (rtos/observer.hpp).
 
 #include <deque>
 #include <string>
 #include <vector>
 
 #include "obs/metrics.hpp"
-#include "rtos/probe.hpp"
+#include "rtos/observer.hpp"
 #include "rtos/processor.hpp"
 #include "rtos/task.hpp"
 
@@ -47,8 +48,7 @@ namespace rtsc::obs {
 
 class Attribution;
 
-class MetricsCollector final : public rtos::EngineProbe,
-                               public rtos::TaskObserver {
+class MetricsCollector final : public rtos::Observer {
 public:
     explicit MetricsCollector(MetricsRegistry& registry) : reg_(registry) {}
 
@@ -56,22 +56,23 @@ public:
     MetricsCollector& operator=(const MetricsCollector&) = delete;
     ~MetricsCollector() override;
 
-    /// Instrument `cpu`: installs this collector as the engine probe and as
-    /// a task observer (response times). Call before Simulator::run().
+    /// Subscribe this collector — and the analyzer plugged in with
+    /// set_attribution, if any — to `cpu`'s events. Call before
+    /// Simulator::run(). Destroying the collector unsubscribes it.
     void attach(rtos::Processor& cpu);
 
     [[nodiscard]] MetricsRegistry& registry() noexcept { return reg_; }
 
-    /// Plug in a causal-latency analyzer. The engine holds a single probe
-    /// slot, so when both a collector and an Attribution observe the same
-    /// processor the collector owns the slot and forwards every hook; the
-    /// analyzer's job completions feed the task.<n>.preempted_by.* /
-    /// blocked_on.* counters and blame histograms. Call before attach()
-    /// observations start; pass nullptr to unplug.
+    /// Plug in a causal-latency analyzer: its job completions feed the
+    /// task.<n>.preempted_by.* / blocked_on.* counters and blame histograms,
+    /// and the collector subscribes it to every processor the collector is
+    /// attached to, before or after this call. Attaching the analyzer
+    /// directly as well is harmless (each event still reaches it once).
+    /// Pass nullptr to stop recording blame; the analyzer stays subscribed.
+    /// Destroying either side unplugs it.
     void set_attribution(Attribution* a);
-    [[nodiscard]] Attribution* attribution() const noexcept { return attr_; }
 
-    // EngineProbe
+    // rtos::Observer
     void on_scheduler_run(const rtos::Processor& cpu,
                           std::size_t ready_len) override;
     void on_dispatch(const rtos::Processor& cpu, const rtos::Task& t,
@@ -79,20 +80,8 @@ public:
                      kernel::Time dispatch_latency) override;
     void on_preempt(const rtos::Processor& cpu, const rtos::Task& t,
                     std::size_t depth) override;
-    void on_block(const rtos::Processor& cpu, const rtos::Task& t,
-                  rtos::TaskState kind, const mcse::Relation* on) override;
-    void on_wake(const rtos::Processor& cpu, const rtos::Task& t) override;
-    void on_resource_acquire(const rtos::Processor& cpu, const rtos::Task& t,
-                             const mcse::Relation& r) override;
-    void on_resource_release(const rtos::Processor& cpu, const rtos::Task& t,
-                             const mcse::Relation& r) override;
-
-    // TaskObserver
     void on_task_state(const rtos::Task& task, rtos::TaskState from,
                        rtos::TaskState to) override;
-    void on_overhead(const rtos::Processor& cpu, rtos::OverheadKind kind,
-                     kernel::Time start, kernel::Time duration,
-                     const rtos::Task* about) override;
 
 private:
     struct CpuMetrics {

@@ -63,50 +63,23 @@ private:
     bool first_ = true;
 };
 
-bool visible_state(rtos::TaskState s) {
-    return s != rtos::TaskState::created && s != rtos::TaskState::terminated;
-}
-
 } // namespace
 
 void write_perfetto_json(std::ostream& os, const trace::Recorder& rec,
                          const PerfettoOptions& opts) {
     EventStream ev(os, opts.one_event_per_line);
     ev.begin();
+    const pfmt::Sink sink = [&ev](std::string e) { ev.raw(e); };
 
     const auto& cpus = rec.processors();
+    const auto& rels = rec.relations();
     const int comm_pid = static_cast<int>(cpus.size()) + 1;
     const int marker_pid = comm_pid + 1;
 
-    // --- metadata: stable pid/tid assignment ------------------------------
-    // pid i+1 = processor i; within it tid 0 = RTOS overhead track and
-    // tid j+1 = task j in creation order. The numbering depends only on the
-    // attach/creation order, so repeated exports of one model agree.
-    for (std::size_t pi = 0; pi < cpus.size(); ++pi) {
-        const int pid = static_cast<int>(pi) + 1;
-        ev.raw(pfmt::meta_process(pid, cpus[pi]->name()));
-        ev.raw(pfmt::meta_thread(pid, 0, cpus[pi]->name() + ".rtos"));
-        const auto& tasks = cpus[pi]->tasks();
-        for (std::size_t ti = 0; ti < tasks.size(); ++ti)
-            ev.raw(pfmt::meta_thread(pid, static_cast<int>(ti) + 1,
-                                     tasks[ti]->name()));
-        if (opts.attribution != nullptr)
-            for (std::size_t ti = 0; ti < tasks.size(); ++ti)
-                ev.raw(pfmt::meta_thread(
-                    pid, static_cast<int>(tasks.size() + 1 + ti),
-                    tasks[ti]->name() + ".jobs"));
-    }
-    if (opts.include_comms && !rec.relations().empty()) {
-        ev.raw(pfmt::meta_process(comm_pid, "comm"));
-        const auto& rels = rec.relations();
-        for (std::size_t ri = 0; ri < rels.size(); ++ri)
-            ev.raw(pfmt::meta_thread(comm_pid, static_cast<int>(ri) + 1,
-                                     rels[ri]->name() + " (" +
-                                         std::string(rels[ri]->type_name()) +
-                                         ")"));
-    }
-    if (opts.include_markers && !rec.markers().empty())
-        ev.raw(pfmt::meta_process(marker_pid, "events"));
+    // --- metadata: stable pid/tid assignment (obs/perfetto_format.hpp) ----
+    pfmt::emit_layout(sink, cpus, rels, opts.attribution != nullptr,
+                      opts.include_comms,
+                      opts.include_markers && !rec.markers().empty());
 
     // --- task state slices ------------------------------------------------
     // Segments from one task never overlap (they partition the trace), so
@@ -117,11 +90,11 @@ void write_perfetto_json(std::ostream& os, const trace::Recorder& rec,
         const auto& tasks = cpus[pi]->tasks();
         for (std::size_t ti = 0; ti < tasks.size(); ++ti) {
             for (const auto& seg : tl.segments(*tasks[ti])) {
-                if (!visible_state(seg.state) || seg.end <= seg.begin)
+                if (!pfmt::visible(seg.state) || seg.end <= seg.begin)
                     continue;
-                ev.raw(pfmt::slice(pid, static_cast<int>(ti) + 1, seg.begin,
-                                   seg.end - seg.begin, "task_state",
-                                   rtos::to_string(seg.state)));
+                ev.raw(pfmt::state_slice(pid, static_cast<int>(ti) + 1,
+                                         seg.begin, seg.end - seg.begin,
+                                         seg.state));
             }
         }
     }
@@ -129,50 +102,25 @@ void write_perfetto_json(std::ostream& os, const trace::Recorder& rec,
     // --- RTOS overhead slices (tid 0 of each processor) -------------------
     for (const auto& o : rec.overheads()) {
         if (o.duration.is_zero()) continue;
-        int pid = 0;
-        for (std::size_t pi = 0; pi < cpus.size(); ++pi)
-            if (cpus[pi] == o.cpu) pid = static_cast<int>(pi) + 1;
+        const int pid = pfmt::track_id(cpus, o.cpu);
         if (pid == 0) continue; // overhead of an unattached processor
-        std::string args;
-        if (o.about != nullptr)
-            args = "{\"task\": \"" + json_escape(o.about->name()) + "\"}";
-        ev.raw(pfmt::slice(pid, 0, o.at, o.duration, "rtos",
-                           rtos::to_string(o.kind), args));
+        ev.raw(pfmt::overhead(pid, o.at, o.duration, o.kind, o.about));
     }
 
     // --- causal latency attribution (jobs, chains, misses) ----------------
-    if (opts.attribution != nullptr) {
-        // Locate each task's tracks by name (Attribution records names so
-        // its results outlive the model; the recorder still has the model).
-        pfmt::TrackIndex tracks;
-        for (std::size_t pi = 0; pi < cpus.size(); ++pi) {
-            const auto& tasks = cpus[pi]->tasks();
-            for (std::size_t ti = 0; ti < tasks.size(); ++ti)
-                tracks.emplace(tasks[ti]->name(),
-                               pfmt::Track{static_cast<int>(pi) + 1,
-                                           static_cast<int>(ti) + 1,
-                                           static_cast<int>(tasks.size() + 1 +
-                                                            ti)});
-        }
-        pfmt::emit_attribution([&](std::string e) { ev.raw(e); }, tracks,
+    // Each task's tracks are located by name (Attribution records names so
+    // its results outlive the model; the recorder still has the model).
+    if (opts.attribution != nullptr)
+        pfmt::emit_attribution(sink, pfmt::track_index(cpus),
                                *opts.attribution, opts.misses);
-    }
 
     // --- communication accesses as thread instants ------------------------
     if (opts.include_comms) {
-        const auto& rels = rec.relations();
         for (const auto& c : rec.comms()) {
-            int tid = 0;
-            for (std::size_t ri = 0; ri < rels.size(); ++ri)
-                if (rels[ri] == c.relation) tid = static_cast<int>(ri) + 1;
+            const int tid = pfmt::track_id(rels, c.relation);
             if (tid == 0) continue;
-            std::string args = "{\"task\": \"";
-            args += c.task != nullptr ? json_escape(c.task->name()) : "<hw>";
-            args += c.blocked ? "\", \"blocked\": true}" : "\", \"blocked\": false}";
-            ev.raw(pfmt::instant(comm_pid, tid, c.at, 't', "comm",
-                                 std::string(mcse::to_string(c.kind)) +
-                                     (c.blocked ? " [blocked]" : ""),
-                                 args));
+            ev.raw(pfmt::access(comm_pid, tid, c.at, c.task, c.kind,
+                                c.blocked));
         }
     }
 

@@ -14,7 +14,7 @@
 //   pid P+1         "comm" process: one thread per attached Relation,
 //                     thread instants ("i", scope "t") per access
 //   pid P+2         "events" process: fault / watchdog / deadline markers
-//                     (Recorder::mark) as global instants ("i", scope "g")
+//                     (Recorder::on_marker) as global instants ("i", scope "g")
 //
 // With an Attribution analyzer (PerfettoOptions::attribution) each task
 // additionally gets a "<task>.jobs" track (tid N+1+j on its processor): one

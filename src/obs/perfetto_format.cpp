@@ -2,6 +2,7 @@
 
 #include <cstdio>
 
+#include "mcse/relation.hpp"
 #include "obs/perfetto.hpp"
 #include "rtos/dvfs.hpp"
 #include "trace/csv.hpp"
@@ -154,8 +155,71 @@ std::string flow_finish(std::uint64_t id, k::Time at, int pid, int tid) {
     return e;
 }
 
-void emit_attribution(const std::function<void(std::string)>& sink,
-                      const TrackIndex& tracks, const Attribution& attribution,
+std::string state_slice(int pid, int tid, k::Time at, k::Time dur,
+                        rtos::TaskState state) {
+    return slice(pid, tid, at, dur, "task_state", rtos::to_string(state));
+}
+
+std::string overhead(int pid, k::Time start, k::Time dur,
+                     rtos::OverheadKind kind, const rtos::Task* about) {
+    std::string args;
+    if (about != nullptr)
+        args = "{\"task\": \"" + json_escape(about->name()) + "\"}";
+    return slice(pid, 0, start, dur, "rtos", rtos::to_string(kind), args);
+}
+
+std::string access(int pid, int tid, k::Time at, const rtos::Task* task,
+                   mcse::AccessKind kind, bool blocked) {
+    std::string args = "{\"task\": \"";
+    args += task != nullptr ? json_escape(task->name()) : "<hw>";
+    args += blocked ? "\", \"blocked\": true}" : "\", \"blocked\": false}";
+    return instant(pid, tid, at, 't', "comm",
+                   std::string(mcse::to_string(kind)) +
+                       (blocked ? " [blocked]" : ""),
+                   args);
+}
+
+void emit_layout(const Sink& sink, const std::vector<rtos::Processor*>& cpus,
+                 const std::vector<mcse::Relation*>& relations, bool jobs,
+                 bool comms, bool markers) {
+    for (std::size_t pi = 0; pi < cpus.size(); ++pi) {
+        const int pid = static_cast<int>(pi) + 1;
+        const auto& tasks = cpus[pi]->tasks();
+        sink(meta_process(pid, cpus[pi]->name()));
+        sink(meta_thread(pid, 0, cpus[pi]->name() + ".rtos"));
+        for (std::size_t ti = 0; ti < tasks.size(); ++ti)
+            sink(meta_thread(pid, static_cast<int>(ti) + 1, tasks[ti]->name()));
+        if (jobs)
+            for (std::size_t ti = 0; ti < tasks.size(); ++ti)
+                sink(meta_thread(pid, static_cast<int>(tasks.size() + 1 + ti),
+                                 tasks[ti]->name() + ".jobs"));
+    }
+    const int comm_pid = static_cast<int>(cpus.size()) + 1;
+    if (comms && !relations.empty()) {
+        sink(meta_process(comm_pid, "comm"));
+        for (std::size_t ri = 0; ri < relations.size(); ++ri)
+            sink(meta_thread(comm_pid, static_cast<int>(ri) + 1,
+                             relations[ri]->name() + " (" +
+                                 relations[ri]->type_name() + ")"));
+    }
+    if (markers) sink(meta_process(comm_pid + 1, "events"));
+}
+
+TrackIndex track_index(const std::vector<rtos::Processor*>& cpus) {
+    TrackIndex tracks;
+    for (std::size_t pi = 0; pi < cpus.size(); ++pi) {
+        const auto& tasks = cpus[pi]->tasks();
+        for (std::size_t ti = 0; ti < tasks.size(); ++ti)
+            tracks.emplace(tasks[ti]->name(),
+                           Track{static_cast<int>(pi) + 1,
+                                 static_cast<int>(ti) + 1,
+                                 static_cast<int>(tasks.size() + 1 + ti)});
+    }
+    return tracks;
+}
+
+void emit_attribution(const Sink& sink, const TrackIndex& tracks,
+                      const Attribution& attribution,
                       const std::vector<Attribution::DeadlineMissReport>* misses) {
     // One complete slice per job on the task's jobs track, blame
     // decomposition as args in exact picoseconds. Jobs of one task are

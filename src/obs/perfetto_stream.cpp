@@ -8,7 +8,6 @@
 
 #include "kernel/report.hpp"
 #include "kernel/simulator.hpp"
-#include "obs/perfetto.hpp"
 #include "obs/perfetto_format.hpp"
 
 namespace rtsc::obs {
@@ -16,10 +15,6 @@ namespace rtsc::obs {
 namespace k = rtsc::kernel;
 
 namespace {
-
-bool visible_state(rtos::TaskState s) {
-    return s != rtos::TaskState::created && s != rtos::TaskState::terminated;
-}
 
 // Unique per writer so concurrent runs targeting the same output path never
 // share a spool (they would interleave events and race the final rename);
@@ -85,12 +80,6 @@ void PerfettoStreamWriter::flush_window() {
     stats_.window_bytes = 0;
 }
 
-int PerfettoStreamWriter::pid_of(const rtos::Processor& cpu) const {
-    for (std::size_t pi = 0; pi < processors_.size(); ++pi)
-        if (processors_[pi] == &cpu) return static_cast<int>(pi) + 1;
-    return 0;
-}
-
 void PerfettoStreamWriter::on_task_state(const rtos::Task& task,
                                          rtos::TaskState from,
                                          rtos::TaskState to) {
@@ -101,15 +90,15 @@ void PerfettoStreamWriter::on_task_state(const rtos::Task& task,
         cur.seen = true;
         cur.prev_at = at;
         cur.prev_state = from;
-        cur.pid = pid_of(task.processor());
+        cur.pid = pfmt::track_id(processors_, &task.processor());
         const auto& tasks = task.processor().tasks();
         for (std::size_t ti = 0; ti < tasks.size(); ++ti)
             if (tasks[ti].get() == &task) cur.tid = static_cast<int>(ti) + 1;
     }
     if (from == to) return; // creation announcement
-    if (visible_state(cur.prev_state) && at > cur.prev_at)
-        emit(pfmt::slice(cur.pid, cur.tid, cur.prev_at, at - cur.prev_at,
-                         "task_state", rtos::to_string(cur.prev_state)));
+    if (pfmt::visible(cur.prev_state) && at > cur.prev_at)
+        emit(pfmt::state_slice(cur.pid, cur.tid, cur.prev_at, at - cur.prev_at,
+                               cur.prev_state));
     cur.prev_at = at;
     cur.prev_state = to;
 }
@@ -121,13 +110,9 @@ void PerfettoStreamWriter::on_overhead(const rtos::Processor& cpu,
                                        const rtos::Task* about) {
     note_time(start + duration);
     if (duration.is_zero()) return;
-    const int pid = pid_of(cpu);
+    const int pid = pfmt::track_id(processors_, &cpu);
     if (pid == 0) return; // overhead of an unattached processor
-    std::string args;
-    if (about != nullptr)
-        args = "{\"task\": \"" + json_escape(about->name()) + "\"}";
-    emit(pfmt::slice(pid, 0, start, duration, "rtos", rtos::to_string(kind),
-                     args));
+    emit(pfmt::overhead(pid, start, duration, kind, about));
 }
 
 void PerfettoStreamWriter::on_access(const mcse::Relation& rel,
@@ -138,20 +123,13 @@ void PerfettoStreamWriter::on_access(const mcse::Relation& rel,
                            : k::Simulator::current().now();
     note_time(at);
     if (!opts_.include_comms) return;
-    int tid = 0;
-    for (std::size_t ri = 0; ri < relations_.size(); ++ri)
-        if (relations_[ri] == &rel) tid = static_cast<int>(ri) + 1;
+    const int tid = pfmt::track_id(relations_, &rel);
     if (tid == 0) return;
-    std::string args = "{\"task\": \"";
-    args += task != nullptr ? json_escape(task->name()) : "<hw>";
-    args += blocked ? "\", \"blocked\": true}" : "\", \"blocked\": false}";
-    emit(pfmt::instant(comm_pid(), tid, at, 't', "comm",
-                       std::string(mcse::to_string(kind)) +
-                           (blocked ? " [blocked]" : ""),
-                       args));
+    emit(pfmt::access(comm_pid(), tid, at, task, kind, blocked));
 }
 
-void PerfettoStreamWriter::mark(std::string category, std::string name) {
+void PerfettoStreamWriter::on_marker(const std::string& category,
+                                     const std::string& name) {
     const k::Time at = k::Simulator::current().now();
     note_time(at);
     if (!opts_.include_markers) return;
@@ -161,7 +139,7 @@ void PerfettoStreamWriter::mark(std::string category, std::string name) {
 
 void PerfettoStreamWriter::counter(const rtos::Processor& cpu, kernel::Time at,
                                    std::string_view name, double value) {
-    const int pid = pid_of(cpu);
+    const int pid = pfmt::track_id(processors_, &cpu);
     if (pid == 0)
         throw k::SimulationError("counter() on a processor never attached "
                                  "to this PerfettoStreamWriter");
@@ -194,59 +172,24 @@ void PerfettoStreamWriter::finish(
             if (it == cursors_.end() || !it->second.seen) continue;
             const TaskCursor& cur = it->second;
             const k::Time end = std::max(cur.prev_at, trace_end_);
-            if (visible_state(cur.prev_state) && end > cur.prev_at)
-                emit(pfmt::slice(cur.pid, cur.tid, cur.prev_at,
-                                 end - cur.prev_at, "task_state",
-                                 rtos::to_string(cur.prev_state)));
+            if (pfmt::visible(cur.prev_state) && end > cur.prev_at)
+                emit(pfmt::state_slice(cur.pid, cur.tid, cur.prev_at,
+                                       end - cur.prev_at, cur.prev_state));
         }
     }
 
     // Metadata last: sort-canonical comparison with the batch exporter does
     // not care about position, and emitting here lets tid numbering for the
     // jobs tracks use the final task count, as the batch layout does.
-    for (std::size_t pi = 0; pi < processors_.size(); ++pi) {
-        const int pid = static_cast<int>(pi) + 1;
-        const auto& tasks = processors_[pi]->tasks();
-        emit(pfmt::meta_process(pid, processors_[pi]->name()));
-        emit(pfmt::meta_thread(pid, 0, processors_[pi]->name() + ".rtos"));
-        for (std::size_t ti = 0; ti < tasks.size(); ++ti)
-            emit(pfmt::meta_thread(pid, static_cast<int>(ti) + 1,
-                                   tasks[ti]->name()));
-        if (attribution != nullptr)
-            for (std::size_t ti = 0; ti < tasks.size(); ++ti)
-                emit(pfmt::meta_thread(pid,
-                                       static_cast<int>(tasks.size() + 1 + ti),
-                                       tasks[ti]->name() + ".jobs"));
-    }
-    if (opts_.include_comms && !relations_.empty()) {
-        emit(pfmt::meta_process(comm_pid(), "comm"));
-        for (std::size_t ri = 0; ri < relations_.size(); ++ri)
-            emit(pfmt::meta_thread(comm_pid(), static_cast<int>(ri) + 1,
-                                   relations_[ri]->name() + " (" +
-                                       std::string(
-                                           relations_[ri]->type_name()) +
-                                       ")"));
-    }
-    if (opts_.include_markers && any_marker_)
-        emit(pfmt::meta_process(marker_pid(), "events"));
+    const pfmt::Sink sink = [this](std::string e) { emit(e); };
+    pfmt::emit_layout(sink, processors_, relations_, attribution != nullptr,
+                      opts_.include_comms, opts_.include_markers && any_marker_);
     for (std::size_t ci = 0; ci < counter_procs_.size(); ++ci)
         emit(pfmt::meta_process(marker_pid() + 1 + static_cast<int>(ci),
                                 counter_procs_[ci]));
-
-    if (attribution != nullptr) {
-        pfmt::TrackIndex tracks;
-        for (std::size_t pi = 0; pi < processors_.size(); ++pi) {
-            const auto& tasks = processors_[pi]->tasks();
-            for (std::size_t ti = 0; ti < tasks.size(); ++ti)
-                tracks.emplace(tasks[ti]->name(),
-                               pfmt::Track{static_cast<int>(pi) + 1,
-                                           static_cast<int>(ti) + 1,
-                                           static_cast<int>(tasks.size() + 1 +
-                                                            ti)});
-        }
-        pfmt::emit_attribution([this](std::string e) { emit(e); }, tracks,
+    if (attribution != nullptr)
+        pfmt::emit_attribution(sink, pfmt::track_index(processors_),
                                *attribution, misses);
-    }
 
     flush_window();
     os_ << "\n]}\n";

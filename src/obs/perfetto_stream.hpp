@@ -2,25 +2,27 @@
 // Streaming Perfetto / Chrome trace-event exporter with bounded memory.
 //
 // Where obs::write_perfetto_file serialises a whole trace::Recorder after
-// the run, PerfettoStreamWriter observes the model directly (TaskObserver +
-// CommObserver + MarkerSink) and spools events to disk *as the simulation
-// runs*: resident state is one append window of at most ~window_bytes plus
-// O(#tasks) per-task cursors, independent of trace length. A long-horizon
+// the run, PerfettoStreamWriter observes the model directly (an
+// rtos::Observer of processors, relations and fault components) and spools
+// events to disk *as the simulation runs*: resident state is one append
+// window of at most ~window_bytes plus O(#tasks) per-task cursors,
+// independent of trace length. A long-horizon
 // scenario that would hold millions of records in a Recorder streams in a
 // few tens of kilobytes (tests/obs/test_perfetto_stream.cpp pins the peak
 // window occupancy).
 //
 // Equivalence contract: for one run observed by both a Recorder and a
-// PerfettoStreamWriter (same processors/relations attached, markers fanned
-// out through trace::MarkerTee), the streamed file contains exactly the
+// PerfettoStreamWriter (same processors/relations attached, both subscribed
+// to the same marker sources), the streamed file contains exactly the
 // same events as write_perfetto_file's, byte-for-byte per event — only the
 // event *order* differs (the stream interleaves tracks as time advances).
 // Canonically sorting both files' event lines yields identical bytes; CI
 // checks this for both engines with skip-ahead on and off. Event strings
-// come from obs::pfmt, shared with the batch writer, so the two cannot
-// drift. Counter tracks (see counter() and obs::MetricsSampler) are the
-// deliberate exception: they exist only in streamed exports, so a sampled
-// export is written as a separate artifact, not sort-compared.
+// and the track layout come from obs::pfmt, shared with the batch writer,
+// so the two cannot drift. Counter tracks (see counter() and
+// obs::MetricsSampler) are the deliberate exception: they exist only in
+// streamed exports, so a sampled export is written as a separate artifact,
+// not sort-compared.
 //
 // Spool format: events are appended to `path + ".spool-<pid>-<n>"`
 // (spool_path(); unique per writer, so concurrent runs targeting the same
@@ -44,15 +46,13 @@
 #include "kernel/time.hpp"
 #include "mcse/relation.hpp"
 #include "obs/attribution.hpp"
+#include "rtos/observer.hpp"
 #include "rtos/processor.hpp"
 #include "rtos/task.hpp"
-#include "trace/marker.hpp"
 
 namespace rtsc::obs {
 
-class PerfettoStreamWriter final : public rtos::TaskObserver,
-                                   public mcse::CommObserver,
-                                   public trace::MarkerSink {
+class PerfettoStreamWriter final : public rtos::Observer {
 public:
     struct Options {
         /// Flush the in-memory window to the spool once it reaches this many
@@ -88,19 +88,17 @@ public:
     /// "comm" process).
     void attach(mcse::Relation& rel);
 
-    // TaskObserver
+    // rtos::Observer (markers: subscribe the writer to the fault components)
     void on_task_state(const rtos::Task& task, rtos::TaskState from,
                        rtos::TaskState to) override;
     void on_overhead(const rtos::Processor& cpu, rtos::OverheadKind kind,
                      kernel::Time start, kernel::Time duration,
                      const rtos::Task* about) override;
 
-    // CommObserver
     void on_access(const mcse::Relation& rel, const rtos::Task* task,
                    mcse::AccessKind kind, bool blocked) override;
-
-    // MarkerSink (fault layer: set_trace(&writer), or through a MarkerTee)
-    void mark(std::string category, std::string name) override;
+    void on_marker(const std::string& category,
+                   const std::string& name) override;
 
     /// Emit one counter sample on `cpu`'s process track. The value renders
     /// with %.17g; `at` must be non-decreasing per counter name (the
@@ -141,7 +139,6 @@ private:
 
     void emit(const std::string& event);
     void flush_window();
-    [[nodiscard]] int pid_of(const rtos::Processor& cpu) const;
     [[nodiscard]] int comm_pid() const noexcept {
         return static_cast<int>(processors_.size()) + 1;
     }

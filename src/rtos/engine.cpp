@@ -5,7 +5,6 @@
 
 #include "kernel/simulator.hpp"
 #include "rtos/oracle.hpp"
-#include "rtos/probe.hpp"
 #include "rtos/processor.hpp"
 #include "rtos/task.hpp"
 
@@ -199,7 +198,8 @@ void SchedulerEngine::charge(OverheadKind kind, Task* about) {
     // which models a fixed hardware PLL/regulator relock latency.
     if (dvfs && kind != OverheadKind::frequency_switch)
         d = processor_.dvfs_scale(d);
-    processor_.notify_overhead(kind, start, d, about);
+    for (Observer* o : processor_.observers())
+        o->on_overhead(processor_, kind, start, d, about);
     if (d.is_zero()) return;
     // Book the overhead energy charge-wise only AFTER the wait completes:
     // the time-based fold of the overhead phase in set_phase covers the
@@ -269,7 +269,8 @@ Task* SchedulerEngine::select_and_grant() {
 
 void SchedulerEngine::note_scheduler_run() {
     ++stats_.scheduler_runs;
-    if (probe_) probe_->on_scheduler_run(processor_, ready_.size());
+    for (Observer* o : processor_.observers())
+        o->on_scheduler_run(processor_, ready_.size());
 }
 
 void SchedulerEngine::schedule_pass(Task* about) {
@@ -279,12 +280,14 @@ void SchedulerEngine::schedule_pass(Task* about) {
     select_and_grant();
 }
 
-void SchedulerEngine::leave_running(Task& t, TaskState to, PreemptReason reason) {
+void SchedulerEngine::leave_running(Task& t, TaskState to, PreemptReason reason,
+                                    const mcse::Relation* on) {
     if (running_ != &t)
         engine_error("leave_running for a task that is not running: " + t.name());
     cancel_slice(t);
     running_ = nullptr;
     set_phase(Phase::overhead);
+    const ObserverList& observers = processor_.observers();
     if (to == TaskState::ready) {
         t.entered_ready_preempted_ = (reason == PreemptReason::higher_priority ||
                                       reason == PreemptReason::slice_expired);
@@ -292,18 +295,15 @@ void SchedulerEngine::leave_running(Task& t, TaskState to, PreemptReason reason)
         // A preempted task resumes before equal-rank later arrivals; slice
         // rotation and yield go to the back of the queue.
         push_ready(t, /*front=*/reason == PreemptReason::higher_priority);
-        if (probe_ && t.entered_ready_preempted_) {
+        if (t.entered_ready_preempted_ && !observers.empty()) {
             std::size_t depth = 0;
             for (const Task* r : ready_)
                 if (r->entered_ready_preempted_) ++depth;
-            probe_->on_preempt(processor_, t, depth);
+            for (Observer* o : observers) o->on_preempt(processor_, t, depth);
         }
     }
-    if (probe_ &&
-        (to == TaskState::waiting || to == TaskState::waiting_resource)) {
-        probe_->on_block(processor_, t, to, block_context_);
-        block_context_ = nullptr;
-    }
+    if (to == TaskState::waiting || to == TaskState::waiting_resource)
+        for (Observer* o : observers) o->on_block(processor_, t, to, on);
     // Job boundary for the RT-DVS policies: waiting = job done until the next
     // release; terminated = final job done. waiting_resource is mid-job
     // blocking and does not complete the job.
@@ -316,10 +316,11 @@ void SchedulerEngine::leave_running(Task& t, TaskState to, PreemptReason reason)
 void SchedulerEngine::enter_running(Task& t) {
     running_ = &t;
     ++stats_.dispatches;
-    if (probe_) {
+    if (!processor_.observers().empty()) {
         const k::Time now = processor_.simulator().now();
-        probe_->on_dispatch(processor_, t, now - t.state_since_,
-                            now - t.granted_at_);
+        for (Observer* o : processor_.observers())
+            o->on_dispatch(processor_, t, now - t.state_since_,
+                           now - t.granted_at_);
     }
     set_phase(Phase::running);
     t.set_state(TaskState::running);
@@ -466,20 +467,21 @@ void SchedulerEngine::inline_preempt(Task& caller) {
     await_dispatch(caller);
 }
 
-void SchedulerEngine::block(Task& t, TaskState kind) {
+void SchedulerEngine::block(Task& t, TaskState kind, const mcse::Relation* on) {
     if (current_task() != &t)
         engine_error("block must be called from the task's own thread: " + t.name());
-    leave_running(t, kind, PreemptReason::none);
+    leave_running(t, kind, PreemptReason::none, on);
     reschedule_after_leave(t, /*charge_save=*/true, /*sync=*/false);
     await_dispatch(t);
 }
 
-bool SchedulerEngine::block_timed(Task& t, TaskState kind, k::Time timeout) {
+bool SchedulerEngine::block_timed(Task& t, TaskState kind, k::Time timeout,
+                                  const mcse::Relation* on) {
     if (current_task() != &t)
         engine_error("block_timed must be called from the task's own thread: " +
                      t.name());
     const k::Time deadline = processor_.simulator().now() + timeout;
-    leave_running(t, kind, PreemptReason::none);
+    leave_running(t, kind, PreemptReason::none, on);
     // sync for the same reason as sleep_for: the timeout wake must not enter
     // the ready queue before the scheduling pass caused by this very block.
     reschedule_after_leave(t, /*charge_save=*/true, /*sync=*/true);
@@ -590,7 +592,7 @@ void SchedulerEngine::make_ready(Task& t) {
     ++t.stats_.activations;
     push_ready(t, /*front=*/false);
     t.set_state(TaskState::ready);
-    if (probe_) probe_->on_wake(processor_, t);
+    for (Observer* o : processor_.observers()) o->on_wake(processor_, t);
 
     Task* caller = current_task();
     // A killed/crashed caller is unwinding (ProcessKilled or a body

@@ -36,7 +36,6 @@ class Relation;
 
 namespace rtsc::rtos {
 
-class EngineProbe;
 class ScheduleOracle;
 
 class SchedulerEngine {
@@ -55,12 +54,15 @@ public:
     // ---- entry points called from the task's own thread ----
     void start_task(Task& t);                ///< created -> ready -> ... -> running
     void consume(Task& t, kernel::Time d);   ///< compute(): preemptible CPU use
-    void block(Task& t, TaskState kind);     ///< running -> waiting; returns when running again
+    /// running -> waiting; returns when running again. Communication
+    /// relations pass themselves as `on`, which Observer::on_block reports.
+    void block(Task& t, TaskState kind, const mcse::Relation* on = nullptr);
     /// Like block(), but gives up after `timeout`. Returns true when the
     /// task was made ready by someone else (delivery), false when the
     /// timeout expired first (the task re-dispatches itself either way and
     /// this returns only once it is Running again).
-    bool block_timed(Task& t, TaskState kind, kernel::Time timeout);
+    bool block_timed(Task& t, TaskState kind, kernel::Time timeout,
+                     const mcse::Relation* on = nullptr);
     void sleep_for(Task& t, kernel::Time d); ///< timed block
     void finish_task(Task& t);               ///< running -> terminated (+dispatch next)
     void yield_cpu(Task& t);
@@ -110,19 +112,6 @@ public:
     };
     /// Accumulators are folded up to the current instant on read.
     [[nodiscard]] PhaseStats phase_stats() const;
-
-    /// Install (or clear, with nullptr) the instrumentation probe. At most
-    /// one probe per engine; every hook site costs one branch when none is
-    /// registered (see rtos/probe.hpp).
-    void set_probe(EngineProbe* p) noexcept { probe_ = p; }
-    [[nodiscard]] EngineProbe* probe() const noexcept { return probe_; }
-
-    /// Communication relations name the object a task is about to block on
-    /// so the probe's on_block hook can attribute the wait. Set immediately
-    /// before the block()/block_timed() call, consumed (and cleared) by the
-    /// leave-Running transition it causes. Callers only set it when a probe
-    /// is installed, keeping the uninstrumented path write-free.
-    void set_block_context(const mcse::Relation* r) noexcept { block_context_ = r; }
 
     /// Install (or clear, with nullptr) the schedule-space oracle
     /// (rtos/oracle.hpp): same-instant equal-rank ready-queue tie-breaks are
@@ -198,8 +187,10 @@ protected:
     void schedule_pass(Task* about);
 
     /// Move the running task out of the Running state. `to` is ready
-    /// (preemption/yield), waiting, waiting_resource or terminated.
-    void leave_running(Task& t, TaskState to, PreemptReason reason);
+    /// (preemption/yield), waiting, waiting_resource or terminated; `on` is
+    /// the relation a blocking task waits on (see block()).
+    void leave_running(Task& t, TaskState to, PreemptReason reason,
+                       const mcse::Relation* on = nullptr);
 
     /// The granted task starts running (called after the load charge).
     void enter_running(Task& t);
@@ -222,10 +213,10 @@ protected:
     void arm_slice(Task& t);
     void cancel_slice(Task& t);
 
-    /// Count a scheduling pass and fire the probe (both engines call this
-    /// for the inline Fig. 6 case (c) charge; schedule_pass calls it too).
+    /// Count a scheduling pass and notify the observers (both engines call
+    /// this for the inline Fig. 6 case (c) charge; schedule_pass calls it
+    /// too).
     void note_scheduler_run();
-    void bump_scheduler_runs() { note_scheduler_run(); }
 
     // Task-handshake accessors for derived engines (base-class friendship).
     static void set_kicked(Task& t) noexcept;
@@ -252,9 +243,7 @@ protected:
     /// kicked branch rechecks killed_ afterwards.
     Task* pass_runner_ = nullptr;
     PhaseStats stats_;
-    EngineProbe* probe_ = nullptr; ///< optional instrumentation, see set_probe
     ScheduleOracle* oracle_ = nullptr; ///< optional tie-break oracle, see above
-    const mcse::Relation* block_context_ = nullptr; ///< see set_block_context
 
 private:
     /// push_ready with the oracle installed: compute the same-instant

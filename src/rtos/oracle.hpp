@@ -13,7 +13,7 @@
 // at the same simulated instant), and the pinned default slot. The oracle
 // answers with the slot to use; returning the preset everywhere reproduces
 // the pinned behaviour bit-for-bit. Without an oracle every hook site costs
-// one branch (same contract as EngineProbe).
+// one branch (same contract as the observer lists, rtos/observer.hpp).
 //
 // The two notification hooks feed the explorer's pruning: on_dispatch fires
 // whenever the scheduler removes a winner from the ready queue (the only

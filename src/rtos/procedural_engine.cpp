@@ -14,7 +14,7 @@ void ProceduralEngine::reschedule_after_leave(Task& leaver, bool charge_save,
     // (Figure 5: the blocked/preempted task's thread executes TaskContextSave
     // and the Scheduling portion of the RTOS overhead). Defer one delta cycle
     // first so other same-instant wakes are already in the ready queue when
-    // the overhead durations are evaluated and the probe samples the queue —
+    // the overhead durations are evaluated and the observers sample the queue —
     // the §4.1 engine's dedicated RTOS thread naturally runs after them, and
     // the engines must agree on the state every charge observes (same
     // reasoning as the kicked branch of await_dispatch). pass_runner_ covers
@@ -42,7 +42,7 @@ void ProceduralEngine::kick_idle_dispatch(Task& target) {
 void ProceduralEngine::inline_ready_charge(Task& caller) {
     // Fig. 6 case (c): the running task pays the scheduling duration of the
     // primitive that readied a lower-priority task, then keeps running.
-    bump_scheduler_runs();
+    note_scheduler_run();
     charge(OverheadKind::scheduling, &caller);
     set_phase(Phase::running);
     recheck_preemption();

@@ -36,7 +36,8 @@ Task& Processor::create_task(TaskConfig config, Task::Body body) {
     Task& t = *task;
     tasks_.push_back(std::move(task));
     // Announce creation so timeline recorders can open a row for the task.
-    notify_state(t, TaskState::created, TaskState::created);
+    for (Observer* o : observers_)
+        o->on_task_state(t, TaskState::created, TaskState::created);
     return t;
 }
 
@@ -80,15 +81,6 @@ kernel::Time Processor::overhead_duration(OverheadKind kind) const {
             return overheads_.frequency_switch.evaluate(state);
     }
     return kernel::Time::zero();
-}
-
-void Processor::notify_state(const Task& t, TaskState from, TaskState to) const {
-    for (TaskObserver* obs : observers_) obs->on_task_state(t, from, to);
-}
-
-void Processor::notify_overhead(OverheadKind kind, kernel::Time start,
-                                kernel::Time dur, const Task* about) const {
-    for (TaskObserver* obs : observers_) obs->on_overhead(*this, kind, start, dur, about);
 }
 
 } // namespace rtsc::rtos

@@ -16,6 +16,7 @@
 #include "kernel/module.hpp"
 #include "rtos/dvfs.hpp"
 #include "rtos/engine.hpp"
+#include "rtos/observer.hpp"
 #include "rtos/overhead.hpp"
 #include "rtos/policy.hpp"
 #include "rtos/task.hpp"
@@ -135,11 +136,14 @@ public:
         return engine_->ready_queue();
     }
 
-    // ---- observers ----
-    void add_observer(TaskObserver& obs) { observers_.push_back(&obs); }
-    void notify_state(const Task& t, TaskState from, TaskState to) const;
-    void notify_overhead(OverheadKind kind, kernel::Time start, kernel::Time dur,
-                         const Task* about) const;
+    // ---- observers (rtos/observer.hpp) ----
+    /// Subscribe `obs` to this processor's task-state, overhead and engine
+    /// events; a no-op when it is already subscribed.
+    void add_observer(Observer& obs) { observers_.add(obs); }
+    void remove_observer(Observer& obs) noexcept { observers_.remove(obs); }
+    [[nodiscard]] const ObserverList& observers() const noexcept {
+        return observers_;
+    }
 
 private:
     friend class SchedulerEngine; // level application + energy folding
@@ -148,7 +152,7 @@ private:
     EngineKind engine_kind_;
     std::unique_ptr<SchedulerEngine> engine_;
     std::vector<std::unique_ptr<Task>> tasks_;
-    std::vector<TaskObserver*> observers_;
+    ObserverList observers_;
     RtosOverheads overheads_;
     bool preemptive_ = true;
     int preemption_lock_depth_ = 0;

@@ -127,7 +127,7 @@ void Task::set_state(TaskState s) {
     state_ = s;
     state_since_ = now;
     if (s == TaskState::running) ++stats_.dispatches;
-    processor_.notify_state(*this, old, s);
+    for (Observer* o : processor_.observers()) o->on_task_state(*this, old, s);
 }
 
 void Task::set_base_priority(int p) {

@@ -30,19 +30,6 @@ struct TaskConfig {
     std::size_t stack_bytes = 128 * 1024;
 };
 
-/// Observer of task state transitions and RTOS overhead charges; the trace
-/// layer implements this to build TimeLine charts and statistics.
-class TaskObserver {
-public:
-    virtual ~TaskObserver() = default;
-    virtual void on_task_state(const Task& task, TaskState from, TaskState to) = 0;
-    virtual void on_overhead(const Processor& cpu, OverheadKind kind,
-                             kernel::Time start, kernel::Time duration,
-                             const Task* about) {
-        (void)cpu; (void)kind; (void)start; (void)duration; (void)about;
-    }
-};
-
 class Task {
 public:
     using Body = std::function<void(Task&)>;
@@ -249,7 +236,7 @@ private:
     kernel::Event ev_ack_;        ///< threaded engine: synchronous-call ack
     kernel::Event ev_retired_;    ///< TaskRetired: terminal leave settled
     bool granted_ = false;        ///< selected by the scheduler, may load+run
-    kernel::Time granted_at_{};   ///< when granted_ was last set (probe latency)
+    kernel::Time granted_at_{};   ///< when granted_ was last set (dispatch latency)
     bool kicked_ = false;         ///< must execute a scheduling pass (procedural)
     bool preempt_pending_ = false;
     PreemptReason preempt_reason_ = PreemptReason::none;

@@ -50,7 +50,7 @@ void ThreadedEngine::process(const Request& r) {
             dispatch_in_progress_ = false;
             break;
         case Request::Kind::inline_sched:
-            bump_scheduler_runs();
+            note_scheduler_run();
             charge(OverheadKind::scheduling, r.task);
             set_phase(Phase::running);
             recheck_preemption();

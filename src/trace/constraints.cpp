@@ -1,32 +1,15 @@
 #include "trace/constraints.hpp"
 
-#include <algorithm>
 #include <ostream>
 
 namespace rtsc::trace {
 
 namespace k = rtsc::kernel;
 
-void ConstraintMonitor::attach_processor(rtos::Processor& cpu) {
-    if (std::find(attached_cpus_.begin(), attached_cpus_.end(), &cpu) !=
-        attached_cpus_.end())
-        return;
-    cpu.add_observer(*this);
-    attached_cpus_.push_back(&cpu);
-}
-
-void ConstraintMonitor::attach_relation(mcse::Relation& rel) {
-    if (std::find(attached_relations_.begin(), attached_relations_.end(),
-                  &rel) != attached_relations_.end())
-        return;
-    rel.add_observer(*this);
-    attached_relations_.push_back(&rel);
-}
-
 void ConstraintMonitor::require_response(rtos::Task& task, k::Time bound,
                                          std::string name) {
     if (name.empty()) name = "response(" + task.name() + ")";
-    attach_processor(task.processor());
+    task.processor().add_observer(*this);
     response_rules_.push_back({&task, bound, std::move(name), false, {}});
 }
 
@@ -35,8 +18,8 @@ void ConstraintMonitor::require_latency(std::string name, mcse::Relation& from,
                                         mcse::Relation& to,
                                         mcse::AccessKind to_kind,
                                         k::Time bound) {
-    attach_relation(from);
-    attach_relation(to);
+    from.add_observer(*this);
+    to.add_observer(*this);
     latency_rules_.push_back(
         {std::move(name), &from, from_kind, &to, to_kind, bound, {}});
 }

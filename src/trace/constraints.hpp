@@ -28,8 +28,7 @@
 
 namespace rtsc::trace {
 
-class ConstraintMonitor final : public rtos::TaskObserver,
-                                public mcse::CommObserver {
+class ConstraintMonitor final : public rtos::Observer {
 public:
     struct Violation {
         std::string constraint;
@@ -72,10 +71,9 @@ public:
         on_violation_ = std::move(cb);
     }
 
-    // TaskObserver
+    // rtos::Observer
     void on_task_state(const rtos::Task& task, rtos::TaskState from,
                        rtos::TaskState to) override;
-    // CommObserver
     void on_access(const mcse::Relation& rel, const rtos::Task* task,
                    mcse::AccessKind kind, bool blocked) override;
 
@@ -97,14 +95,10 @@ private:
         std::vector<kernel::Time> pending; ///< unmatched source occurrences
     };
 
-    void attach_processor(rtos::Processor& cpu);
-    void attach_relation(mcse::Relation& rel);
     void add_violation(Violation v);
 
     std::vector<ResponseRule> response_rules_;
     std::vector<LatencyRule> latency_rules_;
-    std::vector<const rtos::Processor*> attached_cpus_;
-    std::vector<const mcse::Relation*> attached_relations_;
     std::vector<Violation> violations_;
     std::uint64_t checks_ = 0;
     std::function<void(const Violation&)> on_violation_;

@@ -15,15 +15,13 @@
 
 #include "kernel/time.hpp"
 #include "mcse/relation.hpp"
+#include "rtos/observer.hpp"
 #include "rtos/processor.hpp"
 #include "rtos/task.hpp"
-#include "trace/marker.hpp"
 
 namespace rtsc::trace {
 
-class Recorder final : public rtos::TaskObserver,
-                       public mcse::CommObserver,
-                       public MarkerSink {
+class Recorder final : public rtos::Observer {
 public:
     struct StateRecord {
         kernel::Time at;
@@ -46,8 +44,9 @@ public:
         bool blocked;
     };
     /// Point event outside the task/comm model: fault injections, watchdog
-    /// timeouts, deadline misses. Rendered as instant markers by the
-    /// Perfetto exporter (src/obs/perfetto.hpp).
+    /// timeouts, deadline misses (subscribe the recorder to the fault
+    /// components with their add_observer). Rendered as instant markers by
+    /// the Perfetto exporter (src/obs/perfetto.hpp).
     struct MarkerRecord {
         kernel::Time at;
         std::string category; ///< e.g. "fault", "watchdog", "deadline"
@@ -76,7 +75,7 @@ public:
         comms_.reserve(records / 4);
     }
 
-    // TaskObserver
+    // rtos::Observer
     void on_task_state(const rtos::Task& task, rtos::TaskState from,
                        rtos::TaskState to) override {
         states_.push_back(
@@ -88,13 +87,16 @@ public:
         overheads_.push_back({start, duration, kind, &cpu, about});
     }
 
-    // CommObserver
     void on_access(const mcse::Relation& rel, const rtos::Task* task,
                    mcse::AccessKind kind, bool blocked) override {
         const kernel::Time at = task != nullptr
                                     ? task->processor().simulator().now()
                                     : kernel::Simulator::current().now();
         comms_.push_back({at, &rel, task, kind, blocked});
+    }
+    void on_marker(const std::string& category,
+                   const std::string& name) override {
+        markers_.push_back({kernel::Simulator::current().now(), category, name});
     }
 
     [[nodiscard]] const std::vector<StateRecord>& states() const noexcept {
@@ -110,13 +112,6 @@ public:
         return markers_;
     }
 
-    /// Record an instant marker at the current simulated time. Callable from
-    /// any simulation context; the fault layer uses this (Watchdog,
-    /// DeadlineMissHandler, FaultInjector with set_trace(&rec)).
-    void mark(std::string category, std::string name) override {
-        markers_.push_back({kernel::Simulator::current().now(),
-                            std::move(category), std::move(name)});
-    }
     [[nodiscard]] const std::vector<rtos::Processor*>& processors() const noexcept {
         return processors_;
     }

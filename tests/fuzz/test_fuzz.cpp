@@ -159,6 +159,29 @@ TEST(FuzzRunner, CompareFlagsEndTimeDifference) {
     EXPECT_EQ(d.stream, "end_time");
 }
 
+TEST(FuzzRunner, ConservationBreakFlagsBrokenRows) {
+    // A break every leg shares survives the leg diffs; the scan flags it.
+    fuzz::RunResult r;
+    r.metrics = {"energy.cpu0.busy=12", "energy.cpu0.tasks=12"};
+    r.attribution = {"0 T #0 rel=0 end=5 exec=5"};
+    EXPECT_FALSE(fuzz::conservation_break(r).diverged);
+
+    r.attribution.push_back("5 T #1 rel=5 end=9 exec=3 BROKEN-INVARIANT sum=3");
+    fuzz::Divergence d = fuzz::conservation_break(r);
+    ASSERT_TRUE(d.diverged);
+    EXPECT_EQ(d.stream, "attribution [conservation]");
+    EXPECT_EQ(d.index, 1u);
+    EXPECT_EQ(d.lhs, r.attribution[1]);
+    EXPECT_EQ(d.rhs, d.lhs);
+
+    // Ledger rows come first.
+    r.metrics.push_back("energy.cpu0.BROKEN-ENERGY total=12 split=11");
+    d = fuzz::conservation_break(r);
+    ASSERT_TRUE(d.diverged);
+    EXPECT_EQ(d.stream, "metrics [conservation]");
+    EXPECT_EQ(d.index, 2u);
+}
+
 TEST(FuzzRunner, KernelActivationCountsAreEngineSpecific) {
     // The §4 comparison metric: the procedural engine exists to activate the
     // kernel less often. The counts must NOT be part of the equivalence

@@ -188,7 +188,7 @@ TEST(Attribution, CollectorForwardsAndFeedsBlameMetrics) {
     o::MetricsRegistry reg;
     o::MetricsCollector coll(reg);
     o::Attribution attr;
-    coll.set_attribution(&attr); // single probe slot: collector forwards
+    coll.set_attribution(&attr); // the collector subscribes it as well
     coll.attach(cpu);
 
     m::Event ev("ev", m::EventPolicy::fugitive);

@@ -52,7 +52,7 @@ struct Exported {
         sim.spawn("hw", [&] {
             k::wait(50_us);
             irq.signal();
-            rec.mark("fault", "crash:demo");
+            rec.on_marker("fault", "crash:demo");
         });
         sim.run();
 

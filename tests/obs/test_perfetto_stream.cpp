@@ -2,8 +2,8 @@
 // batch exporter's events (byte-identical after canonical sort) on both
 // engines with skip-ahead on and off, stay within its bounded in-memory
 // window on long traces, spool atomically (no final file until finish(),
-// no spool left behind on abandonment), and fan markers out through
-// trace::MarkerTee.
+// no spool left behind on abandonment), and receive a fault component's
+// markers alongside a trace::Recorder subscribed to the same component.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -14,15 +14,16 @@
 #include <string>
 #include <vector>
 
+#include "fault/fault_injector.hpp"
 #include "kernel/simulator.hpp"
 #include "mcse/event.hpp"
 #include "obs/json.hpp"
 #include "obs/perfetto.hpp"
 #include "obs/perfetto_stream.hpp"
 #include "rtos/processor.hpp"
-#include "trace/marker.hpp"
 #include "trace/recorder.hpp"
 
+namespace f = rtsc::fault;
 namespace k = rtsc::kernel;
 namespace r = rtsc::rtos;
 namespace m = rtsc::mcse;
@@ -83,9 +84,6 @@ struct DualExport {
         m::Event irq("irq", m::EventPolicy::boolean);
         rec.attach(irq);
         stream.attach(irq);
-        tr::MarkerTee markers;
-        markers.add(rec);
-        markers.add(stream);
         cpu.create_task({.name = "H", .priority = 5}, [&](r::Task& self) {
             irq.await();
             self.compute(20_us);
@@ -95,7 +93,8 @@ struct DualExport {
         sim.spawn("hw", [&] {
             k::wait(50_us);
             irq.signal();
-            markers.mark("fault", "crash:demo");
+            rec.on_marker("fault", "crash:demo");
+            stream.on_marker("fault", "crash:demo");
         });
         sim.run();
 
@@ -244,19 +243,46 @@ TEST(PerfettoStreamTest, CounterOnUnattachedProcessorThrows) {
     std::remove("stream_counter.perfetto.json");
 }
 
-TEST(MarkerTeeTest, FansOutToAllSinks) {
-    k::Simulator sim;
-    tr::Recorder a, b;
-    tr::MarkerTee tee;
-    tee.add(a);
-    tee.add(b);
-    sim.spawn("p", [&] {
-        k::wait(5_us);
-        tee.mark("fault", "x");
-    });
-    sim.run();
-    ASSERT_EQ(a.markers().size(), 1u);
-    ASSERT_EQ(b.markers().size(), 1u);
-    EXPECT_EQ(a.markers()[0].name, "x");
-    EXPECT_EQ(b.markers()[0].at, 5_us);
+TEST(PerfettoStreamTest, FaultMarkerReachesRecorderAndStream) {
+    // One fault component, two subscribers: the injector's crash marker
+    // lands in the recorder (and so the batch export) and in the stream.
+    const std::string path = "stream_marker.perfetto.json";
+    std::string batch_text;
+    {
+        k::Simulator sim;
+        r::Processor cpu("cpu");
+        tr::Recorder rec;
+        rec.attach(cpu);
+        o::PerfettoStreamWriter stream(path);
+        stream.attach(cpu);
+        r::Task& victim = cpu.create_task(
+            {.name = "victim", .priority = 1},
+            [](r::Task& self) { self.compute(100_us); });
+        f::FaultPlan plan;
+        plan.task_crashes.push_back({&victim, 5_us, false, {}});
+        f::FaultInjector injector(sim, plan, 1);
+        injector.add_observer(rec);
+        injector.add_observer(stream);
+        injector.arm();
+        sim.run();
+
+        ASSERT_EQ(rec.markers().size(), 1u);
+        EXPECT_EQ(rec.markers()[0].category, "fault");
+        EXPECT_EQ(rec.markers()[0].name, "crash:victim");
+        EXPECT_EQ(rec.markers()[0].at, 5_us);
+        std::ostringstream os;
+        o::write_perfetto_json(os, rec);
+        batch_text = os.str();
+        stream.finish();
+    }
+    const auto marker_lines = [](const std::vector<std::string>& lines) {
+        std::vector<std::string> out;
+        for (const auto& l : lines)
+            if (l.find("crash:victim") != std::string::npos) out.push_back(l);
+        return out;
+    };
+    const auto streamed = marker_lines(canonical_lines(path));
+    ASSERT_EQ(streamed.size(), 1u);
+    EXPECT_EQ(streamed, marker_lines(canonical_lines_of(batch_text)));
+    std::remove(path.c_str());
 }

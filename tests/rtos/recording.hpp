@@ -6,6 +6,7 @@
 #include <string>
 #include <vector>
 
+#include "rtos/observer.hpp"
 #include "rtos/processor.hpp"
 #include "rtos/task.hpp"
 
@@ -24,7 +25,7 @@ struct Transition {
     bool operator==(const Transition&) const = default;
 };
 
-class RecordingObserver final : public rtos::TaskObserver {
+class RecordingObserver final : public rtos::Observer {
 public:
     void on_task_state(const rtos::Task& task, rtos::TaskState from,
                        rtos::TaskState to) override {

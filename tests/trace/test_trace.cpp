@@ -279,9 +279,9 @@ TEST(RecorderTest, MarkersCaptureInstantEvents) {
     tr::Recorder rec;
     sim.spawn("marker_source", [&rec] {
         k::wait(10_us);
-        rec.mark("fault", "crash:ctl");
+        rec.on_marker("fault", "crash:ctl");
         k::wait(5_us);
-        rec.mark("watchdog", "timeout:ctl");
+        rec.on_marker("watchdog", "timeout:ctl");
     });
     sim.run();
     ASSERT_EQ(rec.markers().size(), 2u);
