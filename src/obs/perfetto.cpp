@@ -12,11 +12,14 @@ namespace rtsc::obs {
 
 namespace k = rtsc::kernel;
 
-std::string json_escape(std::string_view s) {
-    static const char* hex = "0123456789abcdef";
-    std::string out;
-    out.reserve(s.size());
-    for (const unsigned char c : s) {
+void append_json_escaped(std::string& out, std::string_view s) {
+    static constexpr char hex[] = "0123456789abcdef";
+    std::size_t plain = 0; // start of the pending run that needs no escaping
+    for (std::size_t i = 0; i < s.size(); ++i) {
+        const auto c = static_cast<unsigned char>(s[i]);
+        if (c >= 0x20 && c != '"' && c != '\\') continue;
+        out += s.substr(plain, i - plain);
+        plain = i + 1;
         switch (c) {
             case '"': out += "\\\""; break;
             case '\\': out += "\\\\"; break;
@@ -26,50 +29,26 @@ std::string json_escape(std::string_view s) {
             case '\r': out += "\\r"; break;
             case '\t': out += "\\t"; break;
             default:
-                if (c < 0x20) {
-                    out += "\\u00";
-                    out += hex[(c >> 4) & 0xf];
-                    out += hex[c & 0xf];
-                } else {
-                    out += static_cast<char>(c);
-                }
+                out += "\\u00";
+                out += hex[c >> 4];
+                out += hex[c & 0xf];
         }
     }
+    out += s.substr(plain);
+}
+
+std::string json_escape(std::string_view s) {
+    std::string out;
+    out.reserve(s.size());
+    append_json_escaped(out, s);
     return out;
 }
 
-namespace {
-
-/// Serialises one event per raw() call, handling the comma/newline plumbing.
-/// Event strings themselves come from obs::pfmt so the streaming writer
-/// emits identical bytes.
-class EventStream {
-public:
-    EventStream(std::ostream& os, bool one_per_line)
-        : os_(os), nl_(one_per_line ? "\n" : "") {}
-
-    void begin() { os_ << "{\"traceEvents\": [" << nl_; }
-    void end() { os_ << nl_ << "]}\n"; }
-
-    void raw(const std::string& event) {
-        if (!first_) os_ << ',' << nl_;
-        first_ = false;
-        os_ << event;
-    }
-
-private:
-    std::ostream& os_;
-    const char* nl_;
-    bool first_ = true;
-};
-
-} // namespace
-
 void write_perfetto_json(std::ostream& os, const trace::Recorder& rec,
                          const PerfettoOptions& opts) {
-    EventStream ev(os, opts.one_event_per_line);
-    ev.begin();
-    const pfmt::Sink sink = [&ev](std::string e) { ev.raw(e); };
+    // Events render in place into a 64 KiB window that spills to `os`.
+    pfmt::EventArray ev(os, 64 * 1024, opts.one_event_per_line);
+    ev.open();
 
     const auto& cpus = rec.processors();
     const auto& rels = rec.relations();
@@ -77,7 +56,7 @@ void write_perfetto_json(std::ostream& os, const trace::Recorder& rec,
     const int marker_pid = comm_pid + 1;
 
     // --- metadata: stable pid/tid assignment (obs/perfetto_format.hpp) ----
-    pfmt::emit_layout(sink, cpus, rels, opts.attribution != nullptr,
+    pfmt::emit_layout(ev, cpus, rels, opts.attribution != nullptr,
                       opts.include_comms,
                       opts.include_markers && !rec.markers().empty());
 
@@ -92,9 +71,11 @@ void write_perfetto_json(std::ostream& os, const trace::Recorder& rec,
             for (const auto& seg : tl.segments(*tasks[ti])) {
                 if (!pfmt::visible(seg.state) || seg.end <= seg.begin)
                     continue;
-                ev.raw(pfmt::state_slice(pid, static_cast<int>(ti) + 1,
-                                         seg.begin, seg.end - seg.begin,
-                                         seg.state));
+                ev.emit([&](std::string& out) {
+                    pfmt::state_slice(out, pid, static_cast<int>(ti) + 1,
+                                      seg.begin, seg.end - seg.begin,
+                                      seg.state);
+                });
             }
         }
     }
@@ -104,33 +85,39 @@ void write_perfetto_json(std::ostream& os, const trace::Recorder& rec,
         if (o.duration.is_zero()) continue;
         const int pid = pfmt::track_id(cpus, o.cpu);
         if (pid == 0) continue; // overhead of an unattached processor
-        ev.raw(pfmt::overhead(pid, o.at, o.duration, o.kind, o.about));
+        ev.emit([&](std::string& out) {
+            pfmt::overhead(out, pid, o.at, o.duration, o.kind, o.about);
+        });
     }
 
     // --- causal latency attribution (jobs, chains, misses) ----------------
     // Each task's tracks are located by name (Attribution records names so
     // its results outlive the model; the recorder still has the model).
     if (opts.attribution != nullptr)
-        pfmt::emit_attribution(sink, pfmt::track_index(cpus),
-                               *opts.attribution, opts.misses);
+        pfmt::emit_attribution(ev, pfmt::track_index(cpus), *opts.attribution,
+                               opts.misses);
 
     // --- communication accesses as thread instants ------------------------
     if (opts.include_comms) {
         for (const auto& c : rec.comms()) {
             const int tid = pfmt::track_id(rels, c.relation);
             if (tid == 0) continue;
-            ev.raw(pfmt::access(comm_pid, tid, c.at, c.task, c.kind,
-                                c.blocked));
+            ev.emit([&](std::string& out) {
+                pfmt::access(out, comm_pid, tid, c.at, c.task, c.kind,
+                             c.blocked);
+            });
         }
     }
 
     // --- fault / watchdog / deadline markers as global instants -----------
     if (opts.include_markers) {
         for (const auto& m : rec.markers())
-            ev.raw(pfmt::instant(marker_pid, 1, m.at, 'g', m.category, m.name));
+            ev.emit([&](std::string& out) {
+                pfmt::instant(out, marker_pid, 1, m.at, 'g', m.category, m.name);
+            });
     }
 
-    ev.end();
+    ev.close();
 }
 
 void write_perfetto_file(const std::string& path, const trace::Recorder& rec,

@@ -28,7 +28,7 @@
 //
 // Timestamps are exact: ts/dur are emitted in microseconds with up to six
 // fractional digits (picosecond resolution, the kernel's native unit) via
-// trace::format_us — never through a lossy double round-trip. Names pass
+// trace::append_us — never through a lossy double round-trip. Names pass
 // through JSON string escaping, so hostile task/relation names stay valid.
 //
 // The output is deterministic: identical recorder content yields
@@ -62,8 +62,13 @@ struct PerfettoOptions {
     const std::vector<Attribution::DeadlineMissReport>* misses = nullptr;
 };
 
-/// Escape `s` for inclusion inside a JSON string literal (without the
-/// surrounding quotes). Control characters become \u00XX.
+/// Append `s` to `out` escaped for inclusion inside a JSON string literal
+/// (without the surrounding quotes). Control characters become \u00XX; all
+/// other bytes, UTF-8 sequences included, pass through. A string that needs
+/// no escaping is appended in one piece.
+void append_json_escaped(std::string& out, std::string_view s);
+
+/// append_json_escaped into a fresh string.
 [[nodiscard]] std::string json_escape(std::string_view s);
 
 /// Write the whole recorder stream as Chrome trace-event JSON.

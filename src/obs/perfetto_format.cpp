@@ -1,6 +1,8 @@
 #include "obs/perfetto_format.hpp"
 
-#include <cstdio>
+#include <charconv>
+#include <concepts>
+#include <ostream>
 
 #include "mcse/relation.hpp"
 #include "obs/perfetto.hpp"
@@ -13,196 +15,239 @@ namespace k = rtsc::kernel;
 
 namespace {
 
-/// Energy in joules as a round-trippable JSON number.
-std::string format_joules(rtos::Energy e) {
-    char buf[40];
-    std::snprintf(buf, sizeof buf, "%.17g", rtos::energy_to_joules(e));
-    return buf;
+/// Text JSON-escaped into the event.
+struct Esc {
+    std::string_view text;
+};
+/// A time in exact microseconds (trace::append_us).
+struct Us {
+    k::Time t;
+};
+/// A time in raw picoseconds.
+struct Ps {
+    k::Time t;
+};
+/// A double rendered exactly as printf's %.17g.
+struct Real {
+    double v;
+};
+
+/// Appends to one event in place: text verbatim, integers through
+/// std::to_chars, and the tagged values above.
+class Out {
+public:
+    explicit Out(std::string& s) noexcept : s_(s) {}
+
+    Out& operator<<(std::string_view v) {
+        s_ += v;
+        return *this;
+    }
+    Out& operator<<(char c) {
+        s_ += c;
+        return *this;
+    }
+    template <std::integral I>
+    Out& operator<<(I v) {
+        char buf[24];
+        s_.append(buf, std::to_chars(buf, buf + sizeof buf, v).ptr);
+        return *this;
+    }
+    Out& operator<<(Esc e) {
+        append_json_escaped(s_, e.text);
+        return *this;
+    }
+    Out& operator<<(Us u) {
+        trace::append_us(s_, u.t);
+        return *this;
+    }
+    Out& operator<<(Ps p) { return *this << p.t.raw_ps(); }
+    Out& operator<<(Real r) {
+        char buf[32]; // "-d.dddddddddddddddde-ddd" is 24 characters
+        s_.append(buf, std::to_chars(buf, buf + sizeof buf, r.v,
+                                     std::chars_format::general, 17)
+                           .ptr);
+        return *this;
+    }
+
+private:
+    std::string& s_;
+};
+
+// An event opens with `{"name": "` and its escaped name; these append the
+// fields that follow the name. Args, if any, come next as `, "args": {...}`
+// and `}` closes the event.
+
+void slice_fields(Out& o, int pid, int tid, k::Time at, k::Time dur,
+                  std::string_view cat) {
+    o << "\", \"cat\": \"" << Esc{cat} << "\", \"ph\": \"X\", \"ts\": " << Us{at}
+      << ", \"dur\": " << Us{dur} << ", \"pid\": " << pid << ", \"tid\": " << tid;
 }
 
-std::string ps(k::Time t) { return std::to_string(t.raw_ps()); }
-
-std::string time_map(const std::vector<std::pair<std::string, k::Time>>& m) {
-    std::string out = "{";
-    bool first = true;
-    for (const auto& [name, t] : m) {
-        if (!first) out += ", ";
-        first = false;
-        out += "\"" + json_escape(name) + "\": " + ps(t);
-    }
-    return out + "}";
+void instant_fields(Out& o, int pid, int tid, k::Time at, char scope,
+                    std::string_view cat) {
+    o << "\", \"cat\": \"" << Esc{cat} << "\", \"ph\": \"i\", \"s\": \"" << scope
+      << "\", \"ts\": " << Us{at} << ", \"pid\": " << pid << ", \"tid\": " << tid;
 }
 
-std::string str_list(const std::vector<std::string>& v) {
-    std::string out = "[";
-    for (std::size_t i = 0; i < v.size(); ++i) {
-        if (i != 0) out += ", ";
-        out += "\"" + json_escape(v[i]) + "\"";
-    }
-    return out + "]";
+/// `{"name": "<kind>_name", "ph": "M", ...` up to the open name argument.
+void meta_head(Out& o, std::string_view kind, int pid, int tid) {
+    o << "{\"name\": \"" << kind << "_name\", \"ph\": \"M\", \"pid\": " << pid
+      << ", \"tid\": " << tid << ", \"args\": {\"name\": \"";
+}
+
+void time_map(Out& o, const std::vector<std::pair<std::string, k::Time>>& m) {
+    o << '{';
+    for (std::size_t i = 0; i < m.size(); ++i)
+        o << (i != 0 ? ", \"" : "\"") << Esc{m[i].first} << "\": "
+          << Ps{m[i].second};
+    o << '}';
+}
+
+void str_list(Out& o, const std::vector<std::string>& v) {
+    o << '[';
+    for (std::size_t i = 0; i < v.size(); ++i)
+        o << (i != 0 ? ", \"" : "\"") << Esc{v[i]} << '"';
+    o << ']';
+}
+
+std::string_view boolean(bool b) { return b ? "true" : "false"; }
+
+/// Flow endpoints ("s" start, "f" finish) of a culprit->victim blocking
+/// arrow.
+void flow_start(std::string& out, std::uint64_t id, k::Time at, int pid,
+                int tid) {
+    Out(out) << "{\"name\": \"blocking\", \"cat\": \"blocking\", \"ph\": \"s\", "
+                "\"id\": "
+             << id << ", \"ts\": " << Us{at} << ", \"pid\": " << pid
+             << ", \"tid\": " << tid << '}';
+}
+
+void flow_finish(std::string& out, std::uint64_t id, k::Time at, int pid,
+                 int tid) {
+    Out(out) << "{\"name\": \"blocking\", \"cat\": \"blocking\", \"ph\": \"f\", "
+                "\"bp\": \"e\", \"id\": "
+             << id << ", \"ts\": " << Us{at} << ", \"pid\": " << pid
+             << ", \"tid\": " << tid << '}';
 }
 
 } // namespace
 
-std::string meta_process(int pid, std::string_view name) {
-    std::string e = "{\"name\": \"process_name\", \"ph\": \"M\", \"pid\": ";
-    e += std::to_string(pid);
-    e += ", \"tid\": 0, \"args\": {\"name\": \"";
-    e += json_escape(name);
-    e += "\"}}";
-    return e;
+EventArray::EventArray(std::ostream& os, std::size_t window_bytes,
+                       bool one_per_line)
+    : os_(os), limit_(window_bytes), sep_(one_per_line ? ",\n" : ",") {}
+
+void EventArray::open() {
+    os_ << "{\"traceEvents\": [" << sep_.substr(1); // the newline, if any
 }
 
-std::string meta_thread(int pid, int tid, std::string_view name) {
-    std::string e = "{\"name\": \"thread_name\", \"ph\": \"M\", \"pid\": ";
-    e += std::to_string(pid);
-    e += ", \"tid\": ";
-    e += std::to_string(tid);
-    e += ", \"args\": {\"name\": \"";
-    e += json_escape(name);
-    e += "\"}}";
-    return e;
+void EventArray::flush() {
+    if (window_.empty()) return;
+    os_ << window_;
+    stats_.spooled_bytes += window_.size();
+    ++stats_.flushes;
+    window_.clear();
+    stats_.window_bytes = 0;
 }
 
-std::string slice(int pid, int tid, k::Time at, k::Time dur,
-                  std::string_view cat, std::string_view name,
-                  const std::string& args_json) {
-    std::string e = "{\"name\": \"";
-    e += json_escape(name);
-    e += "\", \"cat\": \"";
-    e += json_escape(cat);
-    e += "\", \"ph\": \"X\", \"ts\": ";
-    e += trace::format_us(at);
-    e += ", \"dur\": ";
-    e += trace::format_us(dur);
-    e += ", \"pid\": ";
-    e += std::to_string(pid);
-    e += ", \"tid\": ";
-    e += std::to_string(tid);
-    if (!args_json.empty()) {
-        e += ", \"args\": ";
-        e += args_json;
-    }
-    e += '}';
-    return e;
+void EventArray::close() {
+    flush();
+    os_ << sep_.substr(1) << "]}\n";
 }
 
-std::string instant(int pid, int tid, k::Time at, char scope,
-                    std::string_view cat, std::string_view name,
-                    const std::string& args_json) {
-    std::string e = "{\"name\": \"";
-    e += json_escape(name);
-    e += "\", \"cat\": \"";
-    e += json_escape(cat);
-    e += "\", \"ph\": \"i\", \"s\": \"";
-    e += scope;
-    e += "\", \"ts\": ";
-    e += trace::format_us(at);
-    e += ", \"pid\": ";
-    e += std::to_string(pid);
-    e += ", \"tid\": ";
-    e += std::to_string(tid);
-    if (!args_json.empty()) {
-        e += ", \"args\": ";
-        e += args_json;
-    }
-    e += '}';
-    return e;
+void meta_process(std::string& out, int pid, std::string_view name) {
+    Out o(out);
+    meta_head(o, "process", pid, 0);
+    o << Esc{name} << "\"}}";
 }
 
-std::string counter(int pid, k::Time at, std::string_view name, double value) {
-    char buf[40];
-    std::snprintf(buf, sizeof buf, "%.17g", value);
-    std::string e = "{\"name\": \"";
-    e += json_escape(name);
-    e += "\", \"ph\": \"C\", \"ts\": ";
-    e += trace::format_us(at);
-    e += ", \"pid\": ";
-    e += std::to_string(pid);
-    e += ", \"tid\": 0, \"args\": {\"value\": ";
-    e += buf;
-    e += "}}";
-    return e;
+void instant(std::string& out, int pid, int tid, k::Time at, char scope,
+             std::string_view cat, std::string_view name) {
+    Out o(out);
+    o << "{\"name\": \"" << Esc{name};
+    instant_fields(o, pid, tid, at, scope, cat);
+    o << '}';
 }
 
-std::string flow_start(std::uint64_t id, k::Time at, int pid, int tid) {
-    std::string e =
-        "{\"name\": \"blocking\", \"cat\": \"blocking\", \"ph\": \"s\", "
-        "\"id\": ";
-    e += std::to_string(id);
-    e += ", \"ts\": ";
-    e += trace::format_us(at);
-    e += ", \"pid\": ";
-    e += std::to_string(pid);
-    e += ", \"tid\": ";
-    e += std::to_string(tid);
-    e += '}';
-    return e;
+void counter(std::string& out, int pid, k::Time at, std::string_view name,
+             double value) {
+    Out(out) << "{\"name\": \"" << Esc{name} << "\", \"ph\": \"C\", \"ts\": "
+             << Us{at} << ", \"pid\": " << pid
+             << ", \"tid\": 0, \"args\": {\"value\": " << Real{value} << "}}";
 }
 
-std::string flow_finish(std::uint64_t id, k::Time at, int pid, int tid) {
-    std::string e =
-        "{\"name\": \"blocking\", \"cat\": \"blocking\", \"ph\": \"f\", "
-        "\"bp\": \"e\", \"id\": ";
-    e += std::to_string(id);
-    e += ", \"ts\": ";
-    e += trace::format_us(at);
-    e += ", \"pid\": ";
-    e += std::to_string(pid);
-    e += ", \"tid\": ";
-    e += std::to_string(tid);
-    e += '}';
-    return e;
+void state_slice(std::string& out, int pid, int tid, k::Time at, k::Time dur,
+                 rtos::TaskState state) {
+    Out o(out);
+    o << "{\"name\": \"" << Esc{rtos::to_string(state)};
+    slice_fields(o, pid, tid, at, dur, "task_state");
+    o << '}';
 }
 
-std::string state_slice(int pid, int tid, k::Time at, k::Time dur,
-                        rtos::TaskState state) {
-    return slice(pid, tid, at, dur, "task_state", rtos::to_string(state));
-}
-
-std::string overhead(int pid, k::Time start, k::Time dur,
-                     rtos::OverheadKind kind, const rtos::Task* about) {
-    std::string args;
+void overhead(std::string& out, int pid, k::Time start, k::Time dur,
+              rtos::OverheadKind kind, const rtos::Task* about) {
+    Out o(out);
+    o << "{\"name\": \"" << Esc{rtos::to_string(kind)};
+    slice_fields(o, pid, 0, start, dur, "rtos");
     if (about != nullptr)
-        args = "{\"task\": \"" + json_escape(about->name()) + "\"}";
-    return slice(pid, 0, start, dur, "rtos", rtos::to_string(kind), args);
+        o << ", \"args\": {\"task\": \"" << Esc{about->name()} << "\"}";
+    o << '}';
 }
 
-std::string access(int pid, int tid, k::Time at, const rtos::Task* task,
-                   mcse::AccessKind kind, bool blocked) {
-    std::string args = "{\"task\": \"";
-    args += task != nullptr ? json_escape(task->name()) : "<hw>";
-    args += blocked ? "\", \"blocked\": true}" : "\", \"blocked\": false}";
-    return instant(pid, tid, at, 't', "comm",
-                   std::string(mcse::to_string(kind)) +
-                       (blocked ? " [blocked]" : ""),
-                   args);
+void access(std::string& out, int pid, int tid, k::Time at,
+            const rtos::Task* task, mcse::AccessKind kind, bool blocked) {
+    Out o(out);
+    o << "{\"name\": \"" << Esc{mcse::to_string(kind)}
+      << (blocked ? " [blocked]" : "");
+    instant_fields(o, pid, tid, at, 't', "comm");
+    o << ", \"args\": {\"task\": \"";
+    if (task != nullptr)
+        o << Esc{task->name()};
+    else
+        o << "<hw>";
+    o << "\", \"blocked\": " << boolean(blocked) << "}}";
 }
 
-void emit_layout(const Sink& sink, const std::vector<rtos::Processor*>& cpus,
+void emit_layout(EventArray& events, const std::vector<rtos::Processor*>& cpus,
                  const std::vector<mcse::Relation*>& relations, bool jobs,
                  bool comms, bool markers) {
+    // A thread named `<name><suffix>`.
+    const auto thread = [&events](int pid, int tid, std::string_view name,
+                                  std::string_view suffix) {
+        events.emit([&](std::string& out) {
+            Out o(out);
+            meta_head(o, "thread", pid, tid);
+            o << Esc{name} << Esc{suffix} << "\"}}";
+        });
+    };
     for (std::size_t pi = 0; pi < cpus.size(); ++pi) {
         const int pid = static_cast<int>(pi) + 1;
         const auto& tasks = cpus[pi]->tasks();
-        sink(meta_process(pid, cpus[pi]->name()));
-        sink(meta_thread(pid, 0, cpus[pi]->name() + ".rtos"));
+        events.emit([&](std::string& out) {
+            meta_process(out, pid, cpus[pi]->name());
+        });
+        thread(pid, 0, cpus[pi]->name(), ".rtos");
         for (std::size_t ti = 0; ti < tasks.size(); ++ti)
-            sink(meta_thread(pid, static_cast<int>(ti) + 1, tasks[ti]->name()));
+            thread(pid, static_cast<int>(ti) + 1, tasks[ti]->name(), {});
         if (jobs)
             for (std::size_t ti = 0; ti < tasks.size(); ++ti)
-                sink(meta_thread(pid, static_cast<int>(tasks.size() + 1 + ti),
-                                 tasks[ti]->name() + ".jobs"));
+                thread(pid, static_cast<int>(tasks.size() + 1 + ti),
+                       tasks[ti]->name(), ".jobs");
     }
     const int comm_pid = static_cast<int>(cpus.size()) + 1;
     if (comms && !relations.empty()) {
-        sink(meta_process(comm_pid, "comm"));
+        events.emit(
+            [&](std::string& out) { meta_process(out, comm_pid, "comm"); });
         for (std::size_t ri = 0; ri < relations.size(); ++ri)
-            sink(meta_thread(comm_pid, static_cast<int>(ri) + 1,
-                             relations[ri]->name() + " (" +
-                                 relations[ri]->type_name() + ")"));
+            events.emit([&](std::string& out) {
+                Out o(out);
+                meta_head(o, "thread", comm_pid, static_cast<int>(ri) + 1);
+                o << Esc{relations[ri]->name()} << " ("
+                  << Esc{relations[ri]->type_name()} << ")\"}}";
+            });
     }
-    if (markers) sink(meta_process(comm_pid + 1, "events"));
+    if (markers)
+        events.emit(
+            [&](std::string& out) { meta_process(out, comm_pid + 1, "events"); });
 }
 
 TrackIndex track_index(const std::vector<rtos::Processor*>& cpus) {
@@ -218,7 +263,7 @@ TrackIndex track_index(const std::vector<rtos::Processor*>& cpus) {
     return tracks;
 }
 
-void emit_attribution(const Sink& sink, const TrackIndex& tracks,
+void emit_attribution(EventArray& events, const TrackIndex& tracks,
                       const Attribution& attribution,
                       const std::vector<Attribution::DeadlineMissReport>* misses) {
     // One complete slice per job on the task's jobs track, blame
@@ -229,41 +274,44 @@ void emit_attribution(const Sink& sink, const TrackIndex& tracks,
     for (const auto& [name, tr] : tracks) {
         for (const auto* j : attribution.jobs_for(name)) {
             if (j->response().is_zero()) continue;
-            std::string args = "{\"task\": \"" + json_escape(j->task) +
-                               "\", \"index\": " + std::to_string(j->index) +
-                               ", \"release_ps\": " + ps(j->release) +
-                               ", \"end_ps\": " + ps(j->end) +
-                               ", \"response_ps\": " + ps(j->response()) +
-                               ", \"aborted\": " +
-                               (j->aborted ? "true" : "false") +
-                               ", \"exec_ps\": " + ps(j->exec) +
-                               ", \"preempt_ps\": " + ps(j->preemption) +
-                               ", \"block_ps\": " + ps(j->blocking) +
-                               ", \"overhead_ps\": " + ps(j->overhead) +
-                               ", \"interrupt_ps\": " + ps(j->interrupt) +
-                               ", \"ov_sched_ps\": " + ps(j->ov_scheduling) +
-                               ", \"ov_load_ps\": " + ps(j->ov_load) +
-                               ", \"ov_save_ps\": " + ps(j->ov_save) +
-                               ", \"ov_switch_ps\": " + ps(j->ov_switch) +
-                               ", \"residual_ps\": " + ps(j->residual) +
-                               // Raw model units as strings (128-bit,
-                               // exact); joules as doubles for humans.
-                               ", \"energy_exec_fj\": \"" +
-                               rtos::energy_to_string(j->energy_exec) +
-                               "\", \"energy_overhead_fj\": \"" +
-                               rtos::energy_to_string(j->energy_overhead) +
-                               "\", \"energy_exec_j\": " +
-                               format_joules(j->energy_exec) +
-                               ", \"energy_overhead_j\": " +
-                               format_joules(j->energy_overhead) +
-                               ", \"preempted_by\": " +
-                               time_map(j->preempted_by) +
-                               ", \"blocked_on\": " +
-                               time_map(j->blocked_on) + "}";
-            sink(slice(tr.pid, tr.jobs_tid, j->release, j->response(), "job",
-                       "job #" + std::to_string(j->index) +
-                           (j->aborted ? " (aborted)" : ""),
-                       args));
+            events.emit([&, &tr = tr](std::string& out) {
+                Out o(out);
+                o << "{\"name\": \"job #" << j->index
+                  << (j->aborted ? " (aborted)" : "");
+                slice_fields(o, tr.pid, tr.jobs_tid, j->release, j->response(),
+                             "job");
+                o << ", \"args\": {\"task\": \"" << Esc{j->task}
+                  << "\", \"index\": " << j->index
+                  << ", \"release_ps\": " << Ps{j->release}
+                  << ", \"end_ps\": " << Ps{j->end}
+                  << ", \"response_ps\": " << Ps{j->response()}
+                  << ", \"aborted\": " << boolean(j->aborted)
+                  << ", \"exec_ps\": " << Ps{j->exec}
+                  << ", \"preempt_ps\": " << Ps{j->preemption}
+                  << ", \"block_ps\": " << Ps{j->blocking}
+                  << ", \"overhead_ps\": " << Ps{j->overhead}
+                  << ", \"interrupt_ps\": " << Ps{j->interrupt}
+                  << ", \"ov_sched_ps\": " << Ps{j->ov_scheduling}
+                  << ", \"ov_load_ps\": " << Ps{j->ov_load}
+                  << ", \"ov_save_ps\": " << Ps{j->ov_save}
+                  << ", \"ov_switch_ps\": " << Ps{j->ov_switch}
+                  << ", \"residual_ps\": " << Ps{j->residual}
+                  // Raw model units as strings (128-bit, exact); joules as
+                  // doubles for humans.
+                  << ", \"energy_exec_fj\": \""
+                  << rtos::energy_to_string(j->energy_exec)
+                  << "\", \"energy_overhead_fj\": \""
+                  << rtos::energy_to_string(j->energy_overhead)
+                  << "\", \"energy_exec_j\": "
+                  << Real{rtos::energy_to_joules(j->energy_exec)}
+                  << ", \"energy_overhead_j\": "
+                  << Real{rtos::energy_to_joules(j->energy_overhead)}
+                  << ", \"preempted_by\": ";
+                time_map(o, j->preempted_by);
+                o << ", \"blocked_on\": ";
+                time_map(o, j->blocked_on);
+                o << "}}";
+            });
         }
     }
 
@@ -274,55 +322,60 @@ void emit_attribution(const Sink& sink, const TrackIndex& tracks,
     for (const auto& e : attribution.episodes()) {
         const auto vit = tracks.find(e.victim);
         if (vit == tracks.end()) continue;
-        std::string args =
-            "{\"victim\": \"" + json_escape(e.victim) +
-            "\", \"job\": " + std::to_string(e.job_index) +
-            ", \"resource\": \"" + json_escape(e.resource) +
-            "\", \"owner\": \"" + json_escape(e.owner) +
-            "\", \"victim_priority\": " + std::to_string(e.victim_priority) +
-            ", \"owner_priority\": " + std::to_string(e.owner_priority) +
-            ", \"duration_ps\": " + ps(e.duration()) +
-            ", \"inversion\": " + (e.inversion ? "true" : "false") +
-            ", \"chain\": " + str_list(e.chain) +
-            ", \"aggravators\": " + str_list(e.aggravators) + "}";
-        sink(instant(vit->second.pid, vit->second.jobs_tid, e.start, 't',
-                     "blocking_chain",
-                     "blocked on " + e.resource +
-                         (e.inversion ? " [inversion]" : ""),
-                     args));
+        const Track& victim = vit->second;
+        events.emit([&](std::string& out) {
+            Out o(out);
+            o << "{\"name\": \"blocked on " << Esc{e.resource}
+              << (e.inversion ? " [inversion]" : "");
+            instant_fields(o, victim.pid, victim.jobs_tid, e.start, 't',
+                           "blocking_chain");
+            o << ", \"args\": {\"victim\": \"" << Esc{e.victim}
+              << "\", \"job\": " << e.job_index << ", \"resource\": \""
+              << Esc{e.resource} << "\", \"owner\": \"" << Esc{e.owner}
+              << "\", \"victim_priority\": " << e.victim_priority
+              << ", \"owner_priority\": " << e.owner_priority
+              << ", \"duration_ps\": " << Ps{e.duration()}
+              << ", \"inversion\": " << boolean(e.inversion) << ", \"chain\": ";
+            str_list(o, e.chain);
+            o << ", \"aggravators\": ";
+            str_list(o, e.aggravators);
+            o << "}}";
+        });
         const auto oit = tracks.find(e.owner);
         if (oit == tracks.end()) continue;
-        sink(flow_start(flow_id, e.start, oit->second.pid,
-                        oit->second.state_tid));
-        sink(flow_finish(flow_id, e.end, vit->second.pid,
-                         vit->second.state_tid));
+        const Track& owner = oit->second;
+        events.emit([&](std::string& out) {
+            flow_start(out, flow_id, e.start, owner.pid, owner.state_tid);
+        });
+        events.emit([&](std::string& out) {
+            flow_finish(out, flow_id, e.end, victim.pid, victim.state_tid);
+        });
         ++flow_id;
     }
 
     // Deadline misses with their critical path.
-    if (misses != nullptr) {
-        for (const auto& m : *misses) {
-            const auto vit = tracks.find(m.task);
-            if (vit == tracks.end()) continue;
-            std::string args =
-                "{\"task\": \"" + json_escape(m.task) +
-                "\", \"constraint\": \"" + json_escape(m.constraint) +
-                "\", \"measured_ps\": " + ps(m.measured) +
-                ", \"bound_ps\": " + ps(m.bound) + ", \"critical_path\": [";
+    if (misses == nullptr) return;
+    for (const auto& m : *misses) {
+        const auto vit = tracks.find(m.task);
+        if (vit == tracks.end()) continue;
+        events.emit([&](std::string& out) {
+            Out o(out);
+            o << "{\"name\": \"deadline miss: " << Esc{m.constraint};
+            instant_fields(o, vit->second.pid, vit->second.jobs_tid, m.at, 't',
+                           "deadline_miss");
+            o << ", \"args\": {\"task\": \"" << Esc{m.task}
+              << "\", \"constraint\": \"" << Esc{m.constraint}
+              << "\", \"measured_ps\": " << Ps{m.measured}
+              << ", \"bound_ps\": " << Ps{m.bound} << ", \"critical_path\": [";
             for (std::size_t i = 0; i < m.critical_path.size(); ++i) {
                 const auto& item = m.critical_path[i];
-                if (i != 0) args += ", ";
-                args += "{\"start_ps\": " + ps(item.start) +
-                        ", \"dur_ps\": " + ps(item.duration) +
-                        ", \"culprit\": \"" + json_escape(item.culprit) +
-                        "\", \"reason\": \"" + json_escape(item.reason) +
-                        "\"}";
+                o << (i != 0 ? ", " : "") << "{\"start_ps\": " << Ps{item.start}
+                  << ", \"dur_ps\": " << Ps{item.duration} << ", \"culprit\": \""
+                  << Esc{item.culprit} << "\", \"reason\": \""
+                  << Esc{item.reason} << "\"}";
             }
-            args += "]}";
-            sink(instant(vit->second.pid, vit->second.jobs_tid, m.at, 't',
-                         "deadline_miss", "deadline miss: " + m.constraint,
-                         args));
-        }
+            o << "]}}";
+        });
     }
 }
 

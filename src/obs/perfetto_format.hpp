@@ -5,17 +5,24 @@
 // streaming bounded-memory writer (obs/perfetto_stream.hpp) — must emit
 // byte-identical event strings for the same underlying record, or the
 // "streamed export equals batch export after canonical sort" contract
-// (tests/obs/test_perfetto_stream.cpp) breaks. Every event string and the
-// track layout (pid/tid numbering, process/thread metadata) are built
-// here, in one place, by allocation-light append formatting; the writers
-// only decide *when* an event is emitted and where its bytes go.
+// (tests/obs/test_perfetto_stream.cpp) breaks. Every event and the track
+// layout (pid/tid numbering, process/thread metadata) are rendered here, in
+// one place, into one EventArray per export; the writers only decide *when*
+// an event is emitted.
+//
+// Rendering appends in place: each builder appends one complete JSON object
+// (no separator — EventArray owns the comma/newline plumbing) to the
+// caller's buffer. Names are JSON-escaped straight into it and numbers are
+// rendered with std::to_chars, so no event streamed while the model runs
+// builds a temporary string.
 //
 // Also hosts the causal-attribution event emitter: the per-job blame
 // slices, blocking-chain instants, culprit->victim flows and deadline-miss
 // instants are a pure function of (track index, Attribution) and are always
 // emitted post-run, so batch and streaming share the exact code path.
 
-#include <functional>
+#include <cstddef>
+#include <iosfwd>
 #include <map>
 #include <string>
 #include <string_view>
@@ -32,58 +39,86 @@ enum class AccessKind : std::uint8_t;
 
 namespace rtsc::obs::pfmt {
 
-/// Where a writer sends each finished event string.
-using Sink = std::function<void(std::string)>;
+/// The `{"traceEvents": [...]}` document both writers produce. Events are
+/// rendered straight into one window, which spills to the output stream as
+/// soon as it holds `window_bytes`, so resident memory stays below
+/// window_bytes plus one event whatever the trace length.
+class EventArray {
+public:
+    struct Stats {
+        std::size_t events = 0;            ///< events emitted so far
+        std::size_t window_bytes = 0;      ///< current window occupancy
+        std::size_t peak_window_bytes = 0; ///< high-water mark of the window
+        std::size_t flushes = 0;           ///< window spills to the stream
+        std::size_t spooled_bytes = 0;     ///< event bytes spilled so far
+    };
 
-/// Append-formatted event strings; each returns one complete JSON object
-/// (no trailing comma/newline — the writers own the separator plumbing).
-[[nodiscard]] std::string meta_process(int pid, std::string_view name);
-[[nodiscard]] std::string meta_thread(int pid, int tid, std::string_view name);
+    /// With `one_per_line` every event sits on its own line.
+    EventArray(std::ostream& os, std::size_t window_bytes,
+               bool one_per_line = true);
 
-/// Complete slice ("X"). `args_json` is a full {"k": v} object or empty.
-[[nodiscard]] std::string slice(int pid, int tid, kernel::Time at,
-                                kernel::Time dur, std::string_view cat,
-                                std::string_view name,
-                                const std::string& args_json = {});
+    /// Write the document head straight to the stream.
+    void open();
+    /// Append one event: `render(window)` appends its JSON object.
+    template <class Render>
+    void emit(Render&& render) {
+        if (stats_.events != 0) window_ += sep_;
+        render(window_);
+        ++stats_.events;
+        stats_.window_bytes = window_.size();
+        if (window_.size() > stats_.peak_window_bytes)
+            stats_.peak_window_bytes = window_.size();
+        if (window_.size() >= limit_) flush();
+    }
+    /// Spill the window and write the document tail.
+    void close();
+
+    [[nodiscard]] const Stats& stats() const noexcept { return stats_; }
+
+private:
+    void flush();
+
+    std::ostream& os_;
+    std::size_t limit_;
+    std::string_view sep_;
+    std::string window_;
+    Stats stats_;
+};
+
+// ---- event builders: each appends one event to `out` ----
+
+/// Process name metadata ("M").
+void meta_process(std::string& out, int pid, std::string_view name);
 
 /// Instant ("i") with scope `scope` ("t" thread, "g" global).
-[[nodiscard]] std::string instant(int pid, int tid, kernel::Time at,
-                                  char scope, std::string_view cat,
-                                  std::string_view name,
-                                  const std::string& args_json = {});
+void instant(std::string& out, int pid, int tid, kernel::Time at, char scope,
+             std::string_view cat, std::string_view name);
 
 /// Counter sample ("C"): one point of the counter track `name` under `pid`.
-/// The value is rendered with %.17g — round-trippable, and deterministic
-/// for the simulated-time quantities the MetricsSampler emits.
-[[nodiscard]] std::string counter(int pid, kernel::Time at,
-                                  std::string_view name, double value);
+/// The value renders exactly as printf's %.17g does — round-trippable, and
+/// deterministic for the simulated-time quantities the MetricsSampler emits.
+/// A non-finite value would not be JSON; callers reject it.
+void counter(std::string& out, int pid, kernel::Time at, std::string_view name,
+             double value);
 
 /// Task-state slice on a task's state track. Only visible() states get
 /// one: created and terminated stretches stay blank.
-[[nodiscard]] std::string state_slice(int pid, int tid, kernel::Time at,
-                                      kernel::Time dur, rtos::TaskState state);
+void state_slice(std::string& out, int pid, int tid, kernel::Time at,
+                 kernel::Time dur, rtos::TaskState state);
 [[nodiscard]] constexpr bool visible(rtos::TaskState s) noexcept {
     return s != rtos::TaskState::created && s != rtos::TaskState::terminated;
 }
 
 /// RTOS overhead slice on tid 0 of processor `pid`; args name the task it
 /// was charged for, if any.
-[[nodiscard]] std::string overhead(int pid, kernel::Time start,
-                                   kernel::Time dur, rtos::OverheadKind kind,
-                                   const rtos::Task* about);
+void overhead(std::string& out, int pid, kernel::Time start, kernel::Time dur,
+              rtos::OverheadKind kind, const rtos::Task* about);
 
 /// Relation access as a thread instant on the comm process (`tid` = the
 /// relation's track); args name the accessing task ("<hw>" for hardware
 /// processes) and whether it blocked.
-[[nodiscard]] std::string access(int pid, int tid, kernel::Time at,
-                                 const rtos::Task* task, mcse::AccessKind kind,
-                                 bool blocked);
-
-/// Flow endpoints used for culprit->victim blocking arrows.
-[[nodiscard]] std::string flow_start(std::uint64_t id, kernel::Time at,
-                                     int pid, int tid);
-[[nodiscard]] std::string flow_finish(std::uint64_t id, kernel::Time at,
-                                      int pid, int tid);
+void access(std::string& out, int pid, int tid, kernel::Time at,
+            const rtos::Task* task, mcse::AccessKind kind, bool blocked);
 
 // ---- track layout (documented in obs/perfetto.hpp) ----
 // The numbering depends only on attach and creation order, so repeated
@@ -101,7 +136,7 @@ template <class T>
 /// Process and thread names of the layout: every processor with its RTOS,
 /// task and (with `jobs`) jobs threads; the comm process when `comms` and
 /// a relation is attached; the events process when `markers`.
-void emit_layout(const Sink& sink, const std::vector<rtos::Processor*>& cpus,
+void emit_layout(EventArray& events, const std::vector<rtos::Processor*>& cpus,
                  const std::vector<mcse::Relation*>& relations, bool jobs,
                  bool comms, bool markers);
 
@@ -120,10 +155,10 @@ using TrackIndex = std::map<std::string, Track>;
 
 /// Emit every attribution-derived event — per-job blame slices, blocking
 /// chains + flow arrows, and (when `misses` is non-null) deadline-miss
-/// instants — through `sink`, in the deterministic order both writers
-/// share. Tasks absent from `tracks` are skipped, matching the batch
-/// exporter's historical behaviour.
-void emit_attribution(const Sink& sink, const TrackIndex& tracks,
+/// instants — in the deterministic order both writers share. Tasks absent
+/// from `tracks` are skipped, matching the batch exporter's historical
+/// behaviour.
+void emit_attribution(EventArray& events, const TrackIndex& tracks,
                       const Attribution& attribution,
                       const std::vector<Attribution::DeadlineMissReport>* misses);
 

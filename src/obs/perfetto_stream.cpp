@@ -3,12 +3,12 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <cmath>
 #include <cstdio>
 #include <utility>
 
 #include "kernel/report.hpp"
 #include "kernel/simulator.hpp"
-#include "obs/perfetto_format.hpp"
 
 namespace rtsc::obs {
 
@@ -26,16 +26,22 @@ std::string unique_spool_path(const std::string& path) {
            std::to_string(seq.fetch_add(1, std::memory_order_relaxed));
 }
 
+void require_finite(std::string_view name, double value) {
+    if (!std::isfinite(value))
+        throw k::SimulationError("counter() value of '" + std::string(name) +
+                                 "' is not finite");
+}
+
 } // namespace
 
 PerfettoStreamWriter::PerfettoStreamWriter(std::string path, Options opts)
     : path_(std::move(path)), spool_path_(unique_spool_path(path_)),
-      opts_(opts) {
-    os_.open(spool_path_, std::ios::trunc);
+      opts_(opts), os_(spool_path_, std::ios::trunc),
+      events_(os_, opts_.window_bytes) {
     if (!os_)
         throw k::SimulationError("cannot open perfetto spool file: " +
                                  spool_path_);
-    os_ << "{\"traceEvents\": [\n";
+    events_.open();
     if (!os_)
         throw k::SimulationError("failed writing perfetto spool file: " +
                                  spool_path_);
@@ -60,33 +66,13 @@ void PerfettoStreamWriter::attach(mcse::Relation& rel) {
     relations_.push_back(&rel);
 }
 
-void PerfettoStreamWriter::emit(const std::string& event) {
-    if (!first_) window_ += ",\n";
-    first_ = false;
-    window_ += event;
-    ++stats_.events;
-    stats_.window_bytes = window_.size();
-    if (window_.size() > stats_.peak_window_bytes)
-        stats_.peak_window_bytes = window_.size();
-    if (window_.size() >= opts_.window_bytes) flush_window();
-}
-
-void PerfettoStreamWriter::flush_window() {
-    if (window_.empty()) return;
-    os_ << window_;
-    stats_.spooled_bytes += window_.size();
-    ++stats_.flushes;
-    window_.clear();
-    stats_.window_bytes = 0;
-}
-
 void PerfettoStreamWriter::on_task_state(const rtos::Task& task,
                                          rtos::TaskState from,
                                          rtos::TaskState to) {
     const k::Time at = task.processor().simulator().now();
     note_time(at);
     TaskCursor& cur = cursors_[&task];
-    if (!cur.seen) {
+    if (!cur.seen) { // first sight: locate the task's track once
         cur.seen = true;
         cur.prev_at = at;
         cur.prev_state = from;
@@ -97,8 +83,10 @@ void PerfettoStreamWriter::on_task_state(const rtos::Task& task,
     }
     if (from == to) return; // creation announcement
     if (pfmt::visible(cur.prev_state) && at > cur.prev_at)
-        emit(pfmt::state_slice(cur.pid, cur.tid, cur.prev_at, at - cur.prev_at,
-                               cur.prev_state));
+        events_.emit([&](std::string& out) {
+            pfmt::state_slice(out, cur.pid, cur.tid, cur.prev_at,
+                              at - cur.prev_at, cur.prev_state);
+        });
     cur.prev_at = at;
     cur.prev_state = to;
 }
@@ -112,7 +100,9 @@ void PerfettoStreamWriter::on_overhead(const rtos::Processor& cpu,
     if (duration.is_zero()) return;
     const int pid = pfmt::track_id(processors_, &cpu);
     if (pid == 0) return; // overhead of an unattached processor
-    emit(pfmt::overhead(pid, start, duration, kind, about));
+    events_.emit([&](std::string& out) {
+        pfmt::overhead(out, pid, start, duration, kind, about);
+    });
 }
 
 void PerfettoStreamWriter::on_access(const mcse::Relation& rel,
@@ -125,7 +115,9 @@ void PerfettoStreamWriter::on_access(const mcse::Relation& rel,
     if (!opts_.include_comms) return;
     const int tid = pfmt::track_id(relations_, &rel);
     if (tid == 0) return;
-    emit(pfmt::access(comm_pid(), tid, at, task, kind, blocked));
+    events_.emit([&](std::string& out) {
+        pfmt::access(out, comm_pid(), tid, at, task, kind, blocked);
+    });
 }
 
 void PerfettoStreamWriter::on_marker(const std::string& category,
@@ -134,7 +126,9 @@ void PerfettoStreamWriter::on_marker(const std::string& category,
     note_time(at);
     if (!opts_.include_markers) return;
     any_marker_ = true;
-    emit(pfmt::instant(marker_pid(), 1, at, 'g', category, name));
+    events_.emit([&](std::string& out) {
+        pfmt::instant(out, marker_pid(), 1, at, 'g', category, name);
+    });
 }
 
 void PerfettoStreamWriter::counter(const rtos::Processor& cpu, kernel::Time at,
@@ -143,11 +137,14 @@ void PerfettoStreamWriter::counter(const rtos::Processor& cpu, kernel::Time at,
     if (pid == 0)
         throw k::SimulationError("counter() on a processor never attached "
                                  "to this PerfettoStreamWriter");
-    emit(pfmt::counter(pid, at, name, value));
+    require_finite(name, value);
+    events_.emit(
+        [&](std::string& out) { pfmt::counter(out, pid, at, name, value); });
 }
 
 void PerfettoStreamWriter::counter(std::string_view process, kernel::Time at,
                                    std::string_view name, double value) {
+    require_finite(name, value); // before the process is allocated a pid
     int idx = -1;
     for (std::size_t i = 0; i < counter_procs_.size(); ++i)
         if (counter_procs_[i] == process) idx = static_cast<int>(i);
@@ -155,7 +152,9 @@ void PerfettoStreamWriter::counter(std::string_view process, kernel::Time at,
         idx = static_cast<int>(counter_procs_.size());
         counter_procs_.emplace_back(process);
     }
-    emit(pfmt::counter(marker_pid() + 1 + idx, at, name, value));
+    const int pid = marker_pid() + 1 + idx;
+    events_.emit(
+        [&](std::string& out) { pfmt::counter(out, pid, at, name, value); });
 }
 
 void PerfettoStreamWriter::finish(
@@ -173,26 +172,28 @@ void PerfettoStreamWriter::finish(
             const TaskCursor& cur = it->second;
             const k::Time end = std::max(cur.prev_at, trace_end_);
             if (pfmt::visible(cur.prev_state) && end > cur.prev_at)
-                emit(pfmt::state_slice(cur.pid, cur.tid, cur.prev_at,
-                                       end - cur.prev_at, cur.prev_state));
+                events_.emit([&](std::string& out) {
+                    pfmt::state_slice(out, cur.pid, cur.tid, cur.prev_at,
+                                      end - cur.prev_at, cur.prev_state);
+                });
         }
     }
 
     // Metadata last: sort-canonical comparison with the batch exporter does
     // not care about position, and emitting here lets tid numbering for the
     // jobs tracks use the final task count, as the batch layout does.
-    const pfmt::Sink sink = [this](std::string e) { emit(e); };
-    pfmt::emit_layout(sink, processors_, relations_, attribution != nullptr,
+    pfmt::emit_layout(events_, processors_, relations_, attribution != nullptr,
                       opts_.include_comms, opts_.include_markers && any_marker_);
     for (std::size_t ci = 0; ci < counter_procs_.size(); ++ci)
-        emit(pfmt::meta_process(marker_pid() + 1 + static_cast<int>(ci),
-                                counter_procs_[ci]));
+        events_.emit([&](std::string& out) {
+            pfmt::meta_process(out, marker_pid() + 1 + static_cast<int>(ci),
+                               counter_procs_[ci]);
+        });
     if (attribution != nullptr)
-        pfmt::emit_attribution(sink, pfmt::track_index(processors_),
+        pfmt::emit_attribution(events_, pfmt::track_index(processors_),
                                *attribution, misses);
 
-    flush_window();
-    os_ << "\n]}\n";
+    events_.close();
     os_.flush();
     if (!os_)
         throw k::SimulationError("failed writing perfetto spool file: " +

@@ -38,14 +38,15 @@
 
 #include <cstddef>
 #include <fstream>
-#include <map>
 #include <string>
 #include <string_view>
+#include <unordered_map>
 #include <vector>
 
 #include "kernel/time.hpp"
 #include "mcse/relation.hpp"
 #include "obs/attribution.hpp"
+#include "obs/perfetto_format.hpp"
 #include "rtos/observer.hpp"
 #include "rtos/processor.hpp"
 #include "rtos/task.hpp"
@@ -62,13 +63,9 @@ public:
         bool include_markers = true;
     };
 
-    struct Stats {
-        std::size_t events = 0;            ///< events emitted so far
-        std::size_t window_bytes = 0;      ///< current window occupancy
-        std::size_t peak_window_bytes = 0; ///< high-water mark of the window
-        std::size_t flushes = 0;           ///< window spills to disk
-        std::size_t spooled_bytes = 0;     ///< bytes written to the spool
-    };
+    /// Events emitted, window occupancy and its high-water mark, spills to
+    /// the spool and the event bytes spooled.
+    using Stats = pfmt::EventArray::Stats;
 
     /// Opens a writer-unique spool file (see spool_path()) and emits the
     /// JSON header. Throws kernel::SimulationError when the spool cannot be
@@ -102,12 +99,14 @@ public:
 
     /// Emit one counter sample on `cpu`'s process track. The value renders
     /// with %.17g; `at` must be non-decreasing per counter name (the
-    /// validator checks). Throws when `cpu` was never attached.
+    /// validator checks). Throws kernel::SimulationError when `cpu` was never
+    /// attached or `value` is not finite (JSON has no NaN or infinity).
     void counter(const rtos::Processor& cpu, kernel::Time at,
                  std::string_view name, double value);
 
     /// Emit one counter sample on the auxiliary process `process` (e.g.
     /// "kernel"), allocated a pid past the marker process on first use.
+    /// Throws kernel::SimulationError when `value` is not finite.
     void counter(std::string_view process, kernel::Time at,
                  std::string_view name, double value);
 
@@ -121,7 +120,7 @@ public:
                     nullptr);
 
     [[nodiscard]] bool finished() const noexcept { return finished_; }
-    [[nodiscard]] const Stats& stats() const noexcept { return stats_; }
+    [[nodiscard]] const Stats& stats() const noexcept { return events_.stats(); }
     [[nodiscard]] const std::string& path() const noexcept { return path_; }
     /// Where events spool until finish() renames them onto path().
     [[nodiscard]] const std::string& spool_path() const noexcept {
@@ -137,8 +136,6 @@ private:
         int tid = 0;
     };
 
-    void emit(const std::string& event);
-    void flush_window();
     [[nodiscard]] int comm_pid() const noexcept {
         return static_cast<int>(processors_.size()) + 1;
     }
@@ -151,16 +148,14 @@ private:
     std::string spool_path_;
     Options opts_;
     std::ofstream os_;
-    std::string window_;
-    bool first_ = true;
+    pfmt::EventArray events_; ///< renders into its window, spills to os_
     bool finished_ = false;
     bool any_marker_ = false;
-    Stats stats_;
     kernel::Time trace_end_{};
 
     std::vector<rtos::Processor*> processors_;
     std::vector<mcse::Relation*> relations_;
-    std::map<const rtos::Task*, TaskCursor> cursors_;
+    std::unordered_map<const rtos::Task*, TaskCursor> cursors_;
     std::vector<std::string> counter_procs_; ///< aux counter process names
 };
 

@@ -29,13 +29,15 @@ void MetricsSampler::start(kernel::Simulator& sim) {
 }
 
 void MetricsSampler::record(const rtos::Processor* cpu, kernel::Time at,
-                            const std::string& name, double value) {
+                            std::string_view name, double value) {
     if (cpu != nullptr)
         out_.counter(*cpu, at, name, value);
     else
         out_.counter(std::string_view{"kernel"}, at, name, value);
     if (registry_ != nullptr)
-        registry_->gauge((cpu != nullptr ? cpu->name() : "kernel") + "." + name)
+        registry_
+            ->gauge((cpu != nullptr ? cpu->name() : "kernel") + "." +
+                    std::string(name))
             .set(value);
 }
 

@@ -34,6 +34,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "kernel/simulator.hpp"
@@ -81,7 +82,7 @@ private:
 
     void sample(kernel::Simulator& sim);
     void record(const rtos::Processor* cpu, kernel::Time at,
-                const std::string& name, double value);
+                std::string_view name, double value);
 
     PerfettoStreamWriter& out_;
     Options opts_;

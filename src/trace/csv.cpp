@@ -1,6 +1,6 @@
 #include "trace/csv.hpp"
 
-#include <cstdio>
+#include <charconv>
 #include <ostream>
 
 namespace rtsc::trace {
@@ -19,21 +19,23 @@ std::string csv_field(std::string_view s) {
     return out;
 }
 
-std::string format_us(kernel::Time t) {
+void append_us(std::string& out, kernel::Time t) {
     const kernel::Time::rep ps = t.raw_ps();
-    const kernel::Time::rep whole = ps / 1'000'000u;
-    kernel::Time::rep frac = ps % 1'000'000u;
-    char buf[48];
-    if (frac == 0) {
-        std::snprintf(buf, sizeof buf, "%llu",
-                      static_cast<unsigned long long>(whole));
-        return buf;
+    char buf[32]; // the longest is UINT64_MAX ps: "18446744073709.551615"
+    char* end = std::to_chars(buf, buf + sizeof buf, ps / 1'000'000u).ptr;
+    if (kernel::Time::rep frac = ps % 1'000'000u; frac != 0) {
+        *end++ = '.';
+        for (int i = 5; i >= 0; --i, frac /= 10)
+            end[i] = static_cast<char>('0' + frac % 10);
+        end += 6;
+        while (end[-1] == '0') --end;
     }
-    std::snprintf(buf, sizeof buf, "%llu.%06llu",
-                  static_cast<unsigned long long>(whole),
-                  static_cast<unsigned long long>(frac));
-    std::string out = buf;
-    while (out.back() == '0') out.pop_back();
+    out.append(buf, end);
+}
+
+std::string format_us(kernel::Time t) {
+    std::string out;
+    append_us(out, t);
     return out;
 }
 

@@ -19,8 +19,12 @@ namespace rtsc::trace {
 /// doubled when it contains a comma, quote, CR or LF.
 [[nodiscard]] std::string csv_field(std::string_view s);
 
-/// Exact decimal rendering of `t` in microseconds ("12.000001" for
-/// 12 us + 1 ps; trailing zeros trimmed, "12" when integral).
+/// Append the exact decimal rendering of `t` in microseconds to `out`
+/// ("12.000001" for 12 us + 1 ps; trailing zeros trimmed, "12" when
+/// integral). The CSV and Perfetto exports render every time through it.
+void append_us(std::string& out, kernel::Time t);
+
+/// append_us into a fresh string.
 [[nodiscard]] std::string format_us(kernel::Time t);
 
 /// One row per task state transition:

@@ -5,6 +5,7 @@
 // escaping.
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <map>
 #include <memory>
 #include <sstream>
@@ -16,6 +17,7 @@
 #include "mcse/event.hpp"
 #include "obs/json.hpp"
 #include "obs/perfetto.hpp"
+#include "obs/perfetto_format.hpp"
 #include "rtos/processor.hpp"
 #include "trace/recorder.hpp"
 
@@ -221,6 +223,28 @@ TEST(PerfettoTest, JsonEscapeUnit) {
     EXPECT_EQ(o::json_escape("a\\b"), "a\\\\b");
     EXPECT_EQ(o::json_escape("a\nb\tc"), "a\\nb\\tc");
     EXPECT_EQ(o::json_escape(std::string_view("\x01", 1)), "\\u0001");
+    EXPECT_EQ(o::json_escape(std::string_view("a\0b", 3)), "a\\u0000b");
+    EXPECT_EQ(o::json_escape("\x1f"), "\\u001f");
+    // DEL and UTF-8 multibyte sequences are valid inside JSON strings.
+    EXPECT_EQ(o::json_escape("\x7f"), "\x7f");
+    EXPECT_EQ(o::json_escape("caf\xc3\xa9 \xe2\x86\x92 \xf0\x9f\x9a\x97"),
+              "caf\xc3\xa9 \xe2\x86\x92 \xf0\x9f\x9a\x97");
+}
+
+TEST(PerfettoTest, CounterValuesRenderAsPrintfG17) {
+    for (const double v : {0.1, -0.0, 5e-324, 1e300, 1.0 / 3, 37.5, 12345.0}) {
+        char want[40];
+        std::snprintf(want, sizeof want, "%.17g", v);
+        std::string out;
+        o::pfmt::counter(out, 1, 2_us, "c", v);
+        EXPECT_EQ(out, std::string("{\"name\": \"c\", \"ph\": \"C\", \"ts\": 2, "
+                                   "\"pid\": 1, \"tid\": 0, \"args\": "
+                                   "{\"value\": ") +
+                           want + "}}");
+    }
+    std::string out;
+    o::pfmt::counter(out, 1, 2_us, "c", 0.1);
+    EXPECT_NE(out.find("\"value\": 0.10000000000000001}"), std::string::npos);
 }
 
 TEST(JsonParserTest, RejectsMalformedInput) {

@@ -9,6 +9,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <fstream>
+#include <limits>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -241,6 +242,39 @@ TEST(PerfettoStreamTest, CounterOnUnattachedProcessorThrows) {
     stream.counter(attached, 0_us, "x", 1.0); // fine
     stream.finish();
     std::remove("stream_counter.perfetto.json");
+}
+
+TEST(PerfettoStreamTest, NonFiniteCounterValueThrows) {
+    // JSON has no NaN or infinity literal: rendering one would make the
+    // whole export unparseable, so both overloads refuse the sample.
+    const std::string path = "stream_nonfinite.perfetto.json";
+    k::Simulator sim;
+    r::Processor cpu("cpu");
+    o::PerfettoStreamWriter stream(path);
+    stream.attach(cpu);
+    for (const double bad : {std::numeric_limits<double>::quiet_NaN(),
+                             std::numeric_limits<double>::infinity(),
+                             -std::numeric_limits<double>::infinity()}) {
+        EXPECT_THROW(stream.counter(cpu, 0_us, "x", bad), k::SimulationError);
+        EXPECT_THROW(stream.counter("kernel", 0_us, "x", bad),
+                     k::SimulationError);
+    }
+    stream.counter(cpu, 0_us, "x", 1.0); // fine
+    stream.finish();
+
+    std::ifstream is(path);
+    std::stringstream buf;
+    buf << is.rdbuf();
+    const auto root = o::json::parse(buf.str());
+    std::size_t counters = 0;
+    for (const auto& ev : root->get("traceEvents")->arr) {
+        if (ev->get("ph")->str == "C") ++counters;
+        // A refused sample allocates no auxiliary counter process.
+        if (ev->get("name")->str == "process_name")
+            EXPECT_NE(ev->get("args")->get("name")->str, "kernel");
+    }
+    EXPECT_EQ(counters, 1u);
+    std::remove(path.c_str());
 }
 
 TEST(PerfettoStreamTest, FaultMarkerReachesRecorderAndStream) {

@@ -2,6 +2,8 @@
 // CSV and VCD exporters.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
 #include <memory>
 #include <sstream>
 
@@ -259,6 +261,10 @@ TEST(CsvTest, TimestampsKeepSubMicrosecondPrecision) {
     EXPECT_EQ(tr::format_us(Time::ps(123'456'789)), "123.456789");
     EXPECT_EQ(tr::format_us(Time::us(42)), "42");
     EXPECT_EQ(tr::format_us(Time::ps(1'000'001)), "1.000001");
+    EXPECT_EQ(tr::format_us(Time::ps(10)), "0.00001");
+    EXPECT_EQ(tr::format_us(Time::ps(999'999)), "0.999999");
+    EXPECT_EQ(tr::format_us(Time::ps(std::numeric_limits<std::uint64_t>::max())),
+              "18446744073709.551615");
 
     // End-to-end: two transitions 500 ns apart stay distinct in the CSV.
     k::Simulator sim;
