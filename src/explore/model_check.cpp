@@ -1,44 +1,27 @@
 #include "explore/model_check.hpp"
 
 #include <memory>
+#include <optional>
 #include <utility>
 
 #include "fuzz/runner.hpp"
 
 namespace rtsc::explore {
 
-namespace {
-
-/// One engine/skip-ahead leg of the 4-way check.
-struct Leg {
-    const char* name;
-    rtos::EngineKind kind;
-    bool skip_ahead;
-};
-
-constexpr Leg kLegs[] = {
-    {"procedural/skip", rtos::EngineKind::procedure_calls, true},
-    {"threaded/skip", rtos::EngineKind::rtos_thread, true},
-    {"procedural/exact", rtos::EngineKind::procedure_calls, false},
-    {"threaded/exact", rtos::EngineKind::rtos_thread, false},
-};
-
-} // namespace
-
 RunOutcome check_model_once(const fuzz::ModelSpec& spec,
                             const DecisionTrace& trace,
-                            const std::string& baseline_error) {
+                            const std::string* baseline_error) {
     RunOutcome out;
     fuzz::RunResult results[4];
     DecisionLog logs[4];
     for (std::size_t i = 0; i < 4; ++i) {
+        const fuzz::Leg& leg = fuzz::kLegs[i];
         TraceOracle oracle(&trace);
-        results[i] = fuzz::run_model(spec, kLegs[i].kind, kLegs[i].skip_ahead,
-                                     &oracle);
+        results[i] = fuzz::run_model(spec, leg.kind, leg.skip_ahead, &oracle);
         logs[i] = oracle.take_log();
         if (!oracle.replay_ok() && !out.violation) {
             out.violation = true;
-            out.diagnosis = std::string("replay desync on ") + kLegs[i].name +
+            out.diagnosis = std::string("replay desync on ") + leg.name +
                             ": " + oracle.replay_error();
         }
     }
@@ -48,16 +31,11 @@ RunOutcome check_model_once(const fuzz::ModelSpec& spec,
 
     if (out.violation) return out;
 
-    // Engine equivalence + skip-ahead neutrality, every stream bit-for-bit.
-    const std::pair<std::size_t, std::size_t> pairs[] = {{0, 1}, {0, 2}, {1, 3}};
-    for (const auto& [l, r] : pairs) {
-        const fuzz::Divergence d = fuzz::compare(results[l], results[r]);
-        if (d.diverged) {
-            out.violation = true;
-            out.diagnosis = std::string(kLegs[l].name) + " vs " +
-                            kLegs[r].name + ": " + d.to_string();
-            return out;
-        }
+    const fuzz::Divergence d = fuzz::check_legs(results);
+    if (d.diverged) {
+        out.violation = true;
+        out.diagnosis = d.to_string();
+        return out;
     }
     // Decision-stream invariant: all four runs must have consumed identical
     // per-CPU tie-break sequences — otherwise the equivalence above held by
@@ -72,65 +50,39 @@ RunOutcome check_model_once(const fuzz::ModelSpec& spec,
             out.violation = true;
             out.diagnosis =
                 std::string("decision streams diverged: procedural/skip vs ") +
-                kLegs[i].name + " at decision " + std::to_string(k) + ": '" +
-                (k < rows0.size() ? rows0[k] : "<missing>") + "' vs '" +
-                (k < rows.size() ? rows[k] : "<missing>") + "'";
+                fuzz::kLegs[i].name + " at decision " + std::to_string(k) +
+                ": '" + (k < rows0.size() ? rows0[k] : "<missing>") +
+                "' vs '" + (k < rows.size() ? rows[k] : "<missing>") + "'";
             return out;
         }
-    }
-    // Conservation invariants that broke identically on both engines.
-    const fuzz::Divergence broken = fuzz::conservation_break(results[0]);
-    if (broken.diverged) {
-        out.violation = true;
-        out.diagnosis = "conservation invariant broke: " + broken.lhs;
-        return out;
     }
     // A schedule that fails where the default schedule did not (or vice
     // versa): a tie-break order flipped a deadlock / stall / lost-wakeup
     // diagnostic.
-    if (results[0].error != baseline_error) {
+    if (baseline_error != nullptr && results[0].error != *baseline_error) {
         out.violation = true;
         out.diagnosis = "schedule-dependent failure: default run error '" +
-                        baseline_error + "' vs '" + results[0].error + "'";
-        return out;
+                        *baseline_error + "' vs '" + results[0].error + "'";
     }
     return out;
 }
 
 RunCheck make_model_check(const fuzz::ModelSpec& spec) {
     // The baseline error is captured from the first default-trace run (the
-    // fresh DFS always starts there); a resumed frontier derives it with
-    // one extra default run.
-    struct State {
-        bool have_baseline = false;
-        std::string baseline_error;
-    };
-    auto state = std::make_shared<State>();
-    return [spec, state](const DecisionTrace& trace) {
-        if (!state->have_baseline) {
-            bool default_trace = true;
-            for (const auto& [cpu, slots] : trace)
-                if (!slots.empty()) default_trace = false;
-            if (default_trace) {
-                // The default run *defines* the baseline: a model that
-                // fails identically on both engines under its pinned
-                // schedule is model behaviour, not a finding.
-                RunOutcome out = check_model_once(spec, trace, "");
-                state->baseline_error = out.error;
-                state->have_baseline = true;
-                if (out.violation &&
-                    out.diagnosis.rfind("schedule-dependent failure", 0) == 0) {
-                    out.violation = false;
-                    out.diagnosis.clear();
-                }
+    // fresh DFS always starts there, with the empty trace); a resumed
+    // frontier derives it with one extra default run.
+    auto baseline = std::make_shared<std::optional<std::string>>();
+    return [spec, baseline](const DecisionTrace& trace) {
+        if (!baseline->has_value()) {
+            if (trace.empty()) {
+                RunOutcome out = check_model_once(spec, trace, nullptr);
+                *baseline = out.error;
                 return out;
             }
-            // Resumed frontier: derive the baseline with one default run.
-            state->baseline_error =
+            *baseline =
                 fuzz::run_model(spec, rtos::EngineKind::procedure_calls).error;
-            state->have_baseline = true;
         }
-        return check_model_once(spec, trace, state->baseline_error);
+        return check_model_once(spec, trace, &**baseline);
     };
 }
 

@@ -3,16 +3,16 @@
 // schedule is checked with the full differential arsenal the fuzzer
 // already maintains, plus the decision-stream invariant the explorer adds.
 //
-// One checked schedule = four runs (both engines x skip-ahead on/off), all
-// replaying the same DecisionTrace. A schedule *violates* when
-//   - any engine/skip-ahead pair diverges (fuzz::compare on every stream:
-//     states, overheads, comms, markers, metrics incl. energy conservation
-//     rows, attribution incl. the per-job conservation invariant),
-//   - a BROKEN-ENERGY / BROKEN-INVARIANT row appears (conservation broke
-//     identically on both engines — equality would hide it),
+// One checked schedule = the four legs of fuzz::kLegs (both engines x
+// skip-ahead on/off), all replaying the same DecisionTrace. A schedule
+// *violates* when
+//   - a prescribed slot did not fit its decision window (replay desync),
+//   - fuzz::check_legs reports a divergence: a leg pair differs on any
+//     stream (states, overheads, comms, markers, metrics incl. the energy
+//     ledger rows, attribution incl. the per-job invariant), or a
+//     BROKEN-ENERGY / BROKEN-INVARIANT row broke identically on every leg,
 //   - the four per-CPU decision streams disagree (the engines consumed
 //     different tie-breaks: the same-instant structure itself diverged),
-//   - a prescribed slot did not fit its decision window (replay desync),
 //   - the run fails where the default schedule did not (a tie-break order
 //     triggered a deadlock / lost-wakeup / stall diagnostic).
 //
@@ -67,11 +67,13 @@ struct ModelReport {
 
 /// Check one spec under one decision trace (the explorer's RunCheck for
 /// models). `baseline_error` is the error string of the default-trace run:
-/// a run failing differently is flagged. Exposed for tests and the CLI's
-/// replay mode.
+/// a run failing differently is flagged. Null when this run is the default
+/// run and so defines the baseline itself: a model that fails identically
+/// on every leg under its pinned schedule is model behaviour, not a
+/// finding. Exposed for tests and the CLI's replay mode.
 [[nodiscard]] RunOutcome check_model_once(const fuzz::ModelSpec& spec,
                                           const DecisionTrace& trace,
-                                          const std::string& baseline_error);
+                                          const std::string* baseline_error);
 
 /// Build the explorer RunCheck for `spec` (captures the baseline error from
 /// the first default-trace run, or derives it on demand for resumed runs).

@@ -200,6 +200,15 @@ std::string fmt_double(double v) {
     return buf;
 }
 
+/// The compared row streams, in comparison (and digest) order.
+constexpr std::pair<const char*, std::vector<std::string> RunResult::*>
+    kStreams[] = {{"states", &RunResult::states},
+                  {"overheads", &RunResult::overheads},
+                  {"comms", &RunResult::comms},
+                  {"markers", &RunResult::markers},
+                  {"metrics", &RunResult::metrics},
+                  {"attribution", &RunResult::attribution}};
+
 } // namespace
 
 RunResult run_model(const ModelSpec& spec, r::EngineKind kind,
@@ -500,10 +509,8 @@ RunResult run_model(const ModelSpec& spec, r::EngineKind kind,
     }
 
     std::uint64_t h = kFnvOffset;
-    for (const auto* stream :
-         {&out.states, &out.overheads, &out.comms, &out.markers, &out.metrics,
-          &out.attribution})
-        for (const std::string& row : *stream) h = fnv1a(h, row);
+    for (const auto& [name, stream] : kStreams)
+        for (const std::string& row : out.*stream) h = fnv1a(h, row);
     h = fnv1a(h, std::to_string(out.end_ps));
     h = fnv1a(h, out.error);
     out.digest = h;
@@ -511,6 +518,8 @@ RunResult run_model(const ModelSpec& spec, r::EngineKind kind,
 }
 
 namespace {
+
+const std::string kMissing = "<missing>";
 
 bool diff_stream(const char* name, const std::vector<std::string>& a,
                  const std::vector<std::string>& b, Divergence& d) {
@@ -522,8 +531,8 @@ bool diff_stream(const char* name, const std::vector<std::string>& a,
         }
     }
     if (a.size() != b.size()) {
-        d = {true, name, n, n < a.size() ? a[n] : "<missing>",
-             n < b.size() ? b[n] : "<missing>"};
+        d = {true, name, n, n < a.size() ? a[n] : kMissing,
+             n < b.size() ? b[n] : kMissing};
         return true;
     }
     return false;
@@ -533,71 +542,86 @@ bool diff_stream(const char* name, const std::vector<std::string>& a,
 
 std::string Divergence::to_string() const {
     if (!diverged) return "equivalent";
-    return "diverged in " + stream + " at record " + std::to_string(index) +
-           "\n  procedural: " + lhs + "\n  threaded:   " + rhs;
-}
-
-Divergence conservation_break(const RunResult& r) {
-    const std::pair<const char*, const std::vector<std::string>*> streams[] = {
-        {"metrics", &r.metrics}, {"attribution", &r.attribution}};
-    for (const auto& [name, rows] : streams)
-        for (std::size_t i = 0; i < rows->size(); ++i)
-            if ((*rows)[i].find("BROKEN") != std::string::npos)
-                return {true, std::string(name) + " [conservation]", i,
-                        (*rows)[i], (*rows)[i]};
-    return {};
+    const std::string where = stream + " at record " + std::to_string(index);
+    if (lhs_leg == rhs_leg)
+        return "conservation invariant broke in " + where + " on " +
+               kLegs[lhs_leg].name + "\n  " + lhs;
+    const auto row = [](std::size_t leg, const std::string& text) {
+        std::string label = std::string(kLegs[leg].name) + ":";
+        label.resize(18, ' '); // aligns the rows under the longest leg name
+        return "\n  " + label + text;
+    };
+    return "diverged in " + where + row(lhs_leg, lhs) + row(rhs_leg, rhs);
 }
 
 Divergence compare(const RunResult& procedural, const RunResult& threaded) {
+    if (procedural.error != threaded.error)
+        return {true, "error", 0, procedural.error, threaded.error};
     Divergence d;
-    if (procedural.error != threaded.error) {
-        d = {true, "error", 0, procedural.error, threaded.error};
-        return d;
-    }
-    if (diff_stream("states", procedural.states, threaded.states, d)) return d;
-    if (diff_stream("overheads", procedural.overheads, threaded.overheads, d))
-        return d;
-    if (diff_stream("comms", procedural.comms, threaded.comms, d)) return d;
-    if (diff_stream("markers", procedural.markers, threaded.markers, d)) return d;
-    if (diff_stream("metrics", procedural.metrics, threaded.metrics, d)) return d;
-    if (diff_stream("attribution", procedural.attribution, threaded.attribution,
-                    d))
-        return d;
-    if (procedural.end_ps != threaded.end_ps) {
-        d = {true, "end_time", 0, std::to_string(procedural.end_ps),
-             std::to_string(threaded.end_ps)};
-        return d;
-    }
+    for (const auto& [name, stream] : kStreams)
+        if (diff_stream(name, procedural.*stream, threaded.*stream, d)) return d;
+    if (procedural.end_ps != threaded.end_ps)
+        return {true, "end_time", 0, std::to_string(procedural.end_ps),
+                std::to_string(threaded.end_ps)};
     return d;
+}
+
+Divergence check_legs(const RunResult (&legs)[4]) {
+    // Engine equivalence, then skip-ahead neutrality per engine: the fast
+    // path (staged hot timeout + elided empty phases) must be purely an
+    // execution-speed toggle, so a divergence there is a kernel bug even
+    // when the engines agree with each other.
+    constexpr std::pair<std::size_t, std::size_t> kPairs[] = {
+        {0, 1}, {0, 2}, {1, 3}};
+    for (const auto& [l, r] : kPairs) {
+        Divergence d = compare(legs[l], legs[r]);
+        if (d.diverged) {
+            d.lhs_leg = l;
+            d.rhs_leg = r;
+            return d;
+        }
+    }
+    // A conservation break every leg shares passes all the diffs above.
+    const std::pair<const char*, const std::vector<std::string>*> scanned[] = {
+        {"metrics", &legs[0].metrics}, {"attribution", &legs[0].attribution}};
+    for (const auto& [name, rows] : scanned)
+        for (std::size_t i = 0; i < rows->size(); ++i)
+            if ((*rows)[i].find("BROKEN") != std::string::npos)
+                return {true, name, i, (*rows)[i], (*rows)[i], 0, 0};
+    return {};
 }
 
 Divergence diff_engines(const ModelSpec& spec, RunResult* procedural,
                         RunResult* threaded) {
-    RunResult a = run_model(spec, r::EngineKind::procedure_calls, true);
-    RunResult b = run_model(spec, r::EngineKind::rtos_thread, true);
-    Divergence d = compare(a, b);
-    // The skip-ahead fast path (staged hot timeout + elided empty phases)
-    // must be purely an execution-speed toggle: re-run both engines with it
-    // forced off and require bit-identical traces, metrics, attribution and
-    // digests. A divergence here is a kernel fast-path bug even when the
-    // engines agree with each other.
-    if (!d.diverged) {
-        const RunResult a_exact =
-            run_model(spec, r::EngineKind::procedure_calls, false);
-        d = compare(a, a_exact);
-        if (d.diverged) d.stream += " [procedural: skip-ahead vs exact]";
-    }
-    if (!d.diverged) {
-        const RunResult b_exact =
-            run_model(spec, r::EngineKind::rtos_thread, false);
-        d = compare(b, b_exact);
-        if (d.diverged) d.stream += " [threaded: skip-ahead vs exact]";
-    }
-    // A conservation break every leg shares passes all the diffs above.
-    if (!d.diverged) d = conservation_break(a);
-    if (procedural != nullptr) *procedural = std::move(a);
-    if (threaded != nullptr) *threaded = std::move(b);
+    RunResult legs[4];
+    for (std::size_t i = 0; i < 4; ++i)
+        legs[i] = run_model(spec, kLegs[i].kind, kLegs[i].skip_ahead);
+    const Divergence d = check_legs(legs);
+    if (procedural != nullptr) *procedural = std::move(legs[0]);
+    if (threaded != nullptr) *threaded = std::move(legs[1]);
     return d;
+}
+
+std::string dump_streams(const RunResult& a, const RunResult& b) {
+    std::string out;
+    for (const auto& [name, stream] : kStreams) {
+        const std::vector<std::string>& l = a.*stream;
+        const std::vector<std::string>& r = b.*stream;
+        out += "---- ";
+        out += name;
+        out += " (procedural | threaded) ----\n";
+        for (std::size_t i = 0; i < std::max(l.size(), r.size()); ++i) {
+            const std::string& x = i < l.size() ? l[i] : kMissing;
+            const std::string& y = i < r.size() ? r[i] : kMissing;
+            out += x == y ? "  " : "! ";
+            out += x;
+            if (x.size() < 55) out.append(55 - x.size(), ' ');
+            out += " | ";
+            out += y;
+            out += '\n';
+        }
+    }
+    return out;
 }
 
 } // namespace rtsc::fuzz

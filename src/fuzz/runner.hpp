@@ -7,6 +7,9 @@
 // engines. Kernel-level counters (process activations, delta cycles) differ
 // between the engines *by design* (that difference is the paper's §4
 // result), so they are reported but never compared.
+//
+// The four-leg check (kLegs, check_legs) is defined here once; the fuzz
+// sweep and every schedule the explorer checks go through it.
 
 #include <cstdint>
 #include <string>
@@ -48,7 +51,7 @@ struct RunResult {
 
 /// `skip_ahead` forces the kernel's skip-ahead fast path on or off for this
 /// run (independent of the process-wide default); the result must be
-/// bit-identical either way, and diff_engines checks exactly that.
+/// bit-identical either way, and check_legs checks exactly that.
 /// `oracle`, when non-null, is installed on every processor's engine before
 /// the run: the schedule-space explorer (src/explore/) uses it to record and
 /// replay same-instant ready-queue tie-breaks.
@@ -56,7 +59,23 @@ struct RunResult {
                                   bool skip_ahead = true,
                                   rtos::ScheduleOracle* oracle = nullptr);
 
-/// First point where two runs disagree.
+/// One engine/skip-ahead configuration of the four-leg check.
+struct Leg {
+    const char* name;
+    rtos::EngineKind kind;
+    bool skip_ahead;
+};
+
+/// The leg matrix. Leg 0 is the reference: the engines are compared on legs
+/// 0 and 1, skip-ahead neutrality on 0/2 and 1/3.
+inline constexpr Leg kLegs[4] = {
+    {"procedural/skip", rtos::EngineKind::procedure_calls, true},
+    {"threaded/skip", rtos::EngineKind::rtos_thread, true},
+    {"procedural/exact", rtos::EngineKind::procedure_calls, false},
+    {"threaded/exact", rtos::EngineKind::rtos_thread, false},
+};
+
+/// First point where two runs disagree, or a conservation row of one run.
 struct Divergence {
     bool diverged = false;
     std::string stream;     ///< "states", "overheads", "comms", "markers",
@@ -64,28 +83,33 @@ struct Divergence {
                             ///< "error"
     std::size_t index = 0;  ///< first differing row in that stream
     std::string lhs, rhs;   ///< the differing rows ("<missing>" when absent)
+    /// The two runs, by index into kLegs. Both name the same leg when the
+    /// row is a conservation break (lhs == rhs, the BROKEN row).
+    std::size_t lhs_leg = 0, rhs_leg = 1;
     [[nodiscard]] std::string to_string() const;
 };
 
+/// Diff two runs stream by stream; the result names legs 0 and 1.
 [[nodiscard]] Divergence compare(const RunResult& procedural,
                                  const RunResult& threaded);
 
-/// The first conservation-invariant row of one run — a BROKEN-ENERGY
-/// ledger row in `metrics` or a BROKEN-INVARIANT job row in `attribution` —
-/// reported as a Divergence whose stream is "metrics [conservation]" or
-/// "attribution [conservation]" and whose lhs and rhs both hold the row.
-/// Not diverged when the run balances. Diffing legs cannot see a break they
-/// all share, so diff_engines and the schedule explorer both apply this.
-[[nodiscard]] Divergence conservation_break(const RunResult& r);
+/// The four-leg verdict over runs ordered as kLegs: the first divergence of
+/// legs 0/1, then 0/2, then 1/3; when all agree, the first BROKEN-ENERGY
+/// ledger row in leg 0's `metrics` or BROKEN-INVARIANT job row in its
+/// `attribution` (a break every leg shares is invisible to the diffs).
+/// Not diverged when all four agree and balance.
+[[nodiscard]] Divergence check_legs(const RunResult (&legs)[4]);
 
-/// Run the spec on both engines — each with the skip-ahead fast path forced
-/// on AND forced off — and diff all four runs (engine-vs-engine plus
-/// skip-ahead-vs-exact per engine); when they agree, report a conservation
-/// break (conservation_break). Optional out-params receive the full
-/// skip-ahead-enabled results (for reporting).
+/// Run the spec on every leg of kLegs and return check_legs' verdict.
+/// Optional out-params receive legs 0 and 1 (for reporting).
 [[nodiscard]] Divergence diff_engines(const ModelSpec& spec,
                                       RunResult* procedural = nullptr,
                                       RunResult* threaded = nullptr);
+
+/// Side-by-side text of two runs (the first column `a`), one "---- name"
+/// section per compared stream in comparison order; rows that differ are
+/// marked with '!'.
+[[nodiscard]] std::string dump_streams(const RunResult& a, const RunResult& b);
 
 /// FNV-1a 64-bit over a byte string (the digest primitive, exposed for the
 /// campaign report).

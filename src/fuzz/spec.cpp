@@ -1,6 +1,8 @@
 #include "fuzz/spec.hpp"
 
+#include <algorithm>
 #include <cstdlib>
+#include <fstream>
 #include <sstream>
 #include <stdexcept>
 #include <unordered_map>
@@ -73,31 +75,27 @@ struct Line {
                              ": " + what);
 }
 
-std::uint64_t get_u64(const Line& ln, const std::string& key) {
+std::string get_str(const Line& ln, const std::string& key) {
     auto it = ln.kv.find(key);
     if (it == ln.kv.end()) fail(ln, "missing key '" + key + "'");
-    // strtoull silently negates "-5" instead of rejecting it — refuse any
-    // sign character so out-of-domain input fails loudly.
-    if (it->second.find_first_of("-+") != std::string::npos)
-        fail(ln, "bad number for '" + key + "': " + it->second);
-    errno = 0;
-    char* end = nullptr;
-    const std::uint64_t v = std::strtoull(it->second.c_str(), &end, 10);
-    if (errno != 0 || end == nullptr || end == it->second.c_str() ||
-        *end != '\0')
-        fail(ln, "bad number for '" + key + "': " + it->second);
-    return v;
+    return it->second;
 }
 
-std::int64_t get_i64(const Line& ln, const std::string& key) {
-    auto it = ln.kv.find(key);
-    if (it == ln.kv.end()) fail(ln, "missing key '" + key + "'");
-    errno = 0;
-    char* end = nullptr;
-    const std::int64_t v = std::strtoll(it->second.c_str(), &end, 10);
-    if (errno != 0 || end == nullptr || *end != '\0')
-        fail(ln, "bad number for '" + key + "': " + it->second);
-    return v;
+/// Integer field of type T: the value must parse whole and fit T, so a
+/// narrow field never silently wraps a larger number.
+template <typename T>
+T get_int(const Line& ln, const std::string& key) {
+    const std::string s = get_str(ln, key);
+    if (const std::optional<T> v = parse_decimal<T>(s)) return *v;
+    fail(ln, "bad number for '" + key + "': " + s);
+}
+
+std::uint64_t get_u64(const Line& ln, const std::string& key) {
+    return get_int<std::uint64_t>(ln, key);
+}
+
+std::uint32_t get_u32(const Line& ln, const std::string& key) {
+    return get_int<std::uint32_t>(ln, key);
 }
 
 double get_f64(const Line& ln, const std::string& key) {
@@ -112,12 +110,6 @@ double get_f64(const Line& ln, const std::string& key) {
     return v;
 }
 
-std::string get_str(const Line& ln, const std::string& key) {
-    auto it = ln.kv.find(key);
-    if (it == ln.kv.end()) fail(ln, "missing key '" + key + "'");
-    return it->second;
-}
-
 /// Optional key with a default, for fields added after corpus files were
 /// already checked in (pre-DVFS cpu lines must keep parsing).
 std::uint64_t get_u64_or(const Line& ln, const std::string& key,
@@ -127,14 +119,9 @@ std::uint64_t get_u64_or(const Line& ln, const std::string& key,
 
 std::uint32_t parse_u32_span(const Line& ln, const std::string& s,
                              std::size_t begin, std::size_t end) {
-    errno = 0;
-    char* stop = nullptr;
     const std::string piece = s.substr(begin, end - begin);
-    const std::uint64_t v = std::strtoull(piece.c_str(), &stop, 10);
-    if (errno != 0 || stop == nullptr || *stop != '\0' || piece.empty() ||
-        v > 0xffffffffull)
-        fail(ln, "bad dvfs number '" + piece + "'");
-    return static_cast<std::uint32_t>(v);
+    if (const auto v = parse_decimal<std::uint32_t>(piece)) return *v;
+    fail(ln, "bad dvfs number '" + piece + "'");
 }
 
 /// `dvfs=` value: "-" for no model, else comma-separated freq:volt pairs
@@ -301,78 +288,94 @@ ModelSpec from_text(const std::string& text) {
         } else if (ln.kind == "sem") {
             spec.sems.push_back({get_u64(ln, "initial"), get_u64(ln, "prio") != 0});
         } else if (ln.kind == "queue") {
-            spec.queues.push_back({static_cast<std::uint32_t>(get_u64(ln, "cap"))});
+            spec.queues.push_back({get_u32(ln, "cap")});
         } else if (ln.kind == "event") {
-            spec.events.push_back({static_cast<std::uint8_t>(get_u64(ln, "policy"))});
+            spec.events.push_back({get_int<std::uint8_t>(ln, "policy")});
         } else if (ln.kind == "sv") {
-            spec.svars.push_back({static_cast<std::uint8_t>(get_u64(ln, "prot")),
+            spec.svars.push_back({get_int<std::uint8_t>(ln, "prot"),
                                   get_u64(ln, "access")});
         } else if (ln.kind == "irq") {
             IrqSpec i;
-            i.cpu = static_cast<std::uint32_t>(get_u64(ln, "cpu"));
-            i.isr_priority = static_cast<int>(get_i64(ln, "prio"));
+            i.cpu = get_u32(ln, "cpu");
+            i.isr_priority = get_int<int>(ln, "prio");
             i.period_ps = get_u64(ln, "period");
             i.jitter_ps = get_u64(ln, "jitter");
             i.until_ps = get_u64(ln, "until");
             i.cost_ps = get_u64(ln, "cost");
-            i.max_pending = static_cast<std::uint32_t>(get_u64(ln, "maxpend"));
+            i.max_pending = get_u32(ln, "maxpend");
             spec.irqs.push_back(i);
         } else if (ln.kind == "task") {
             TaskSpec t;
             t.name = get_str(ln, "name");
-            t.cpu = static_cast<std::uint32_t>(get_u64(ln, "cpu"));
-            t.priority = static_cast<int>(get_i64(ln, "prio"));
+            t.cpu = get_u32(ln, "cpu");
+            t.priority = get_int<int>(ln, "prio");
             t.start_ps = get_u64(ln, "start");
             t.period_ps = get_u64(ln, "period");
-            t.activations = static_cast<std::uint32_t>(get_u64(ln, "act"));
+            t.activations = get_u32(ln, "act");
             t.deadline_ps = get_u64(ln, "deadline");
-            t.trigger_event = static_cast<std::uint32_t>(get_u64(ln, "trigger"));
+            t.trigger_event = get_u32(ln, "trigger");
             spec.tasks.push_back(std::move(t));
             op_stack.assign(1, &spec.tasks.back().body);
         } else if (ln.kind == "op") {
             if (op_stack.empty()) fail(ln, "op outside a task");
             OpSpec op;
             op.kind = parse_op_kind(ln, get_str(ln, "kind"));
-            op.target = static_cast<std::uint32_t>(get_u64(ln, "target"));
+            op.target = get_u32(ln, "target");
             op.dur_ps = get_u64(ln, "dur");
             op.timeout_ps = get_u64(ln, "timeout");
-            op.repeat = static_cast<std::uint32_t>(get_u64(ln, "repeat"));
-            place_op(op_stack, ln, static_cast<unsigned>(get_u64(ln, "d")),
-                     std::move(op));
+            op.repeat = get_u32(ln, "repeat");
+            place_op(op_stack, ln, get_int<unsigned>(ln, "d"), std::move(op));
         } else if (ln.kind == "fault_jitter") {
-            spec.faults.jitter.push_back(
-                {static_cast<std::uint32_t>(get_u64(ln, "task")),
-                 get_f64(ln, "prob"), get_f64(ln, "smin"), get_f64(ln, "smax")});
+            spec.faults.jitter.push_back({get_u32(ln, "task"), get_f64(ln, "prob"),
+                                          get_f64(ln, "smin"),
+                                          get_f64(ln, "smax")});
         } else if (ln.kind == "fault_crash") {
-            spec.faults.crashes.push_back(
-                {static_cast<std::uint32_t>(get_u64(ln, "task")),
-                 get_u64(ln, "at"), get_u64(ln, "restart") != 0,
-                 get_u64(ln, "delay")});
+            spec.faults.crashes.push_back({get_u32(ln, "task"), get_u64(ln, "at"),
+                                           get_u64(ln, "restart") != 0,
+                                           get_u64(ln, "delay")});
         } else if (ln.kind == "fault_drop") {
-            spec.faults.drops.push_back(
-                {static_cast<std::uint32_t>(get_u64(ln, "irq")),
-                 get_f64(ln, "prob")});
+            spec.faults.drops.push_back({get_u32(ln, "irq"), get_f64(ln, "prob")});
         } else if (ln.kind == "fault_burst") {
-            spec.faults.bursts.push_back(
-                {static_cast<std::uint32_t>(get_u64(ln, "irq")),
-                 get_f64(ln, "prob"),
-                 static_cast<std::uint32_t>(get_u64(ln, "emin")),
-                 static_cast<std::uint32_t>(get_u64(ln, "emax"))});
+            spec.faults.bursts.push_back({get_u32(ln, "irq"), get_f64(ln, "prob"),
+                                          get_u32(ln, "emin"),
+                                          get_u32(ln, "emax")});
         } else if (ln.kind == "fault_spurious") {
             spec.faults.spurious.push_back(
-                {static_cast<std::uint32_t>(get_u64(ln, "irq")),
-                 get_u64(ln, "period"), get_u64(ln, "jitter"),
-                 get_u64(ln, "until")});
+                {get_u32(ln, "irq"), get_u64(ln, "period"),
+                 get_u64(ln, "jitter"), get_u64(ln, "until")});
         } else if (ln.kind == "fault_loss") {
             spec.faults.losses.push_back(
-                {static_cast<std::uint32_t>(get_u64(ln, "queue")),
-                 get_f64(ln, "prob")});
+                {get_u32(ln, "queue"), get_f64(ln, "prob")});
         } else {
             fail(ln, "unknown record kind '" + ln.kind + "'");
         }
     }
     if (!saw_model) throw std::runtime_error("fuzz spec: missing 'model' line");
     return spec;
+}
+
+ModelSpec read_spec_file(const std::filesystem::path& path) {
+    std::ifstream in(path);
+    if (!in) throw std::runtime_error(path.string() + ": cannot open");
+    std::ostringstream text;
+    text << in.rdbuf();
+    if (in.bad()) throw std::runtime_error(path.string() + ": read error");
+    try {
+        return from_text(text.str());
+    } catch (const std::runtime_error& e) {
+        throw std::runtime_error(path.string() + ": " + e.what());
+    }
+}
+
+std::vector<std::filesystem::path> spec_files(const std::filesystem::path& dir) {
+    std::vector<std::filesystem::path> files;
+    std::error_code ec;
+    for (std::filesystem::directory_iterator it(dir, ec), end; !ec && it != end;
+         it.increment(ec))
+        if (it->path().extension() == ".model") files.push_back(it->path());
+    if (ec) throw std::runtime_error(dir.string() + ": " + ec.message());
+    std::sort(files.begin(), files.end());
+    return files;
 }
 
 } // namespace rtsc::fuzz

@@ -13,10 +13,15 @@
 //
 // Specs serialize to a line-based text format (to_text / from_text) so a
 // shrunk counterexample can be checked into the corpus and replayed exactly,
-// independent of the generator version that found it.
+// independent of the generator version that found it. read_spec_file and
+// spec_files are the one way to load such files; their errors name the path.
 
+#include <charconv>
 #include <cstdint>
+#include <filesystem>
+#include <optional>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -198,6 +203,27 @@ struct ModelSpec {
 /// malformed input. Unknown keys are rejected (corpus files are authored
 /// only by to_text).
 [[nodiscard]] ModelSpec from_text(const std::string& text);
+
+/// Read and parse one spec file. Throws std::runtime_error whose message
+/// starts with the path when the file cannot be opened or does not parse.
+[[nodiscard]] ModelSpec read_spec_file(const std::filesystem::path& path);
+
+/// The `.model` files directly in `dir`, sorted by path. Throws
+/// std::runtime_error naming `dir` when it cannot be listed.
+[[nodiscard]] std::vector<std::filesystem::path> spec_files(
+    const std::filesystem::path& dir);
+
+/// Strict decimal parse of all of `s` into T: digits only (a leading '-'
+/// only for signed T), no sign '+', no spaces, and the value must fit T.
+/// Spec fields and command-line numbers both go through it.
+template <typename T>
+[[nodiscard]] std::optional<T> parse_decimal(std::string_view s) noexcept {
+    T v{};
+    const char* end = s.data() + s.size();
+    const auto [stop, ec] = std::from_chars(s.data(), end, v);
+    if (ec != std::errc{} || stop != end) return std::nullopt;
+    return v;
+}
 
 [[nodiscard]] const char* to_string(PolicyKind p) noexcept;
 [[nodiscard]] const char* to_string(OpKind k) noexcept;

@@ -257,6 +257,31 @@ op d=0 kind=compute target=0 dur=5000000 timeout=0 repeat=1
     EXPECT_EQ(r.schedules, 4u);
 }
 
+TEST(ExploreModel, DefaultRunDefinesTheBaselineError) {
+    // No processors: every leg fails with the same error under the default
+    // schedule. That run defines the baseline, so it is model behaviour,
+    // not a schedule-dependent failure.
+    const fuzz::ModelSpec spec = fuzz::from_text("model seed=1 horizon=0\n");
+    const ex::RunOutcome self = ex::check_model_once(spec, {}, nullptr);
+    EXPECT_FALSE(self.error.empty());
+    EXPECT_FALSE(self.violation) << self.diagnosis;
+    const ex::ModelReport r = ex::explore_model(spec, ex::ModelCheckConfig{});
+    EXPECT_FALSE(r.violation) << r.diagnosis;
+    EXPECT_TRUE(r.complete);
+    EXPECT_EQ(r.schedules, 1u);
+}
+
+TEST(ExploreModel, FailureUnlikeTheBaselineIsAViolation) {
+    // The same failing run checked against a default run that completed.
+    const fuzz::ModelSpec spec = fuzz::from_text("model seed=1 horizon=0\n");
+    const std::string other_error; // the default run completed
+    const ex::RunOutcome out = ex::check_model_once(spec, {}, &other_error);
+    EXPECT_TRUE(out.violation);
+    EXPECT_NE(out.diagnosis.find("schedule-dependent failure"),
+              std::string::npos)
+        << out.diagnosis;
+}
+
 // ------------------------------------------------- pinned explorer finds
 
 TEST(FuzzRegression, Seed401CrossCpuSemaphoreInstant) {

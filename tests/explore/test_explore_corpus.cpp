@@ -8,12 +8,8 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <filesystem>
-#include <fstream>
 #include <map>
-#include <sstream>
 #include <string>
-#include <vector>
 
 #include "explore/model_check.hpp"
 #include "fuzz/spec.hpp"
@@ -26,22 +22,6 @@ namespace ex = rtsc::explore;
 namespace fuzz = rtsc::fuzz;
 
 namespace {
-
-std::vector<std::filesystem::path> corpus_files() {
-    std::vector<std::filesystem::path> files;
-    for (const auto& entry :
-         std::filesystem::directory_iterator(RTSC_FUZZ_CORPUS_DIR))
-        if (entry.path().extension() == ".model") files.push_back(entry.path());
-    std::sort(files.begin(), files.end());
-    return files;
-}
-
-std::string slurp(const std::filesystem::path& p) {
-    std::ifstream in(p);
-    std::ostringstream ss;
-    ss << in.rdbuf();
-    return ss.str();
-}
 
 /// Exact enumerated schedule count per corpus model ("N schedules" in the
 /// explore_schedules CLI output). Every corpus file must appear here.
@@ -65,7 +45,7 @@ const std::map<std::string, std::uint64_t> kPinnedSchedules = {
 } // namespace
 
 TEST(ExploreCorpus, EveryModelIsPinned) {
-    for (const auto& path : corpus_files())
+    for (const auto& path : fuzz::spec_files(RTSC_FUZZ_CORPUS_DIR))
         EXPECT_TRUE(kPinnedSchedules.count(path.filename().string()) != 0)
             << path.filename().string()
             << " is not in the pinned schedule-count table; explore it and "
@@ -73,9 +53,9 @@ TEST(ExploreCorpus, EveryModelIsPinned) {
 }
 
 TEST(ExploreCorpus, EveryScheduleOfEveryModelIsClean) {
-    for (const auto& path : corpus_files()) {
+    for (const auto& path : fuzz::spec_files(RTSC_FUZZ_CORPUS_DIR)) {
         SCOPED_TRACE(path.filename().string());
-        const fuzz::ModelSpec spec = fuzz::from_text(slurp(path));
+        const fuzz::ModelSpec spec = fuzz::read_spec_file(path);
         const ex::ModelReport r =
             ex::explore_model(spec, ex::ModelCheckConfig{});
         EXPECT_FALSE(r.violation)

@@ -16,7 +16,7 @@
 #include <vector>
 
 #include "explore/explorer.hpp"
-#include "fuzz/runner.hpp" // fnv1a
+#include "fuzz/runner.hpp"
 #include "kernel/simulator.hpp"
 #include "rtos/policy.hpp"
 #include "rtos/processor.hpp"
@@ -54,55 +54,43 @@ std::vector<std::string> run_leg(const Scenario& s, r::EngineKind kind,
     return rec.strings();
 }
 
-/// RunCheck over a scenario: all four legs replay the same trace; a
-/// violation is any cross-leg disagreement (transition log, per-CPU
-/// decision stream) or a replay desync.
+/// RunCheck over a scenario: the four legs of fuzz::kLegs replay the same
+/// trace; a violation is a replay desync, a cross-leg disagreement on the
+/// transition log (fuzz::check_legs over it as the `states` stream) or on
+/// the per-CPU decision stream.
 ex::RunCheck scenario_check(const Scenario& s) {
     return [&s](const ex::DecisionTrace& trace) {
-        struct Leg {
-            const char* name;
-            r::EngineKind kind;
-            bool skip;
-        };
-        static constexpr Leg legs[] = {
-            {"procedural/skip", r::EngineKind::procedure_calls, true},
-            {"threaded/skip", r::EngineKind::rtos_thread, true},
-            {"procedural/exact", r::EngineKind::procedure_calls, false},
-            {"threaded/exact", r::EngineKind::rtos_thread, false},
-        };
         ex::RunOutcome out;
-        std::vector<std::string> base;
-        std::vector<std::string> base_rows;
+        rtsc::fuzz::RunResult legs[4];
+        std::vector<std::string> rows[4];
         for (std::size_t i = 0; i < 4; ++i) {
+            const rtsc::fuzz::Leg& leg = rtsc::fuzz::kLegs[i];
             ex::TraceOracle oracle(&trace);
-            const auto log = run_leg(s, legs[i].kind, legs[i].skip, oracle);
+            legs[i].states = run_leg(s, leg.kind, leg.skip_ahead, oracle);
+            rows[i] = ex::decision_rows(oracle.log());
             if (!oracle.replay_ok() && !out.violation) {
                 out.violation = true;
-                out.diagnosis = std::string("replay desync on ") +
-                                legs[i].name + ": " + oracle.replay_error();
+                out.diagnosis = std::string("replay desync on ") + leg.name +
+                                ": " + oracle.replay_error();
             }
-            const auto rows = ex::decision_rows(oracle.log());
-            if (i == 0) {
-                base = log;
-                base_rows = rows;
-                out.log = oracle.take_log();
-            } else if (!out.violation) {
-                if (log != base) {
-                    out.violation = true;
-                    out.diagnosis = std::string("transition log of ") +
-                                    legs[i].name + " differs from " +
-                                    legs[0].name;
-                } else if (rows != base_rows) {
-                    out.violation = true;
-                    out.diagnosis = std::string("decision stream of ") +
-                                    legs[i].name + " differs from " +
-                                    legs[0].name;
-                }
-            }
+            if (i == 0) out.log = oracle.take_log();
         }
-        std::uint64_t d = 1469598103934665603ull;
-        for (const auto& row : base) d = rtsc::fuzz::fnv1a(d, row);
-        out.digest = rtsc::fuzz::fnv1a(d, ex::to_text(trace));
+        const rtsc::fuzz::Divergence d = rtsc::fuzz::check_legs(legs);
+        if (!out.violation && d.diverged) {
+            out.violation = true;
+            out.diagnosis = d.to_string();
+        }
+        for (std::size_t i = 1; i < 4 && !out.violation; ++i)
+            if (rows[i] != rows[0]) {
+                out.violation = true;
+                out.diagnosis = std::string("decision stream of ") +
+                                rtsc::fuzz::kLegs[i].name + " differs from " +
+                                rtsc::fuzz::kLegs[0].name;
+            }
+        std::uint64_t digest = 1469598103934665603ull;
+        for (const auto& row : legs[0].states)
+            digest = rtsc::fuzz::fnv1a(digest, row);
+        out.digest = rtsc::fuzz::fnv1a(digest, ex::to_text(trace));
         return out;
     };
 }

@@ -5,7 +5,10 @@
 // tests/fuzz/test_fuzz_corpus.cpp.
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <fstream>
 #include <string>
+#include <vector>
 
 #include "fuzz/generate.hpp"
 #include "fuzz/runner.hpp"
@@ -117,6 +120,49 @@ TEST(FuzzSpec, RejectsOutOfRangeNumbers) {
     // Empty value.
     EXPECT_THROW((void)fuzz::from_text("model seed= horizon=0"),
                  std::runtime_error);
+    // Narrow fields are range-checked against their own type: an empty
+    // priority is not 0, and 2^32+1 activations is not 1.
+    const auto task = [](const std::string& prio, const std::string& act) {
+        return "model seed=1 horizon=0\ntask name=A cpu=0 prio=" + prio +
+               " start=0 period=0 act=" + act + " deadline=0 trigger=0\n";
+    };
+    EXPECT_THROW((void)fuzz::from_text(task("", "1")), std::runtime_error);
+    EXPECT_THROW((void)fuzz::from_text(task("1", "4294967297")),
+                 std::runtime_error);
+    EXPECT_THROW((void)fuzz::from_text(task("1", "4294967298")),
+                 std::runtime_error);
+    EXPECT_EQ(fuzz::from_text(task("-3", "4294967295")).tasks.at(0).activations,
+              4294967295u);
+    EXPECT_THROW((void)fuzz::from_text("model seed=1 horizon=0\nevent policy=256"),
+                 std::runtime_error);
+    // The strict parser itself, as the tools' flags use it.
+    EXPECT_EQ(fuzz::parse_decimal<unsigned>("4294967295"), 4294967295u);
+    EXPECT_FALSE(fuzz::parse_decimal<unsigned>("4294967298"));
+    EXPECT_FALSE(fuzz::parse_decimal<unsigned>(""));
+    EXPECT_FALSE(fuzz::parse_decimal<unsigned>(" 1"));
+    EXPECT_FALSE(fuzz::parse_decimal<std::uint64_t>("-1"));
+    EXPECT_EQ(fuzz::parse_decimal<int>("-7"), -7);
+}
+
+TEST(FuzzSpec, FileErrorsNameThePath) {
+    const std::string missing = testing::TempDir() + "no_such_spec.model";
+    try {
+        (void)fuzz::read_spec_file(missing);
+        ADD_FAILURE() << "missing file parsed";
+    } catch (const std::runtime_error& e) {
+        EXPECT_EQ(std::string(e.what()).rfind(missing + ": ", 0), 0u) << e.what();
+    }
+    const std::string bad = testing::TempDir() + "bad_spec.model";
+    std::ofstream(bad) << "model seed=oops horizon=0\n";
+    try {
+        (void)fuzz::read_spec_file(bad);
+        ADD_FAILURE() << "malformed file parsed";
+    } catch (const std::runtime_error& e) {
+        EXPECT_EQ(std::string(e.what()).rfind(bad + ": fuzz spec line 1", 0), 0u)
+            << e.what();
+    }
+    std::remove(bad.c_str());
+    EXPECT_THROW((void)fuzz::spec_files(missing), std::runtime_error);
 }
 
 // --------------------------------------------------------------- runner
@@ -164,22 +210,88 @@ TEST(FuzzRunner, ConservationBreakFlagsBrokenRows) {
     fuzz::RunResult r;
     r.metrics = {"energy.cpu0.busy=12", "energy.cpu0.tasks=12"};
     r.attribution = {"0 T #0 rel=0 end=5 exec=5"};
-    EXPECT_FALSE(fuzz::conservation_break(r).diverged);
+    const auto check = [](const fuzz::RunResult& leg) {
+        const fuzz::RunResult legs[4] = {leg, leg, leg, leg};
+        return fuzz::check_legs(legs);
+    };
+    EXPECT_FALSE(check(r).diverged);
 
     r.attribution.push_back("5 T #1 rel=5 end=9 exec=3 BROKEN-INVARIANT sum=3");
-    fuzz::Divergence d = fuzz::conservation_break(r);
+    fuzz::Divergence d = check(r);
     ASSERT_TRUE(d.diverged);
-    EXPECT_EQ(d.stream, "attribution [conservation]");
+    EXPECT_EQ(d.stream, "attribution");
     EXPECT_EQ(d.index, 1u);
     EXPECT_EQ(d.lhs, r.attribution[1]);
     EXPECT_EQ(d.rhs, d.lhs);
+    EXPECT_EQ(d.lhs_leg, d.rhs_leg);
 
     // Ledger rows come first.
     r.metrics.push_back("energy.cpu0.BROKEN-ENERGY total=12 split=11");
-    d = fuzz::conservation_break(r);
+    d = check(r);
     ASSERT_TRUE(d.diverged);
-    EXPECT_EQ(d.stream, "metrics [conservation]");
+    EXPECT_EQ(d.stream, "metrics");
     EXPECT_EQ(d.index, 2u);
+    EXPECT_EQ(d.lhs_leg, d.rhs_leg);
+}
+
+TEST(FuzzRunner, CheckLegsNamesTheDivergingPair) {
+    // Engines on legs 0/1, skip-ahead neutrality on 0/2 and 1/3: a row
+    // tampered in leg 1, 2 or 3 must be blamed on exactly that pair.
+    const fuzz::RunResult r =
+        fuzz::run_model(fuzz::generate(3), rtsc::rtos::EngineKind::procedure_calls);
+    ASSERT_FALSE(r.states.empty());
+    ASSERT_FALSE(r.metrics.empty());
+    ASSERT_FALSE(r.attribution.empty());
+    struct Case {
+        std::size_t leg;
+        std::vector<std::string> fuzz::RunResult::*stream;
+        const char* name;
+        std::size_t lhs_leg, rhs_leg;
+    };
+    const Case cases[] = {
+        {1, &fuzz::RunResult::states, "states", 0, 1},
+        {2, &fuzz::RunResult::metrics, "metrics", 0, 2},
+        {3, &fuzz::RunResult::attribution, "attribution", 1, 3},
+    };
+    for (const Case& c : cases) {
+        SCOPED_TRACE(c.name);
+        fuzz::RunResult legs[4] = {r, r, r, r};
+        std::vector<std::string>& rows = legs[c.leg].*c.stream;
+        const std::size_t at = rows.size() / 2;
+        rows[at] += " tampered";
+        const fuzz::Divergence d = fuzz::check_legs(legs);
+        ASSERT_TRUE(d.diverged);
+        EXPECT_EQ(d.stream, c.name);
+        EXPECT_EQ(d.index, at);
+        EXPECT_EQ(d.lhs_leg, c.lhs_leg);
+        EXPECT_EQ(d.rhs_leg, c.rhs_leg);
+        EXPECT_EQ(d.rhs, rows[at]);
+        const std::string text = d.to_string();
+        EXPECT_NE(text.find(fuzz::kLegs[c.lhs_leg].name), std::string::npos)
+            << text;
+        EXPECT_NE(text.find(fuzz::kLegs[c.rhs_leg].name), std::string::npos)
+            << text;
+    }
+}
+
+TEST(FuzzRunner, DumpStreamsShowsEveryComparedStream) {
+    const fuzz::RunResult a =
+        fuzz::run_model(fuzz::generate(3), rtsc::rtos::EngineKind::procedure_calls);
+    fuzz::RunResult b = a;
+    ASSERT_FALSE(b.attribution.empty());
+    b.attribution.back() += " tampered";
+    const std::string dump = fuzz::dump_streams(a, b);
+    for (const char* name :
+         {"states", "overheads", "comms", "markers", "metrics", "attribution"})
+        EXPECT_NE(dump.find(std::string("---- ") + name + " "), std::string::npos)
+            << name;
+    std::size_t headers = 0;
+    for (std::size_t at = dump.find("---- "); at != std::string::npos;
+         at = dump.find("\n---- ", at + 1))
+        ++headers;
+    EXPECT_EQ(headers, 6u);
+    EXPECT_NE(dump.find("\n! " + a.attribution.back()), std::string::npos);
+    EXPECT_EQ(dump.find("\n! " + a.states.front()), std::string::npos);
 }
 
 TEST(FuzzRunner, KernelActivationCountsAreEngineSpecific) {

@@ -9,12 +9,6 @@
 // or by copying the fuzz_divergence_<seed>.model a failed sweep wrote.
 #include <gtest/gtest.h>
 
-#include <filesystem>
-#include <fstream>
-#include <sstream>
-#include <string>
-#include <vector>
-
 #include "fuzz/runner.hpp"
 #include "fuzz/spec.hpp"
 
@@ -26,43 +20,25 @@ namespace fuzz = rtsc::fuzz;
 
 namespace {
 
-std::vector<std::filesystem::path> corpus_files() {
-    std::vector<std::filesystem::path> files;
-    for (const auto& entry :
-         std::filesystem::directory_iterator(RTSC_FUZZ_CORPUS_DIR))
-        if (entry.path().extension() == ".model") files.push_back(entry.path());
-    std::sort(files.begin(), files.end());
-    return files;
-}
-
-std::string slurp(const std::filesystem::path& p) {
-    std::ifstream in(p);
-    std::ostringstream ss;
-    ss << in.rdbuf();
-    return ss.str();
-}
-
 TEST(FuzzCorpus, DirectoryIsNotEmpty) {
-    ASSERT_FALSE(corpus_files().empty())
+    ASSERT_FALSE(fuzz::spec_files(RTSC_FUZZ_CORPUS_DIR).empty())
         << "no .model files in " << RTSC_FUZZ_CORPUS_DIR;
 }
 
 TEST(FuzzCorpus, EveryModelParsesAndRoundTrips) {
-    for (const auto& path : corpus_files()) {
+    for (const auto& path : fuzz::spec_files(RTSC_FUZZ_CORPUS_DIR)) {
         SCOPED_TRACE(path.filename().string());
-        const std::string text = slurp(path);
-        ASSERT_FALSE(text.empty());
-        const fuzz::ModelSpec spec = fuzz::from_text(text);
+        const fuzz::ModelSpec spec = fuzz::read_spec_file(path);
         EXPECT_EQ(fuzz::to_text(fuzz::from_text(fuzz::to_text(spec))),
                   fuzz::to_text(spec));
     }
 }
 
 TEST(FuzzCorpus, EnginesAgreeOnEveryModel) {
-    for (const auto& path : corpus_files()) {
+    for (const auto& path : fuzz::spec_files(RTSC_FUZZ_CORPUS_DIR)) {
         SCOPED_TRACE(path.filename().string());
-        const fuzz::ModelSpec spec = fuzz::from_text(slurp(path));
-        const fuzz::Divergence d = fuzz::diff_engines(spec);
+        const fuzz::Divergence d =
+            fuzz::diff_engines(fuzz::read_spec_file(path));
         EXPECT_FALSE(d.diverged) << d.to_string();
     }
 }

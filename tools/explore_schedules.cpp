@@ -16,26 +16,29 @@
 //   explore_schedules --corpus DIR --bench BENCH_explore.json
 //   explore_schedules --model m.model --frontier f.txt --max-schedules 100
 //
-// On a violation the model is delta-debugged down to a minimal spec whose
-// exploration still finds a violating schedule (--no-shrink to skip), the
-// reproducer is written as explore_violation_<name>.model and, with
-// --emit-test FILE, a GoogleTest regression is rendered.
+// Every model of the sweep is explored (--jobs N spreads them over N
+// workers, one by default); then the first violating model is
+// delta-debugged down to a minimal spec whose exploration still finds a
+// violating schedule (--no-shrink to skip), the reproducer is written as
+// explore_violation_<name>.model and, with --emit-test FILE, a GoogleTest
+// regression is rendered.
 //
 // Exit status: 0 = every model exhaustively verified clean,
-//              1 = violation found (also under --jobs fan-out),
+//              1 = violation found,
 //              2 = usage / IO error,
 //              3 = clean but incomplete (a bound clipped enumeration).
 
-#include <cerrno>
+#include <algorithm>
+#include <cctype>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <filesystem>
 #include <fstream>
-#include <sstream>
+#include <stdexcept>
 #include <string>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
 #include "campaign/bench_json.hpp"
@@ -58,9 +61,8 @@ struct Options {
     std::string corpus;              ///< directory of .model files
     std::vector<std::uint64_t> gen_seeds; ///< generated models (--seed/--seeds)
     explore::ModelCheckConfig cfg;
-    unsigned jobs = 0; ///< 0/1 = serial in-process
+    unsigned jobs = 0; ///< sweep workers; 0 and 1 both mean one
     bool do_shrink = true;
-    bool keep_going = false; ///< keep enumerating past the first violation
     std::string emit_test;
     std::string bench;
     std::string frontier; ///< resume file (single model, base variant)
@@ -83,26 +85,26 @@ void usage(const char* argv0) {
         argv0);
 }
 
-/// Strict decimal parse: rejects empty strings, signs, trailing garbage and
-/// out-of-range values instead of silently wrapping or clamping.
-bool parse_u64_checked(const char* s, std::uint64_t* out) {
-    if (s == nullptr || *s == '\0' || *s == '-' || *s == '+') return false;
-    errno = 0;
-    char* end = nullptr;
-    const unsigned long long v = std::strtoull(s, &end, 10);
-    if (errno == ERANGE || end == s || *end != '\0') return false;
-    *out = static_cast<std::uint64_t>(v);
-    return true;
+/// A numeric flag value of type T; anything parse_decimal rejects (signs,
+/// garbage, values T cannot hold) exits 2 instead of wrapping or clamping.
+template <typename T>
+T parse_flag(const char* flag, const char* s) {
+    if (const auto v = fuzz::parse_decimal<T>(s)) return *v;
+    std::fprintf(stderr, "explore_schedules: %s: '%s' is not a decimal "
+                         "number in range\n", flag, s);
+    std::exit(2);
 }
 
-std::uint64_t parse_u64_or_die(const char* flag, const char* s) {
-    std::uint64_t v = 0;
-    if (!parse_u64_checked(s, &v)) {
-        std::fprintf(stderr, "%s: '%s' is not a valid non-negative integer\n",
-                     flag, s);
-        std::exit(2);
-    }
-    return v;
+/// Write one artifact and say where it went; a failed write is reported on
+/// stderr instead.
+void save_artifact(const char* what, const std::string& path,
+                   const std::string& text) {
+    std::ofstream out(path);
+    if (out << text << std::flush)
+        std::printf("%s written to %s\n", what, path.c_str());
+    else
+        std::fprintf(stderr, "explore_schedules: cannot write %s to %s\n",
+                     what, path.c_str());
 }
 
 struct ModelItem {
@@ -111,51 +113,21 @@ struct ModelItem {
 };
 
 bool load_models(const Options& opt, std::vector<ModelItem>* out) {
-    for (const std::string& path : opt.models) {
-        std::ifstream in(path);
-        if (!in) {
-            std::fprintf(stderr, "cannot open %s\n", path.c_str());
-            return false;
+    try {
+        std::vector<std::filesystem::path> paths(opt.models.begin(),
+                                                 opt.models.end());
+        if (!opt.corpus.empty()) {
+            const auto files = fuzz::spec_files(opt.corpus);
+            if (files.empty())
+                throw std::runtime_error("no .model files in " + opt.corpus);
+            paths.insert(paths.end(), files.begin(), files.end());
         }
-        std::ostringstream ss;
-        ss << in.rdbuf();
-        try {
-            out->push_back({std::filesystem::path(path).filename().string(),
-                            fuzz::from_text(ss.str())});
-        } catch (const std::exception& e) {
-            std::fprintf(stderr, "%s: %s\n", path.c_str(), e.what());
-            return false;
-        }
-    }
-    if (!opt.corpus.empty()) {
-        std::error_code ec;
-        std::vector<std::filesystem::path> files;
-        for (const auto& entry :
-             std::filesystem::directory_iterator(opt.corpus, ec))
-            if (entry.path().extension() == ".model")
-                files.push_back(entry.path());
-        if (ec) {
-            std::fprintf(stderr, "cannot read %s: %s\n", opt.corpus.c_str(),
-                         ec.message().c_str());
-            return false;
-        }
-        std::sort(files.begin(), files.end());
-        if (files.empty()) {
-            std::fprintf(stderr, "no .model files in %s\n", opt.corpus.c_str());
-            return false;
-        }
-        for (const auto& p : files) {
-            std::ifstream in(p);
-            std::ostringstream ss;
-            ss << in.rdbuf();
-            try {
-                out->push_back({p.filename().string(),
-                                fuzz::from_text(ss.str())});
-            } catch (const std::exception& e) {
-                std::fprintf(stderr, "%s: %s\n", p.string().c_str(), e.what());
-                return false;
-            }
-        }
+        for (const auto& path : paths)
+            out->push_back(
+                {path.filename().string(), fuzz::read_spec_file(path)});
+    } catch (const std::exception& e) {
+        std::fprintf(stderr, "%s\n", e.what());
+        return false;
     }
     for (const std::uint64_t seed : opt.gen_seeds)
         out->push_back(
@@ -202,15 +174,13 @@ void report_violation(const ModelItem& item, const explore::ModelReport& r,
                     stats.attempts);
     }
     std::string stem = std::filesystem::path(item.name).stem().string();
-    const std::string path = "explore_violation_" + stem + ".model";
-    std::ofstream(path) << fuzz::to_text(minimal);
-    std::printf("reproducer written to %s\n", path.c_str());
+    save_artifact("reproducer", "explore_violation_" + stem + ".model",
+                  fuzz::to_text(minimal));
     if (!opt.emit_test.empty()) {
         for (char& c : stem)
             if (!std::isalnum(static_cast<unsigned char>(c))) c = '_';
-        std::ofstream(opt.emit_test)
-            << emit_explore_test(minimal, "Explore_" + stem);
-        std::printf("regression test written to %s\n", opt.emit_test.c_str());
+        save_artifact("regression test", opt.emit_test,
+                      emit_explore_test(minimal, "Explore_" + stem));
     }
 }
 
@@ -229,34 +199,21 @@ void print_report(const ModelItem& item, const explore::ModelReport& r,
                 r.complete ? "" : " [bounds clipped enumeration]");
 }
 
-int run_serial(const std::vector<ModelItem>& items, const Options& opt) {
-    int rc = 0;
-    for (const ModelItem& item : items) {
-        const explore::ModelReport r = explore::explore_model(item.spec,
-                                                              opt.cfg);
-        print_report(item, r, opt);
-        if (r.violation) {
-            report_violation(item, r, opt);
-            rc = 1;
-            if (!opt.keep_going) return rc;
-        } else if (!r.complete && rc == 0) {
-            rc = 3;
-        }
-    }
-    return rc;
-}
-
-/// Campaign fan-out over a worker pool. A violation in ANY scenario — or a
-/// scenario that failed outright — makes the sweep exit nonzero.
-int run_parallel(const std::vector<ModelItem>& items, const Options& opt,
-                 campaign::CampaignReport* out_report) {
+/// The sweep: every model is one scenario of a `workers`-thread campaign
+/// (0 = one per core) and its report lands in a per-slot vector. Then each
+/// model's report line is printed and the first violation is shrunk and
+/// reported. A violation in ANY scenario — or a scenario that failed
+/// outright — makes the sweep exit nonzero.
+int run_sweep(const std::vector<ModelItem>& items, const Options& opt,
+              unsigned workers, campaign::CampaignReport* out_report) {
+    std::vector<explore::ModelReport> reports(items.size());
     std::vector<campaign::ScenarioSpec> scenarios;
     scenarios.reserve(items.size());
-    for (const ModelItem& item : items)
+    for (std::size_t i = 0; i < items.size(); ++i)
         scenarios.push_back(
-            {item.name, [&item, &opt](campaign::ScenarioContext& ctx) {
-                 const explore::ModelReport r =
-                     explore::explore_model(item.spec, opt.cfg);
+            {items[i].name, [&spec = items[i].spec, &r = reports[i],
+                             &opt](campaign::ScenarioContext& ctx) {
+                 r = explore::explore_model(spec, opt.cfg);
                  ctx.metric("schedules", static_cast<double>(r.schedules));
                  ctx.metric("pruned", static_cast<double>(r.pruned_branches));
                  ctx.metric("violation", r.violation ? 1.0 : 0.0);
@@ -268,7 +225,7 @@ int run_parallel(const std::vector<ModelItem>& items, const Options& opt,
                                                ": " + r.diagnosis);
              }});
     campaign::CampaignRunner::Options ro;
-    ro.workers = opt.jobs;
+    ro.workers = workers;
     const campaign::CampaignReport report =
         campaign::CampaignRunner(ro).run(scenarios);
     int rc = 0;
@@ -279,30 +236,15 @@ int run_parallel(const std::vector<ModelItem>& items, const Options& opt,
             rc = 1; // a crashed checker is never a clean sweep
             continue;
         }
-        bool violation = false, complete = true;
-        double schedules = 0;
-        for (const auto& [name, value] : res.metrics) {
-            if (name == "violation" && value != 0.0) violation = true;
-            if (name == "complete" && value == 0.0) complete = false;
-            if (name == "schedules") schedules = value;
-        }
-        if (violation) {
-            // Re-run inline for the full shrink/report path (first only).
-            const ModelItem& item = items[static_cast<std::size_t>(res.index)];
-            if (rc != 1) {
-                const explore::ModelReport r =
-                    explore::explore_model(item.spec, opt.cfg);
-                print_report(item, r, opt);
-                if (r.violation) report_violation(item, r, opt);
-            } else {
-                std::printf("%s: VIOLATION (not shrunk)\n", item.name.c_str());
-            }
+        const ModelItem& item = items[res.index];
+        const explore::ModelReport& r = reports[res.index];
+        print_report(item, r, opt);
+        if (r.violation) {
+            if (rc != 1) report_violation(item, r, opt); // shrink the first
             rc = 1;
-        } else if (!opt.quiet) {
-            std::printf("%s: %s — %.0f schedules\n", res.name.c_str(),
-                        complete ? "verified" : "incomplete", schedules);
+        } else if (!r.complete && rc == 0) {
+            rc = 3;
         }
-        if (!complete && rc == 0) rc = 3;
     }
     std::printf("%zu models via %u workers: %zu failed\n",
                 report.results.size(), report.workers, report.failures());
@@ -324,31 +266,14 @@ int run_trace(const ModelItem& item, const Options& opt) {
         fuzz::run_model(item.spec, rtsc::rtos::EngineKind::procedure_calls)
             .error;
     const explore::RunOutcome out =
-        explore::check_model_once(item.spec, trace, baseline);
+        explore::check_model_once(item.spec, trace, &baseline);
     if (opt.dump) {
         explore::TraceOracle po(&trace), to(&trace);
         const fuzz::RunResult proc = fuzz::run_model(
             item.spec, rtsc::rtos::EngineKind::procedure_calls, true, &po);
         const fuzz::RunResult thrd = fuzz::run_model(
             item.spec, rtsc::rtos::EngineKind::rtos_thread, true, &to);
-        const auto dump = [](const char* name,
-                             const std::vector<std::string>& a,
-                             const std::vector<std::string>& b) {
-            std::printf("---- %s (procedural | threaded) ----\n", name);
-            const std::size_t n = std::max(a.size(), b.size());
-            for (std::size_t i = 0; i < n; ++i) {
-                const std::string& l = i < a.size() ? a[i] : "<missing>";
-                const std::string& r = i < b.size() ? b[i] : "<missing>";
-                std::printf("%c %-55s | %s\n", l == r ? ' ' : '!', l.c_str(),
-                            r.c_str());
-            }
-        };
-        dump("states", proc.states, thrd.states);
-        dump("overheads", proc.overheads, thrd.overheads);
-        dump("comms", proc.comms, thrd.comms);
-        dump("markers", proc.markers, thrd.markers);
-        dump("metrics", proc.metrics, thrd.metrics);
-        dump("attribution", proc.attribution, thrd.attribution);
+        std::fputs(fuzz::dump_streams(proc, thrd).c_str(), stdout);
         std::printf("---- decisions ----\n%s",
                     explore::log_to_text(po.take_log()).c_str());
     }
@@ -413,7 +338,7 @@ int run_frontier(const ModelItem& item, const Options& opt) {
 /// become the bench metrics so CI can pin/inspect enumeration sizes.
 int bench(const std::vector<ModelItem>& items, const Options& opt) {
     campaign::CampaignReport report;
-    const int rc = run_parallel(items, opt, &report);
+    const int rc = run_sweep(items, opt, opt.jobs, &report);
     campaign::BenchEntry entry;
     entry.name = "explore_schedules";
     entry.scenarios = report.results.size();
@@ -457,51 +382,34 @@ int main(int argc, char** argv) {
             }
             return argv[++i];
         };
+        // Parse the flag's value as the type of the field it sets.
+        auto number = [&](auto& field) {
+            const char* flag = argv[i];
+            field = parse_flag<std::remove_reference_t<decltype(field)>>(
+                flag, need_value(flag));
+        };
+        std::uint64_t seed = 0;
         if (arg == "--model") opt.models.push_back(need_value("--model"));
         else if (arg == "--corpus") opt.corpus = need_value("--corpus");
-        else if (arg == "--seed")
-            opt.gen_seeds.push_back(
-                parse_u64_or_die("--seed", need_value("--seed")));
-        else if (arg == "--seeds") {
+        else if (arg == "--seed") {
+            number(seed);
+            opt.gen_seeds.push_back(seed);
+        } else if (arg == "--seeds") {
             seeds_sweep = true;
-            seeds_n = parse_u64_or_die("--seeds", need_value("--seeds"));
-        } else if (arg == "--start")
-            seeds_start = parse_u64_or_die("--start", need_value("--start"));
-        else if (arg == "--jobs")
-            opt.jobs = static_cast<unsigned>(
-                parse_u64_or_die("--jobs", need_value("--jobs")));
-        else if (arg == "--max-schedules")
-            opt.cfg.bounds.max_schedules =
-                parse_u64_or_die("--max-schedules",
-                                 need_value("--max-schedules"));
-        else if (arg == "--max-decisions")
-            opt.cfg.bounds.max_decisions = static_cast<std::size_t>(
-                parse_u64_or_die("--max-decisions",
-                                 need_value("--max-decisions")));
-        else if (arg == "--max-group")
-            opt.cfg.bounds.max_group = static_cast<std::size_t>(
-                parse_u64_or_die("--max-group", need_value("--max-group")));
-        else if (arg == "--max-variants")
-            opt.cfg.max_variants = static_cast<std::size_t>(
-                parse_u64_or_die("--max-variants",
-                                 need_value("--max-variants")));
+            number(seeds_n);
+        } else if (arg == "--start") number(seeds_start);
+        else if (arg == "--jobs") number(opt.jobs);
+        else if (arg == "--max-schedules") number(opt.cfg.bounds.max_schedules);
+        else if (arg == "--max-decisions") number(opt.cfg.bounds.max_decisions);
+        else if (arg == "--max-group") number(opt.cfg.bounds.max_group);
+        else if (arg == "--max-variants") number(opt.cfg.max_variants);
         else if (arg == "--no-prune") opt.cfg.bounds.prune = false;
-        else if (arg == "--keep-going") {
-            opt.keep_going = true;
+        else if (arg == "--keep-going")
             opt.cfg.bounds.stop_at_violation = false;
-        } else if (arg == "--offsets")
-            opt.cfg.offsets = static_cast<std::uint32_t>(
-                parse_u64_or_die("--offsets", need_value("--offsets")));
-        else if (arg == "--window")
-            opt.cfg.offset_window_ps =
-                parse_u64_or_die("--window", need_value("--window"));
-        else if (arg == "--crash-offsets")
-            opt.cfg.crash_offsets = static_cast<std::uint32_t>(
-                parse_u64_or_die("--crash-offsets",
-                                 need_value("--crash-offsets")));
-        else if (arg == "--crash-window")
-            opt.cfg.crash_window_ps =
-                parse_u64_or_die("--crash-window", need_value("--crash-window"));
+        else if (arg == "--offsets") number(opt.cfg.offsets);
+        else if (arg == "--window") number(opt.cfg.offset_window_ps);
+        else if (arg == "--crash-offsets") number(opt.cfg.crash_offsets);
+        else if (arg == "--crash-window") number(opt.cfg.crash_window_ps);
         else if (arg == "--frontier") opt.frontier = need_value("--frontier");
         else if (arg == "--trace") opt.trace = need_value("--trace");
         else if (arg == "--dump") opt.dump = true;
@@ -544,6 +452,5 @@ int main(int argc, char** argv) {
         return run_frontier(items[0], opt);
     }
     if (!opt.bench.empty()) return bench(items, opt);
-    if (opt.jobs > 1) return run_parallel(items, opt, nullptr);
-    return run_serial(items, opt);
+    return run_sweep(items, opt, std::max(opt.jobs, 1u), nullptr);
 }

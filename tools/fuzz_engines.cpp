@@ -1,35 +1,37 @@
 // Differential engine-equivalence fuzzer.
 //
 // Generates seeded random RTOS models (src/fuzz/generate.hpp), runs each on
-// BOTH engine implementations — threaded (§4.1) and procedural (§4.2) — and
-// compares the full observable behavior bit-for-bit: every trace record
-// (task states, overhead charges, communication accesses, fault markers),
-// the obs metrics snapshot and the simulated end time. Any difference is a
-// bug in one of the engines (their equivalence is the paper's core claim).
+// the four legs of fuzz::kLegs — threaded (§4.1) and procedural (§4.2)
+// engine, skip-ahead on and off — and compares the full observable behavior
+// bit-for-bit: every trace record (task states, overhead charges,
+// communication accesses, fault markers), the obs metrics snapshot, the
+// attribution rows and the simulated end time. Any difference is a bug in
+// one of the engines (their equivalence is the paper's core claim).
 //
-//   fuzz_engines --seeds 500              # seeds 0..499, serial
+//   fuzz_engines --seeds 500              # seeds 0..499, one worker
 //   fuzz_engines --seeds 500 --jobs 8     # campaign fan-out, 8 workers
 //   fuzz_engines --seed 1234567           # one seed, verbose
 //   fuzz_engines --replay file.model      # re-run a corpus spec
 //   fuzz_engines --print 42               # dump the generated spec text
 //   fuzz_engines --seeds 200 --bench BENCH_fuzz.json
 //
-// On divergence the harness prints the first divergent record, delta-debugs
-// the model down to a minimal reproducer (--no-shrink to skip), writes the
-// shrunk spec next to the cwd as fuzz_divergence_<seed>.model and, with
-// --emit-test <path>, renders a self-contained GoogleTest regression file.
-// Exit status: 0 = all seeds equivalent, 1 = divergence found, 2 = usage.
+// A sweep checks its whole seed block; then the first divergent seed is
+// reported with its first divergent record, delta-debugged down to a minimal
+// reproducer (--no-shrink to skip), written to the cwd as
+// fuzz_divergence_<seed>.model and, with --emit-test <path>, rendered as a
+// self-contained GoogleTest regression file.
+// Exit status: 0 = all seeds equivalent, 1 = divergence found,
+//              2 = usage / unreadable spec file.
 
-#include <cerrno>
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <chrono>
-#include <cstring>
 #include <fstream>
-#include <sstream>
 #include <string>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
 #include "campaign/bench_json.hpp"
@@ -48,7 +50,7 @@ struct Options {
     std::uint64_t start = 0;
     bool single_seed = false;
     std::uint64_t seed = 0;
-    unsigned jobs = 0;      ///< 0/1 = serial in-process
+    unsigned jobs = 0;      ///< sweep workers; 0 and 1 both mean one
     bool do_shrink = true;
     std::string emit_test;  ///< path for the generated regression test
     std::string replay;     ///< corpus spec to re-run
@@ -66,18 +68,28 @@ void usage(const char* argv0) {
                  argv0);
 }
 
-std::uint64_t parse_u64(const char* s) {
-    // Reject signs (strtoull negates "-1" silently), garbage and overflow:
-    // a mistyped seed must fail loudly, not run a different sweep.
-    errno = 0;
-    char* end = nullptr;
-    const std::uint64_t v = std::strtoull(s, &end, 10);
-    if (*s == '\0' || s[0] == '-' || s[0] == '+' || errno != 0 ||
-        end == s || *end != '\0') {
-        std::fprintf(stderr, "fuzz_engines: bad number: '%s'\n", s);
-        std::exit(2);
-    }
-    return v;
+/// A numeric flag value of type T; anything parse_decimal rejects exits 2,
+/// so a mistyped seed or worker count fails loudly instead of running a
+/// different sweep.
+template <typename T>
+T parse_flag(const char* flag, const char* s) {
+    if (const auto v = fuzz::parse_decimal<T>(s)) return *v;
+    std::fprintf(stderr,
+                 "fuzz_engines: %s: '%s' is not a decimal number in range\n",
+                 flag, s);
+    std::exit(2);
+}
+
+/// Write one artifact and say where it went; a failed write is reported on
+/// stderr instead.
+void save_artifact(const char* what, const std::string& path,
+                   const std::string& text) {
+    std::ofstream out(path);
+    if (out << text << std::flush)
+        std::printf("%s written to %s\n", what, path.c_str());
+    else
+        std::fprintf(stderr, "fuzz_engines: cannot write %s to %s\n", what,
+                     path.c_str());
 }
 
 /// Handle one confirmed divergence: report, shrink, persist artifacts.
@@ -94,41 +106,20 @@ int report_divergence(const fuzz::ModelSpec& spec, const fuzz::Divergence& d,
         std::printf("shrunk: %zu/%zu reductions accepted\n%s\n",
                     stats.accepted, stats.attempts, after.to_string().c_str());
     }
-    const std::string path =
-        "fuzz_divergence_" + std::to_string(spec.seed) + ".model";
-    std::ofstream(path) << fuzz::to_text(minimal);
-    std::printf("reproducer written to %s\n", path.c_str());
-    if (!opt.emit_test.empty()) {
-        std::ofstream(opt.emit_test) << fuzz::emit_cpp_test(
-            minimal, "Seed" + std::to_string(spec.seed));
-        std::printf("regression test written to %s\n", opt.emit_test.c_str());
-    }
+    save_artifact("reproducer",
+                  "fuzz_divergence_" + std::to_string(spec.seed) + ".model",
+                  fuzz::to_text(minimal));
+    if (!opt.emit_test.empty())
+        save_artifact("regression test", opt.emit_test,
+                      fuzz::emit_cpp_test(minimal,
+                                          "Seed" + std::to_string(spec.seed)));
     return 1;
-}
-
-void dump_streams(const fuzz::RunResult& proc, const fuzz::RunResult& thrd) {
-    const auto dump = [](const char* name, const std::vector<std::string>& a,
-                         const std::vector<std::string>& b) {
-        std::printf("---- %s (procedural | threaded) ----\n", name);
-        const std::size_t n = std::max(a.size(), b.size());
-        for (std::size_t i = 0; i < n; ++i) {
-            const std::string& l = i < a.size() ? a[i] : "<missing>";
-            const std::string& r = i < b.size() ? b[i] : "<missing>";
-            std::printf("%c %-55s | %s\n", l == r ? ' ' : '!', l.c_str(),
-                        r.c_str());
-        }
-    };
-    dump("states", proc.states, thrd.states);
-    dump("overheads", proc.overheads, thrd.overheads);
-    dump("comms", proc.comms, thrd.comms);
-    dump("markers", proc.markers, thrd.markers);
-    dump("metrics", proc.metrics, thrd.metrics);
 }
 
 int run_one(const fuzz::ModelSpec& spec, const Options& opt) {
     fuzz::RunResult proc, thrd;
     const fuzz::Divergence d = fuzz::diff_engines(spec, &proc, &thrd);
-    if (opt.dump) dump_streams(proc, thrd);
+    if (opt.dump) std::fputs(fuzz::dump_streams(proc, thrd).c_str(), stdout);
     if (!opt.quiet)
         std::printf("seed %llu: %s (%zu state records, end %llu ps, "
                     "activations %llu/%llu)\n",
@@ -141,42 +132,21 @@ int run_one(const fuzz::ModelSpec& spec, const Options& opt) {
     return report_divergence(spec, d, opt);
 }
 
-/// Serial sweep: generate + diff each seed inline, stop at first divergence.
-int sweep_serial(const Options& opt) {
-    std::uint64_t checked = 0;
-    for (std::uint64_t i = 0; i < opt.seeds; ++i) {
-        const std::uint64_t seed = opt.start + i;
-        const fuzz::ModelSpec spec = fuzz::generate(seed);
-        const fuzz::Divergence d = fuzz::diff_engines(spec);
-        ++checked;
-        if (d.diverged) {
-            std::printf("[%llu/%llu seeds]\n",
-                        static_cast<unsigned long long>(checked),
-                        static_cast<unsigned long long>(opt.seeds));
-            return report_divergence(spec, d, opt);
-        }
-        if (!opt.quiet && checked % 50 == 0)
-            std::printf("[%llu/%llu] all equivalent so far\n",
-                        static_cast<unsigned long long>(checked),
-                        static_cast<unsigned long long>(opt.seeds));
-    }
-    std::printf("%llu seeds: all equivalent\n",
-                static_cast<unsigned long long>(checked));
-    return 0;
-}
-
-campaign::CampaignReport sweep_campaign(const Options& opt, unsigned workers) {
+/// Check seeds start..start+seeds-1 as the scenarios of a campaign with
+/// `workers` threads (0 = one per core). Each seed's verdict lands in
+/// `found` by slot. Unless --quiet, a progress line every 50 seeds.
+campaign::CampaignReport sweep_campaign(const Options& opt, unsigned workers,
+                                        std::vector<fuzz::Divergence>& found) {
+    found.assign(opt.seeds, {});
     std::vector<campaign::ScenarioSpec> scenarios;
     scenarios.reserve(opt.seeds);
     for (std::uint64_t i = 0; i < opt.seeds; ++i) {
         const std::uint64_t seed = opt.start + i;
         scenarios.push_back(
             {"fuzz_seed_" + std::to_string(seed),
-             [seed](campaign::ScenarioContext& ctx) {
-                 const fuzz::ModelSpec spec = fuzz::generate(seed);
+             [seed, &d = found[i]](campaign::ScenarioContext& ctx) {
                  fuzz::RunResult proc, thrd;
-                 const fuzz::Divergence d =
-                     fuzz::diff_engines(spec, &proc, &thrd);
+                 d = fuzz::diff_engines(fuzz::generate(seed), &proc, &thrd);
                  ctx.metric("diverged", d.diverged ? 1.0 : 0.0);
                  ctx.metric("state_records",
                             static_cast<double>(proc.states.size()));
@@ -188,13 +158,20 @@ campaign::CampaignReport sweep_campaign(const Options& opt, unsigned workers) {
     campaign::CampaignRunner::Options ro;
     ro.workers = workers;
     ro.seed = opt.start; // informational; model seeds are explicit
+    if (!opt.quiet)
+        ro.on_progress = [](const campaign::Progress& p) {
+            if (p.completed % 50 == 0)
+                std::printf("[%zu/%zu] seeds checked\n", p.completed, p.total);
+        };
     return campaign::CampaignRunner(ro).run(scenarios);
 }
 
-/// Campaign fan-out over a worker pool; re-diffs divergent seeds inline for
-/// shrinking/reporting.
-int sweep_parallel(const Options& opt) {
-    const campaign::CampaignReport report = sweep_campaign(opt, opt.jobs);
+/// The sweep: one campaign over the whole seed block, then the first
+/// divergent seed is shrunk and reported, the rest only listed.
+int sweep(const Options& opt) {
+    std::vector<fuzz::Divergence> found;
+    const campaign::CampaignReport report =
+        sweep_campaign(opt, std::max(opt.jobs, 1u), found);
     int rc = 0;
     std::uint64_t divergent = 0;
     for (const auto& res : report.results) {
@@ -204,20 +181,14 @@ int sweep_parallel(const Options& opt) {
             rc = 1;
             continue;
         }
-        for (const auto& [name, value] : res.metrics)
-            if (name == "diverged" && value != 0.0) {
-                ++divergent;
-                const std::uint64_t seed =
-                    opt.start + static_cast<std::uint64_t>(res.index);
-                if (rc == 0) { // shrink only the first; report the rest
-                    const fuzz::ModelSpec spec = fuzz::generate(seed);
-                    const fuzz::Divergence d = fuzz::diff_engines(spec);
-                    rc = report_divergence(spec, d, opt);
-                } else {
-                    std::printf("seed %llu: DIVERGED (not shrunk)\n",
-                                static_cast<unsigned long long>(seed));
-                }
-            }
+        if (!found[res.index].diverged) continue;
+        ++divergent;
+        const std::uint64_t seed = opt.start + res.index;
+        if (rc == 0)
+            rc = report_divergence(fuzz::generate(seed), found[res.index], opt);
+        else
+            std::printf("seed %llu: DIVERGED (not shrunk)\n",
+                        static_cast<unsigned long long>(seed));
     }
     std::printf("%zu seeds via %u workers: %llu divergent, %zu failed\n",
                 report.results.size(), report.workers,
@@ -252,9 +223,10 @@ campaign::MetricSummary throughput_summary(const std::string& name,
 }
 
 int bench(const Options& opt) {
-    const campaign::CampaignReport serial = sweep_campaign(opt, 1);
+    std::vector<fuzz::Divergence> found;
+    const campaign::CampaignReport serial = sweep_campaign(opt, 1, found);
     const campaign::CampaignReport parallel =
-        sweep_campaign(opt, opt.jobs != 0 ? opt.jobs : 0);
+        sweep_campaign(opt, opt.jobs, found);
     campaign::BenchEntry entry;
     entry.name = "fuzz_engines";
     entry.scenarios = serial.results.size();
@@ -315,19 +287,24 @@ int main(int argc, char** argv) {
             }
             return argv[++i];
         };
-        if (arg == "--seeds") opt.seeds = parse_u64(need_value("--seeds"));
-        else if (arg == "--start") opt.start = parse_u64(need_value("--start"));
+        // Parse the flag's value as the type of the field it sets.
+        auto number = [&](auto& field) {
+            const char* flag = argv[i];
+            field = parse_flag<std::remove_reference_t<decltype(field)>>(
+                flag, need_value(flag));
+        };
+        if (arg == "--seeds") number(opt.seeds);
+        else if (arg == "--start") number(opt.start);
         else if (arg == "--seed") {
             opt.single_seed = true;
-            opt.seed = parse_u64(need_value("--seed"));
-        } else if (arg == "--jobs") {
-            opt.jobs = static_cast<unsigned>(parse_u64(need_value("--jobs")));
-        } else if (arg == "--no-shrink") opt.do_shrink = false;
+            number(opt.seed);
+        } else if (arg == "--jobs") number(opt.jobs);
+        else if (arg == "--no-shrink") opt.do_shrink = false;
         else if (arg == "--emit-test") opt.emit_test = need_value("--emit-test");
         else if (arg == "--replay") opt.replay = need_value("--replay");
         else if (arg == "--print") {
             opt.print_spec = true;
-            opt.seed = parse_u64(need_value("--print"));
+            number(opt.seed);
         } else if (arg == "--bench") opt.bench = need_value("--bench");
         else if (arg == "--quiet") opt.quiet = true;
         else if (arg == "--dump") opt.dump = true;
@@ -346,17 +323,16 @@ int main(int argc, char** argv) {
         return 0;
     }
     if (!opt.replay.empty()) {
-        std::ifstream in(opt.replay);
-        if (!in) {
-            std::fprintf(stderr, "cannot open %s\n", opt.replay.c_str());
+        fuzz::ModelSpec spec;
+        try {
+            spec = fuzz::read_spec_file(opt.replay);
+        } catch (const std::exception& e) {
+            std::fprintf(stderr, "fuzz_engines: %s\n", e.what());
             return 2;
         }
-        std::ostringstream ss;
-        ss << in.rdbuf();
-        return run_one(fuzz::from_text(ss.str()), opt);
+        return run_one(spec, opt);
     }
     if (opt.single_seed) return run_one(fuzz::generate(opt.seed), opt);
     if (!opt.bench.empty()) return bench(opt);
-    if (opt.jobs > 1) return sweep_parallel(opt);
-    return sweep_serial(opt);
+    return sweep(opt);
 }
