@@ -1,10 +1,12 @@
 #include "fuzz/runner.hpp"
 
 #include <algorithm>
-#include <cstdio>
+#include <charconv>
+#include <concepts>
 #include <deque>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "fault/fault_injector.hpp"
@@ -194,11 +196,80 @@ void run_ops(r::Task& self, const std::vector<OpSpec>& ops, Model& mdl) {
     }
 }
 
-std::string fmt_double(double v) {
-    char buf[40];
-    std::snprintf(buf, sizeof buf, "%.17g", v);
-    return buf;
-}
+/// Energy in exact model units (rtos::append_energy).
+struct Fj {
+    r::Energy v;
+};
+/// A double rendered exactly as printf's %.17g.
+struct Real {
+    double v;
+};
+
+/// Builds canonical rows in place. Each row is rendered into one reused
+/// scratch string (time prefix, text, integers through std::to_chars) and
+/// only the finished row is copied out, once, at its exact size.
+class Rows {
+public:
+    /// Start a row that sorts at instant `t`; its text opens with "<t> ",
+    /// in picoseconds.
+    Rows& at(k::Time t) {
+        at_ = t.raw_ps();
+        s_.clear();
+        return *this << at_ << ' ';
+    }
+    /// Start a row that keeps its place (no time prefix, no sort).
+    Rows& row() {
+        s_.clear();
+        return *this;
+    }
+
+    Rows& operator<<(std::string_view v) {
+        s_ += v;
+        return *this;
+    }
+    Rows& operator<<(char c) {
+        s_ += c;
+        return *this;
+    }
+    template <std::integral I>
+    Rows& operator<<(I v) {
+        char buf[24];
+        s_.append(buf, std::to_chars(buf, buf + sizeof buf, v).ptr);
+        return *this;
+    }
+    Rows& operator<<(k::Time t) { return *this << t.raw_ps(); }
+    Rows& operator<<(Fj e) {
+        r::append_energy(s_, e.v);
+        return *this;
+    }
+    Rows& operator<<(Real r) {
+        char buf[32]; // "-d.dddddddddddddddde-ddd" is 24 characters
+        s_.append(buf, std::to_chars(buf, buf + sizeof buf, r.v,
+                                     std::chars_format::general, 17)
+                           .ptr);
+        return *this;
+    }
+
+    /// Finish an at() row into the sort buffer.
+    void end() { sorted_.emplace_back(at_, s_); }
+    /// Finish a row() straight into `dst`.
+    void end(std::vector<std::string>& dst) { dst.push_back(s_); }
+
+    /// Move the buffered rows into `dst`, ordered by (instant, text). Rows
+    /// of one instant share their prefix, so this is the order of their
+    /// text alone.
+    void flush(std::vector<std::string>& dst) {
+        std::sort(sorted_.begin(), sorted_.end());
+        dst.reserve(sorted_.size());
+        for (auto& kv : sorted_) dst.push_back(std::move(kv.second));
+        sorted_.clear();
+    }
+
+private:
+    std::string s_;
+    std::uint64_t at_ = 0;
+    std::vector<std::pair<std::uint64_t, std::string>> sorted_;
+};
 
 /// The compared row streams, in comparison (and digest) order.
 constexpr std::pair<const char*, std::vector<std::string> RunResult::*>
@@ -401,39 +472,38 @@ RunResult run_model(const ModelSpec& spec, r::EngineKind kind,
         // inserts extra RTOS-thread activations). The simulated-time
         // observable is the per-instant multiset of records, so rows with
         // equal timestamps are ordered lexicographically.
-        std::vector<std::pair<std::uint64_t, std::string>> rows;
-        auto flush_sorted = [&rows](std::vector<std::string>& dst) {
-            std::stable_sort(rows.begin(), rows.end());
-            dst.reserve(rows.size());
-            for (auto& [at, text] : rows)
-                dst.push_back(std::to_string(at) + " " + text);
-            rows.clear();
-        };
-        for (const auto& s : rec.states())
-            rows.emplace_back(s.at.raw_ps(),
-                              s.task->name() + " " + r::to_string(s.from) +
-                                  "->" + r::to_string(s.to));
-        flush_sorted(out.states);
-        for (const auto& o : rec.overheads())
-            rows.emplace_back(
-                o.at.raw_ps(),
-                std::string(r::to_string(o.kind)) + " dur=" +
-                    std::to_string(o.duration.raw_ps()) + " cpu=" +
-                    o.cpu->name() + " about=" +
-                    (o.about != nullptr ? o.about->name() : "-"));
-        flush_sorted(out.overheads);
-        for (const auto& c : rec.comms())
-            rows.emplace_back(c.at.raw_ps(),
-                              c.relation->name() + " " +
-                                  (c.task != nullptr ? c.task->name() : "hw") +
-                                  " " + m::to_string(c.kind) +
-                                  (c.blocked ? " blocked" : ""));
-        flush_sorted(out.comms);
-        for (const auto& mk : rec.markers())
-            rows.emplace_back(mk.at.raw_ps(), mk.category + " " + mk.name);
-        flush_sorted(out.markers);
-        for (const auto& sample : reg.snapshot())
-            out.metrics.push_back(sample.name + "=" + fmt_double(sample.value));
+        Rows rows;
+        for (const auto& st : rec.states()) {
+            rows.at(st.at) << st.task->name() << ' ' << r::to_string(st.from)
+                           << "->" << r::to_string(st.to);
+            rows.end();
+        }
+        rows.flush(out.states);
+        for (const auto& o : rec.overheads()) {
+            rows.at(o.at)
+                << r::to_string(o.kind) << " dur=" << o.duration
+                << " cpu=" << o.cpu->name() << " about="
+                << (o.about != nullptr ? std::string_view(o.about->name()) : "-");
+            rows.end();
+        }
+        rows.flush(out.overheads);
+        for (const auto& c : rec.comms()) {
+            rows.at(c.at)
+                << c.relation->name() << ' '
+                << (c.task != nullptr ? std::string_view(c.task->name()) : "hw")
+                << ' ' << m::to_string(c.kind) << (c.blocked ? " blocked" : "");
+            rows.end();
+        }
+        rows.flush(out.comms);
+        for (const auto& mk : rec.markers()) {
+            rows.at(mk.at) << mk.category << ' ' << mk.name;
+            rows.end();
+        }
+        rows.flush(out.markers);
+        for (const auto& sample : reg.snapshot()) {
+            rows.row() << sample.name << '=' << Real{sample.value};
+            rows.end(out.metrics);
+        }
         // Per-CPU energy ledger and its conservation check, in exact model
         // units. The rows feed the digest and the engine diff, so the 4-way
         // comparison pins the energy arithmetic bit-for-bit; a ledger that
@@ -444,61 +514,45 @@ RunResult run_model(const ModelSpec& spec, r::EngineKind kind,
             r::Energy attributed = 0;
             for (const auto& t : cpu.tasks())
                 attributed += t->energy_exec() + t->energy_overhead();
-            const std::string p = "energy." + cpu.name() + ".";
-            out.metrics.push_back(p + "busy=" + r::energy_to_string(led.busy));
-            out.metrics.push_back(p + "overhead=" +
-                                  r::energy_to_string(led.overhead));
-            out.metrics.push_back(p + "unattributed=" +
-                                  r::energy_to_string(led.unattributed));
-            out.metrics.push_back(p + "tasks=" +
-                                  r::energy_to_string(attributed));
-            if (led.busy + led.overhead != attributed + led.unattributed)
-                out.metrics.push_back(
-                    p + "BROKEN-ENERGY total=" +
-                    r::energy_to_string(led.busy + led.overhead) + " split=" +
-                    r::energy_to_string(attributed + led.unattributed));
+            const auto ledger_row = [&](std::string_view field, r::Energy v) {
+                rows.row() << "energy." << cpu.name() << '.' << field << '='
+                           << Fj{v};
+                rows.end(out.metrics);
+            };
+            ledger_row("busy", led.busy);
+            ledger_row("overhead", led.overhead);
+            ledger_row("unattributed", led.unattributed);
+            ledger_row("tasks", attributed);
+            if (led.busy + led.overhead != attributed + led.unattributed) {
+                rows.row() << "energy." << cpu.name() << ".BROKEN-ENERGY total="
+                           << Fj{led.busy + led.overhead}
+                           << " split=" << Fj{attributed + led.unattributed};
+                rows.end(out.metrics);
+            }
         }
         // Attribution rows: jobs_ is completion-ordered, which can differ
         // across engines when several jobs end in one instant — canonicalize
         // by (release, task, index). Jobs still open at the end of the run
         // never reached jobs_ and are excluded by construction.
-        {
-            std::vector<std::pair<std::uint64_t, std::string>> arows;
-            for (const auto& j : attr.jobs()) {
-                std::string row = j.task + " #" + std::to_string(j.index) +
-                                  (j.aborted ? " aborted" : "") + " rel=" +
-                                  std::to_string(j.release.raw_ps()) + " end=" +
-                                  std::to_string(j.end.raw_ps()) + " exec=" +
-                                  std::to_string(j.exec.raw_ps()) + " ovs=" +
-                                  std::to_string(j.ov_scheduling.raw_ps()) +
-                                  " ovl=" + std::to_string(j.ov_load.raw_ps()) +
-                                  " ovv=" + std::to_string(j.ov_save.raw_ps()) +
-                                  " ovf=" +
-                                  std::to_string(j.ov_switch.raw_ps()) +
-                                  " ee=" + r::energy_to_string(j.energy_exec) +
-                                  " eo=" +
-                                  r::energy_to_string(j.energy_overhead) +
-                                  " resid=" +
-                                  std::to_string(j.residual.raw_ps()) +
-                                  " intr=" +
-                                  std::to_string(j.interrupt.raw_ps());
-                row += " pre[";
-                for (const auto& [who, t] : j.preempted_by)
-                    row += who + ":" + std::to_string(t.raw_ps()) + " ";
-                row += "] blk[";
-                for (const auto& [what, t] : j.blocked_on)
-                    row += what + ":" + std::to_string(t.raw_ps()) + " ";
-                row += "]";
-                if (j.components_sum() != j.response())
-                    row += " BROKEN-INVARIANT sum=" +
-                           std::to_string(j.components_sum().raw_ps());
-                arows.emplace_back(j.release.raw_ps(), std::move(row));
-            }
-            std::stable_sort(arows.begin(), arows.end());
-            out.attribution.reserve(arows.size());
-            for (auto& [at, text] : arows)
-                out.attribution.push_back(std::to_string(at) + " " + text);
+        for (const auto& j : attr.jobs()) {
+            rows.at(j.release)
+                << j.task << " #" << j.index << (j.aborted ? " aborted" : "")
+                << " rel=" << j.release << " end=" << j.end << " exec=" << j.exec
+                << " ovs=" << j.ov_scheduling << " ovl=" << j.ov_load
+                << " ovv=" << j.ov_save << " ovf=" << j.ov_switch
+                << " ee=" << Fj{j.energy_exec} << " eo=" << Fj{j.energy_overhead}
+                << " resid=" << j.residual << " intr=" << j.interrupt << " pre[";
+            for (const auto& [who, t] : j.preempted_by)
+                rows << who << ':' << t << ' ';
+            rows << "] blk[";
+            for (const auto& [what, t] : j.blocked_on)
+                rows << what << ':' << t << ' ';
+            rows << ']';
+            if (j.components_sum() != j.response())
+                rows << " BROKEN-INVARIANT sum=" << j.components_sum();
+            rows.end();
         }
+        rows.flush(out.attribution);
         out.end_ps = sim.now().raw_ps();
         out.kernel_activations = sim.process_activations();
         out.delta_cycles = sim.delta_count();

@@ -5,6 +5,7 @@
 
 #include <cerrno>
 #include <cstdint>
+#include <limits>
 #include <new>
 #include <system_error>
 #include <utility>
@@ -133,25 +134,92 @@ std::size_t page_size() {
 std::size_t round_up(std::size_t v, std::size_t align) {
     return (v + align - 1) / align * align;
 }
+
+/// Stack mappings, guard page included and still PROT_NONE, that destroyed
+/// coroutines left on this thread, kept for the next coroutine whose stack
+/// has the same size. Reuse skips mmap, mprotect, munmap and the first-touch
+/// page faults of a fresh stack (DESIGN.md §7).
+class StackPool {
+public:
+    StackPool() = default;
+    StackPool(const StackPool&) = delete;
+    StackPool& operator=(const StackPool&) = delete;
+    ~StackPool();
+
+    /// A pooled mapping of exactly `bytes`, or nullptr.
+    void* take(std::size_t bytes) noexcept {
+        for (std::size_t i = count_; i-- > 0;) {
+            if (slots_[i].bytes != bytes) continue;
+            void* base = slots_[i].base;
+            slots_[i] = slots_[--count_];
+            return base;
+        }
+        return nullptr;
+    }
+
+    /// Keep a mapping for reuse; false, keeping nothing, when the pool is
+    /// full.
+    bool give(void* base, std::size_t bytes) noexcept {
+        if (count_ == Coroutine::stack_pool_capacity) return false;
+        slots_[count_++] = {base, bytes};
+        return true;
+    }
+
+private:
+    struct Mapping {
+        void* base;
+        std::size_t bytes;
+    };
+    Mapping slots_[Coroutine::stack_pool_capacity];
+    std::size_t count_ = 0;
+};
+
+thread_local StackPool g_pool;
+/// Set when this thread's pool is destroyed. A stack released after that
+/// (a static's destructor runs after the main thread's thread-locals) is
+/// unmapped directly. Trivially destructible, so it outlives the pool.
+thread_local bool g_pool_closed = false;
+
+StackPool::~StackPool() {
+    for (std::size_t i = 0; i < count_; ++i)
+        ::munmap(slots_[i].base, slots_[i].bytes);
+    g_pool_closed = true;
+}
+
+/// A stack mapping of `bytes` whose lowest page is the guard page: a pooled
+/// one if this thread has one, else a fresh one.
+void* map_stack(std::size_t bytes, std::size_t pg) {
+    if (!g_pool_closed)
+        if (void* mem = g_pool.take(bytes)) return mem;
+    void* mem = ::mmap(nullptr, bytes, PROT_READ | PROT_WRITE,
+                       MAP_PRIVATE | MAP_ANONYMOUS | MAP_STACK, -1, 0);
+    if (mem == MAP_FAILED) throw std::bad_alloc{};
+    // Without the guard page an overflow would silently run into whatever is
+    // mapped beneath, so failing to set it is fatal.
+    if (::mprotect(mem, pg, PROT_NONE) != 0) {
+        const int err = errno;
+        ::munmap(mem, bytes);
+        throw std::system_error(err, std::generic_category(),
+                                "Coroutine: cannot protect the stack guard page");
+    }
+    return mem;
+}
+
+void unmap_stack(void* base, std::size_t bytes) noexcept {
+    if (g_pool_closed || !g_pool.give(base, bytes)) ::munmap(base, bytes);
+}
 } // namespace
 
 Coroutine* Coroutine::current() noexcept { return g_current; }
 
 Coroutine::Coroutine(Body body, std::size_t stack_bytes) : body_(std::move(body)) {
     const std::size_t pg = page_size();
+    // The page round-up plus the guard page must not wrap: a wrapped size
+    // would put the initial frame on the guard page.
+    if (stack_bytes > std::numeric_limits<std::size_t>::max() - 2 * pg + 1)
+        throw std::bad_alloc{};
     stack_size_ = round_up(stack_bytes < 4 * pg ? 4 * pg : stack_bytes, pg);
-    void* mem = ::mmap(nullptr, stack_size_ + pg, PROT_READ | PROT_WRITE,
-                       MAP_PRIVATE | MAP_ANONYMOUS | MAP_STACK, -1, 0);
-    if (mem == MAP_FAILED) throw std::bad_alloc{};
-    // One guard page below the stack. Without it an overflow would silently
-    // run into whatever is mapped beneath, so failing to set it is fatal.
-    if (::mprotect(mem, pg, PROT_NONE) != 0) {
-        const int err = errno;
-        ::munmap(mem, stack_size_ + pg);
-        throw std::system_error(err, std::generic_category(),
-                                "Coroutine: cannot protect the stack guard page");
-    }
-    stack_lo_ = static_cast<char*>(mem) + pg;
+    stack_lo_ = static_cast<char*>(map_stack(stack_size_ + pg, pg)) + pg;
 
 #if defined(__x86_64__)
     // The frame the first rtsc_ctx_switch into this stack pops: default MXCSR
@@ -184,12 +252,13 @@ Coroutine::~Coroutine() {
     if (tsan_fiber_) __tsan_destroy_fiber(tsan_fiber_);
 #endif
 #ifdef RTSC_ASAN_FIBERS
-    // Frames of a body that never returned keep their redzones poisoned; a
-    // later mapping at this address must not inherit them.
+    // Frames of a body that never returned keep their redzones poisoned; the
+    // next coroutine on this stack, or a later mapping at this address, must
+    // not inherit them.
     __asan_unpoison_memory_region(stack_lo_, stack_size_);
 #endif
     const std::size_t pg = page_size();
-    ::munmap(static_cast<char*>(stack_lo_) - pg, stack_size_ + pg);
+    unmap_stack(static_cast<char*>(stack_lo_) - pg, stack_size_ + pg);
 }
 
 void Coroutine::entry() { g_current->run_body(); }

@@ -6,7 +6,10 @@
 // scheduler) executes at any moment, which is the same execution model as the
 // OSCI SystemC reference simulator. Stacks are mmap-allocated with a guard
 // page below the stack so an overflow faults instead of corrupting a
-// neighbouring coroutine.
+// neighbouring coroutine. A destroyed coroutine's stack, guard page intact,
+// goes to a small per-thread pool that the next coroutine of the same stack
+// size on that thread reuses, so a sweep of thousands of short simulations
+// does not pay an mmap/mprotect/munmap per process.
 //
 // On x86-64 a switch is a small hand-written routine that saves only what
 // the SysV ABI makes callee-saved (rbp, rbx, r12-r15, MXCSR and the x87
@@ -27,16 +30,21 @@ public:
     using Body = std::function<void()>;
 
     static constexpr std::size_t default_stack_bytes = 128 * 1024;
+    /// Stacks each thread keeps for reuse; past this, a released stack is
+    /// unmapped. The pool is freed when its thread exits.
+    static constexpr std::size_t stack_pool_capacity = 64;
 
-    /// The body starts executing on the first resume().
+    /// The body starts executing on the first resume(). Throws
+    /// std::bad_alloc when no stack of `stack_bytes` can be mapped.
     explicit Coroutine(Body body, std::size_t stack_bytes = default_stack_bytes);
 
     Coroutine(const Coroutine&) = delete;
     Coroutine& operator=(const Coroutine&) = delete;
 
     /// Destroying a suspended (unfinished) coroutine simply releases its
-    /// stack; the body's local objects are NOT unwound. The kernel only
-    /// destroys coroutines after simulation ends, mirroring SystemC.
+    /// stack (to this thread's pool); the body's local objects are NOT
+    /// unwound. The kernel only destroys coroutines after simulation ends,
+    /// mirroring SystemC.
     ~Coroutine();
 
     /// Switch from the caller into the coroutine. Returns when the coroutine

@@ -10,15 +10,20 @@ namespace rtsc::rtos {
 
 namespace k = rtsc::kernel;
 
-std::string energy_to_string(Energy raw) {
-    if (raw == 0) return "0";
+void append_energy(std::string& out, Energy raw) {
     char buf[40]; // 2^128 has 39 decimal digits
     char* p = buf + sizeof buf;
-    while (raw != 0) {
+    do {
         *--p = static_cast<char>('0' + static_cast<unsigned>(raw % 10));
         raw /= 10;
-    }
-    return std::string(p, buf + sizeof buf);
+    } while (raw != 0);
+    out.append(p, buf + sizeof buf);
+}
+
+std::string energy_to_string(Energy raw) {
+    std::string out;
+    append_energy(out, raw);
+    return out;
 }
 
 DvfsModel::DvfsModel(std::vector<OperatingPoint> points)

@@ -30,8 +30,11 @@
 
 namespace rtsc::rtos {
 
-/// Render a 128-bit energy accumulator as a decimal string (no locale, no
-/// allocation surprises; used by the Perfetto export and the fuzz harness).
+/// Append a 128-bit energy accumulator to `out` as decimal digits (no
+/// locale; the fuzz harness renders its canonical rows with it).
+void append_energy(std::string& out, Energy raw);
+
+/// append_energy into a new string (used by the Perfetto export).
 [[nodiscard]] std::string energy_to_string(Energy raw);
 
 /// Model units -> joules (1 unit = 1 fJ with C_eff normalized to 1).

@@ -6,8 +6,10 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "fuzz/generate.hpp"
@@ -303,6 +305,50 @@ TEST(FuzzRunner, KernelActivationCountsAreEngineSpecific) {
     const fuzz::Divergence d = fuzz::diff_engines(spec, &proc, &thrd);
     EXPECT_FALSE(d.diverged) << d.to_string();
     EXPECT_LT(proc.kernel_activations, thrd.kernel_activations);
+}
+
+TEST(FuzzRunner, CanonicalRowsKeepTheirDigests) {
+    // The digest covers every byte and the order of every compared row, so
+    // these pin the canonical row format on all four legs. perfbench's
+    // `verify` workload pins the same values (perfbench/src/pins.hpp).
+    constexpr std::pair<std::uint64_t, std::uint64_t> kPinned[] = {
+        {1, 0xfda5c5cb7dd1cc5full},  {2, 0xebb2a4924c3529bbull},
+        {3, 0x5e9991a8a6ad0587ull},  {4, 0x1d00ee440ed60012ull},
+        {5, 0x719116e6d57d1afaull},  {6, 0x94e07a5f7f921244ull},
+        {7, 0x28a5873823caa7abull},  {8, 0xd5c8629485e601baull},
+        {9, 0x1b5f9fe8b9aaef89ull},  {10, 0xb50b18b56b9c2aefull},
+        {11, 0x9901b47b29a880ceull}, {12, 0xb09a772f6d0767a4ull},
+    };
+    for (const auto& [seed, digest] : kPinned) {
+        const fuzz::ModelSpec spec = fuzz::generate(seed);
+        for (const fuzz::Leg& leg : fuzz::kLegs)
+            EXPECT_EQ(fuzz::run_model(spec, leg.kind, leg.skip_ahead).digest,
+                      digest)
+                << "seed " << seed << ", " << leg.name;
+    }
+}
+
+TEST(FuzzRunner, MetricRowsRenderAsPrintfG17) {
+    // Registry values are doubles rendered as printf's %.17g. The energy
+    // ledger rows are exact integers wider than a double, so they are not
+    // re-parsed here (CanonicalRowsKeepTheirDigests pins them).
+    std::size_t checked = 0, fractional = 0;
+    for (std::uint64_t seed = 1; seed <= 12; ++seed) {
+        const fuzz::RunResult r = fuzz::run_model(
+            fuzz::generate(seed), rtsc::rtos::EngineKind::procedure_calls);
+        for (const std::string& row : r.metrics) {
+            if (row.rfind("energy.", 0) == 0) continue;
+            const std::string value = row.substr(row.rfind('=') + 1);
+            char printed[40];
+            std::snprintf(printed, sizeof printed, "%.17g",
+                          std::strtod(value.c_str(), nullptr));
+            EXPECT_EQ(value, printed) << "seed " << seed << ": " << row;
+            ++checked;
+            if (value.find_first_of(".e") != std::string::npos) ++fractional;
+        }
+    }
+    EXPECT_GT(checked, 100u);
+    EXPECT_GT(fractional, 10u);
 }
 
 // -------------------------------------------------------------- shrinker

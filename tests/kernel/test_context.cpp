@@ -2,18 +2,28 @@
 // (ucontext on other architectures), stacks and guard pages.
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <array>
 #include <cfenv>
+#include <cinttypes>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
+#include <cstdlib>
+#include <fstream>
+#include <limits>
 #include <memory>
+#include <new>
 #include <stdexcept>
 #include <string>
+#include <string_view>
+#include <thread>
 #include <vector>
 
 #include "kernel/context.hpp"
 #include "kernel/report.hpp"
+#include "kernel/simulator.hpp"
 
 using rtsc::kernel::Coroutine;
 using rtsc::kernel::SimulationError;
@@ -43,6 +53,30 @@ int recurse(int depth) {
     if (depth == g_never) return 0;
     const int below = recurse(depth + 1);
     return below + frame[(depth + 1) % 512]; // keeps the frame live
+}
+
+constexpr std::size_t kPoolTestStack = 16 * 1024;
+
+/// Coroutine stacks of kPoolTestStack bytes mapped in this process, counted
+/// in /proc/self/maps as a one-page PROT_NONE line directly followed by a
+/// read-write line of that size. Other mappings (thread stacks, allocator
+/// and sanitizer regions, which appear on first use) do not have that shape.
+std::size_t mapped_stacks() {
+    const auto page = static_cast<std::uintptr_t>(::sysconf(_SC_PAGESIZE));
+    std::ifstream maps("/proc/self/maps");
+    std::size_t n = 0;
+    std::uintptr_t guard_end = 0; // end of a guard-shaped previous line
+    for (std::string line; std::getline(maps, line);) {
+        std::uintptr_t lo = 0, hi = 0;
+        char perms[5] = {};
+        if (std::sscanf(line.c_str(), "%" SCNxPTR "-%" SCNxPTR " %4s", &lo, &hi,
+                        perms) != 3)
+            return 0;
+        const std::string_view p(perms);
+        if (lo == guard_end && p == "rw-p" && hi - lo == kPoolTestStack) ++n;
+        guard_end = p == "---p" && hi - lo == page ? hi : 0;
+    }
+    return n;
 }
 
 } // namespace
@@ -303,6 +337,43 @@ TEST(CoroutineTest, DeepStackUsageWithinLimit) {
     EXPECT_EQ(result, 0);
 }
 
+TEST(CoroutineTest, OverflowingStackSizeIsRejected) {
+    // Rounding these up to a page and adding the guard page wraps; the
+    // coroutine must refuse them like any other stack it cannot map, both
+    // directly and through Simulator::spawn.
+    constexpr std::size_t max = std::numeric_limits<std::size_t>::max();
+    for (const std::size_t bytes : {max, max - 100, max - 4096}) {
+        EXPECT_THROW(Coroutine([] {}, bytes), std::bad_alloc) << bytes;
+        rtsc::kernel::Simulator sim;
+        EXPECT_THROW(sim.spawn("p", [] {}, bytes), std::bad_alloc) << bytes;
+    }
+}
+
+TEST(CoroutineTest, StackPoolIsBoundedAndPerThread) {
+    // Returns how many stacks were mapped while all `alive` coroutines were.
+    const auto churn = [](std::size_t alive) {
+        std::vector<std::unique_ptr<Coroutine>> cos;
+        for (std::size_t i = 0; i < alive; ++i) {
+            cos.push_back(std::make_unique<Coroutine>([] {}, kPoolTestStack));
+            cos.back()->resume();
+        }
+        return mapped_stacks();
+    };
+    constexpr std::size_t cap = Coroutine::stack_pool_capacity;
+
+    // Far more stacks alive at once than the pool keeps: releasing them all
+    // leaves at most the cap's worth mapped.
+    const std::size_t before = mapped_stacks();
+    EXPECT_GE(churn(4 * cap), 4 * cap);
+    EXPECT_LE(mapped_stacks(), before + cap);
+
+    // A thread's pool goes with the thread: one that churned stacks and
+    // exited leaves none behind.
+    const std::size_t settled = mapped_stacks();
+    std::thread([&] { EXPECT_GE(churn(cap / 2), cap / 2); }).join();
+    EXPECT_EQ(mapped_stacks(), settled);
+}
+
 TEST(CoroutineDeathTest, StackOverflowHitsGuardPage) {
     ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
     // Unbounded recursion must fault on the guard page, never return or run
@@ -310,6 +381,33 @@ TEST(CoroutineDeathTest, StackOverflowHitsGuardPage) {
     EXPECT_DEATH(
         {
             Coroutine co([] { recurse(0); }, 16 * 1024);
+            co.resume();
+        },
+        "");
+}
+
+TEST(CoroutineDeathTest, OverflowOnReusedStackHitsGuardPage) {
+    ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+    // A pooled stack keeps its guard page. The second coroutine checks it
+    // really got the first one's stack: a fresh one exits cleanly instead,
+    // which fails the death assertion.
+    EXPECT_DEATH(
+        {
+            std::uintptr_t first = 0;
+            {
+                Coroutine co([&] {
+                    char local = 0;
+                    first = opaque_address(&local);
+                }, kPoolTestStack);
+                co.resume();
+            }
+            Coroutine co([&] {
+                char local = 0;
+                const std::uintptr_t here = opaque_address(&local);
+                if ((here > first ? here - first : first - here) >= kPoolTestStack)
+                    std::_Exit(0);
+                recurse(0);
+            }, kPoolTestStack);
             co.resume();
         },
         "");
