@@ -12,9 +12,9 @@ namespace {
 /// strict JSON cannot carry) degrade to -1.
 [[nodiscard]] std::string num(double v) {
     if (!std::isfinite(v)) return "-1";
-    char buf[32];
-    std::snprintf(buf, sizeof buf, "%.17g", v);
-    return buf;
+    std::string out;
+    obs::append_g17(out, v);
+    return out;
 }
 
 [[nodiscard]] std::string num(std::uint64_t v) { return std::to_string(v); }

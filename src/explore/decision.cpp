@@ -4,6 +4,7 @@
 #include <stdexcept>
 
 #include "fuzz/runner.hpp" // fnv1a
+#include "fuzz/spec.hpp"   // parse_decimal
 #include "rtos/processor.hpp"
 #include "rtos/task.hpp"
 
@@ -39,12 +40,11 @@ DecisionTrace trace_from_text(const std::string& text) {
         while (p <= part.size()) {
             const std::size_t comma = std::min(part.find(',', p), part.size());
             const std::string num = part.substr(p, comma - p);
-            if (num.empty() || num.find_first_not_of("0123456789") !=
-                                   std::string::npos)
+            const auto slot = fuzz::parse_decimal<std::uint32_t>(num);
+            if (!slot)
                 throw std::runtime_error("bad decision trace slot: '" + num +
                                          "' in " + part);
-            slots.push_back(
-                static_cast<std::uint32_t>(std::stoul(num)));
+            slots.push_back(*slot);
             p = comma + 1;
         }
         pos = end + 1;

@@ -3,6 +3,9 @@
 #include <istream>
 #include <ostream>
 #include <stdexcept>
+#include <string>
+
+#include "fuzz/spec.hpp" // parse_decimal
 
 namespace rtsc::explore {
 
@@ -73,23 +76,31 @@ void Explorer::save_frontier(std::ostream& os) const {
     for (const DecisionTrace& t : frontier_) os << to_text(t) << "\n";
 }
 
+namespace {
+
+/// The header counter `name=` (0 when absent), parsed strictly: anything
+/// but an in-range decimal throws std::runtime_error naming the field and
+/// its text.
+std::uint64_t header_counter(const std::string& header, const std::string& name) {
+    const std::size_t pos = header.find(' ' + name + '=');
+    if (pos == std::string::npos) return 0;
+    const std::size_t from = pos + name.size() + 2;
+    const std::string text = header.substr(from, header.find(' ', from) - from);
+    if (const auto v = fuzz::parse_decimal<std::uint64_t>(text)) return *v;
+    throw std::runtime_error("explore-frontier: " + name +
+                             "= is not a decimal count: '" + text + "'");
+}
+
+} // namespace
+
 void Explorer::load_frontier(std::istream& is) {
     std::string line;
     if (!std::getline(is, line) ||
         line.rfind("explore-frontier v1 ", 0) != 0)
         throw std::runtime_error("not an explore-frontier v1 file");
-    schedules_total_ = 0;
-    pruned_total_ = 0;
-    clipped_total_ = 0;
-    std::size_t pos = line.find("schedules=");
-    if (pos != std::string::npos)
-        schedules_total_ = std::stoull(line.substr(pos + 10));
-    pos = line.find("pruned=");
-    if (pos != std::string::npos)
-        pruned_total_ = std::stoull(line.substr(pos + 7));
-    pos = line.find("clipped=");
-    if (pos != std::string::npos)
-        clipped_total_ = std::stoull(line.substr(pos + 8));
+    schedules_total_ = header_counter(line, "schedules");
+    pruned_total_ = header_counter(line, "pruned");
+    clipped_total_ = header_counter(line, "clipped");
     frontier_.clear();
     while (std::getline(is, line)) {
         if (line.empty()) continue;

@@ -243,10 +243,7 @@ public:
         return *this;
     }
     Rows& operator<<(Real r) {
-        char buf[32]; // "-d.dddddddddddddddde-ddd" is 24 characters
-        s_.append(buf, std::to_chars(buf, buf + sizeof buf, r.v,
-                                     std::chars_format::general, 17)
-                           .ptr);
+        obs::append_g17(s_, r.v);
         return *this;
     }
 

@@ -1,20 +1,40 @@
 #include "obs/metrics.hpp"
 
 #include <algorithm>
+#include <charconv>
+#include <cmath>
 #include <cstdint>
 #include <stdexcept>
+#include <string_view>
 
 namespace rtsc::obs {
 
+void Histogram::widen(std::size_t lo, std::size_t hi) {
+    if (span_.empty()) base_ = lo;
+    if (lo < base_) {
+        span_.insert(span_.begin(), base_ - lo, 0);
+        base_ = lo;
+    }
+    if (hi > base_ + span_.size()) span_.resize(hi - base_, 0);
+}
+
+void Histogram::record_outside_span(std::size_t i) {
+    widen(i, i + 1);
+    span_[i - base_] = 1;
+}
+
 void Histogram::merge(const Histogram& other) {
     if (other.count_ == 0) return;
-    if (buckets_.empty()) buckets_.resize(kBuckets, 0);
-    for (std::size_t i = 0; i < other.buckets_.size(); ++i) {
-        // Saturating add: a u32 bucket overflowing (4 billion samples in one
-        // ±6% band) pins at max instead of wrapping to a tiny count, which
-        // would silently shift every quantile estimate downward.
-        const std::uint32_t s = buckets_[i] + other.buckets_[i];
-        buckets_[i] = s < buckets_[i] ? UINT32_MAX : s;
+    if (!other.span_.empty()) {
+        widen(other.base_, other.base_ + other.span_.size());
+        std::uint32_t* dst = span_.data() + (other.base_ - base_);
+        for (const std::uint32_t c : other.span_) {
+            // Saturating add: a u32 bucket overflowing (4 billion samples in
+            // one ±6% band) pins at max instead of wrapping to a tiny count,
+            // which would silently shift every quantile estimate downward.
+            const std::uint32_t s = *dst + c;
+            *dst++ = s < c ? UINT32_MAX : s;
+        }
     }
     if (count_ == 0 || other.min_ < min_) min_ = other.min_;
     if (other.max_ > max_) max_ = other.max_;
@@ -22,12 +42,27 @@ void Histogram::merge(const Histogram& other) {
     count_ += other.count_;
 }
 
+std::vector<std::uint32_t> Histogram::bucket_counts() const {
+    std::vector<std::uint32_t> out;
+    if (span_.empty()) return out;
+    out.resize(kBuckets, 0);
+    std::copy(span_.begin(), span_.end(), out.begin() + base_);
+    return out;
+}
+
 Histogram Histogram::from_parts(std::vector<std::uint32_t> buckets,
                                 std::uint64_t count, std::uint64_t min,
                                 std::uint64_t max, double sum) {
     Histogram h;
-    if (!buckets.empty()) buckets.resize(kBuckets, 0);
-    h.buckets_ = std::move(buckets);
+    if (buckets.size() > kBuckets) buckets.resize(kBuckets);
+    const auto nonzero = [](std::uint32_t c) { return c != 0; };
+    const auto first = std::find_if(buckets.begin(), buckets.end(), nonzero);
+    if (first != buckets.end()) {
+        const auto last =
+            std::find_if(buckets.rbegin(), buckets.rend(), nonzero).base();
+        h.base_ = static_cast<std::size_t>(first - buckets.begin());
+        h.span_.assign(first, last);
+    }
     h.count_ = count;
     h.min_ = min;
     h.max_ = max;
@@ -36,29 +71,47 @@ Histogram Histogram::from_parts(std::vector<std::uint32_t> buckets,
 }
 
 double Histogram::quantile(double q) const {
-    if (count_ == 0) return 0.0;
-    q = std::clamp(q, 0.0, 1.0);
+    double est = 0;
+    quantiles({&q, 1}, {&est, 1});
+    return est;
+}
+
+void Histogram::quantiles(std::span<const double> qs,
+                          std::span<double> out) const {
+    if (count_ == 0) {
+        std::fill(out.begin(), out.end(), 0.0);
+        return;
+    }
     // Rank of the q-quantile sample, 1-based (nearest-rank with ceil).
-    const auto rank = std::max<std::uint64_t>(
-        1, static_cast<std::uint64_t>(
-               q * static_cast<double>(count_) + 0.9999999999));
+    const auto rank_of = [this](double q) {
+        q = std::clamp(q, 0.0, 1.0);
+        return std::max<std::uint64_t>(
+            1, static_cast<std::uint64_t>(
+                   q * static_cast<double>(count_) + 0.9999999999));
+    };
+    std::size_t k = 0;
+    std::uint64_t rank = qs.empty() ? 0 : rank_of(qs[0]);
     std::uint64_t cum = 0;
-    for (std::size_t i = 0; i < buckets_.size(); ++i) {
-        const std::uint64_t c = buckets_[i];
+    for (std::size_t j = 0; j < span_.size() && k < qs.size(); ++j) {
+        const std::uint64_t c = span_[j];
         if (c == 0) continue;
         cum += c;
-        if (cum < rank) continue;
-        // Interpolate inside this bucket: the rank-th sample sits at
-        // position (rank - entered) of c samples spanning [lo, hi].
-        const double lo = static_cast<double>(bucket_lo(i));
-        const double hi = static_cast<double>(bucket_hi(i));
-        const double within =
-            static_cast<double>(rank - (cum - c)) / static_cast<double>(c);
-        const double est = lo + (hi - lo) * within;
-        return std::clamp(est, static_cast<double>(min_),
-                          static_cast<double>(max_));
+        // Every rank this bucket reaches interpolates inside it: the
+        // rank-th sample sits at position (rank - entered) of c samples
+        // spanning [lo, hi].
+        for (; k < qs.size() && cum >= rank; ++k) {
+            const double lo = static_cast<double>(bucket_lo(base_ + j));
+            const double hi = static_cast<double>(bucket_hi(base_ + j));
+            const double within =
+                static_cast<double>(rank - (cum - c)) / static_cast<double>(c);
+            const double est = lo + (hi - lo) * within;
+            out[k] = std::clamp(est, static_cast<double>(min_),
+                                static_cast<double>(max_));
+            if (k + 1 < qs.size()) rank = rank_of(qs[k + 1]);
+        }
     }
-    return static_cast<double>(max_);
+    // Ranks past the bucket total (saturated or transported buckets).
+    for (; k < qs.size(); ++k) out[k] = static_cast<double>(max_);
 }
 
 const Counter* MetricsRegistry::find_counter(const std::string& name) const {
@@ -89,26 +142,72 @@ void MetricsRegistry::merge(const MetricsRegistry& other) {
 std::vector<MetricSample> MetricsRegistry::snapshot() const {
     std::vector<MetricSample> out;
     out.reserve(counters_.size() + 4 * gauges_.size() + 5 * histograms_.size());
+    const auto add = [&out](const std::string& name, std::string_view suffix,
+                            double value) {
+        MetricSample& s = out.emplace_back();
+        s.name.reserve(name.size() + suffix.size());
+        s.name.append(name).append(suffix);
+        s.value = value;
+    };
+    // Three runs: counters, gauges and histograms, each in map order with
+    // one metric's suffixes in name order.
     for (const auto& [name, c] : counters_)
         out.push_back({name, static_cast<double>(c.value())});
+    const std::size_t gauges_at = out.size();
     for (const auto& [name, g] : gauges_) {
-        out.push_back({name + ".last", g.last()});
-        out.push_back({name + ".min", g.min()});
-        out.push_back({name + ".max", g.max()});
-        out.push_back({name + ".mean", g.mean()});
+        add(name, ".last", g.last());
+        add(name, ".max", g.max());
+        add(name, ".mean", g.mean());
+        add(name, ".min", g.min());
     }
+    const std::size_t histograms_at = out.size();
+    static constexpr double kPercentiles[] = {0.50, 0.90, 0.99};
     for (const auto& [name, h] : histograms_) {
-        out.push_back({name + ".count", static_cast<double>(h.count())});
-        out.push_back({name + ".p50", h.p50()});
-        out.push_back({name + ".p90", h.p90()});
-        out.push_back({name + ".p99", h.p99()});
-        out.push_back({name + ".max", static_cast<double>(h.max())});
+        double p[3];
+        h.quantiles(kPercentiles, p);
+        add(name, ".count", static_cast<double>(h.count()));
+        add(name, ".max", static_cast<double>(h.max()));
+        add(name, ".p50", p[0]);
+        add(name, ".p90", p[1]);
+        add(name, ".p99", p[2]);
     }
-    std::sort(out.begin(), out.end(),
-              [](const MetricSample& a, const MetricSample& b) {
-                  return a.name < b.name;
-              });
+    // A suffixed run leaves name order only where one name extends another
+    // with a character <= '.' (gauges "a" and "a-b": "a-b.last" < "a.last");
+    // such a run is sorted. No run repeats a name, so the sort is
+    // deterministic, and the stable merges keep equal names from different
+    // runs in counter, gauge, histogram order.
+    const auto by_name = [](const MetricSample& a, const MetricSample& b) {
+        return a.name < b.name;
+    };
+    const auto gauges = out.begin() + static_cast<std::ptrdiff_t>(gauges_at);
+    const auto histograms =
+        out.begin() + static_cast<std::ptrdiff_t>(histograms_at);
+    const auto sort_run = [&by_name](auto first, auto last) {
+        if (!std::is_sorted(first, last, by_name))
+            std::sort(first, last, by_name);
+    };
+    sort_run(gauges, histograms);
+    sort_run(histograms, out.end());
+    std::inplace_merge(out.begin(), gauges, histograms, by_name);
+    std::inplace_merge(out.begin(), histograms, out.end(), by_name);
     return out;
+}
+
+void append_g17(std::string& out, double v) {
+    char buf[32]; // "-d.dddddddddddddddde-ddd" is 24 characters
+    // A finite integral value below 1e17 in magnitude has at most 17
+    // digits, so "%.17g" prints exactly its integer digits (-0.0 excepted:
+    // it prints "-0").
+    if (v > -1e17 && v < 1e17) {
+        const auto i = static_cast<std::int64_t>(v);
+        if (static_cast<double>(i) == v && (i != 0 || !std::signbit(v))) {
+            out.append(buf, std::to_chars(buf, buf + sizeof buf, i).ptr);
+            return;
+        }
+    }
+    out.append(buf, std::to_chars(buf, buf + sizeof buf, v,
+                                  std::chars_format::general, 17)
+                        .ptr);
 }
 
 } // namespace rtsc::obs

@@ -8,9 +8,11 @@
 // implementations (tests/obs/test_metrics_equivalence.cpp pins the latter).
 //
 // Histograms use log-linear buckets (exact below 16, then 8 sub-buckets per
-// power of two, ~±6% relative resolution) so recording is O(1) with a small
-// fixed footprint regardless of sample count; quantiles interpolate inside
-// the hit bucket and clamp to the exact observed min/max.
+// power of two, ~±6% relative resolution) so recording is O(1) regardless of
+// sample count. A histogram stores only the span of buckets its samples
+// touched, so its footprint tracks the spread of its values, not the 496
+// buckets of the full range; quantiles interpolate inside the hit bucket and
+// clamp to the exact observed min/max.
 //
 // Usage:
 //   obs::MetricsRegistry reg;
@@ -20,6 +22,7 @@
 
 #include <cstdint>
 #include <map>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -114,10 +117,17 @@ public:
 
     // Inline on purpose: the collector records several histograms per
     // dispatch and per job completion; an out-of-line call here is
-    // measurable in the observability-overhead bench.
+    // measurable in the observability-overhead bench. Only a value whose
+    // bucket lies outside the stored span takes the out-of-line path. A full
+    // bucket saturates at UINT32_MAX, as in merge().
     void record(std::uint64_t v) {
-        if (buckets_.empty()) buckets_.resize(kBuckets, 0);
-        ++buckets_[bucket_index(v)];
+        const std::size_t i = bucket_index(v);
+        if (i - base_ < span_.size()) { // unsigned: also false for i < base_
+            std::uint32_t& c = span_[i - base_];
+            if (c != UINT32_MAX) ++c;
+        } else {
+            record_outside_span(i);
+        }
         if (count_ == 0 || v < min_) min_ = v;
         if (v > max_) max_ = v;
         sum_ += static_cast<double>(v);
@@ -136,6 +146,9 @@ public:
     /// Deterministic quantile estimate, q in [0,1]: linear interpolation
     /// inside the bucket holding the rank, clamped to the observed min/max.
     [[nodiscard]] double quantile(double q) const;
+    /// quantile() of every entry of `qs`, which must be ascending, in one
+    /// scan of the buckets: out[i] is bit-identical to quantile(qs[i]).
+    void quantiles(std::span<const double> qs, std::span<double> out) const;
     [[nodiscard]] double p50() const { return quantile(0.50); }
     [[nodiscard]] double p90() const { return quantile(0.90); }
     [[nodiscard]] double p99() const { return quantile(0.99); }
@@ -149,13 +162,13 @@ public:
     /// rather than wrapping.
     void merge(const Histogram& other);
 
-    /// Raw bucket counts (empty until the first record()).
-    [[nodiscard]] const std::vector<std::uint32_t>& bucket_counts() const noexcept {
-        return buckets_;
-    }
+    /// Raw bucket counts, kBuckets long; empty while no bucket holds a
+    /// count (before the first record()).
+    [[nodiscard]] std::vector<std::uint32_t> bucket_counts() const;
 
     /// Rebuild a histogram from transported state (shard wire protocol).
-    /// `buckets` may be empty (no samples) or kBuckets long.
+    /// `buckets` may be empty (no samples) or kBuckets long; only the span
+    /// from its first to its last non-zero bucket is kept.
     [[nodiscard]] static Histogram from_parts(std::vector<std::uint32_t> buckets,
                                               std::uint64_t count,
                                               std::uint64_t min,
@@ -178,7 +191,15 @@ private:
 #endif
     }
 
-    std::vector<std::uint32_t> buckets_; ///< lazily sized to kBuckets
+    /// Widen the stored span to cover [lo, hi).
+    void widen(std::size_t lo, std::size_t hi);
+    /// record()'s slow path: widen to bucket `i` and count one sample in it.
+    void record_outside_span(std::size_t i);
+
+    /// Counts of buckets [base_, base_ + span_.size()); every bucket outside
+    /// that span is zero.
+    std::vector<std::uint32_t> span_;
+    std::size_t base_ = 0;
     std::uint64_t count_ = 0;
     std::uint64_t min_ = 0, max_ = 0;
     double sum_ = 0;
@@ -189,6 +210,11 @@ struct MetricSample {
     std::string name;
     double value = 0;
 };
+
+/// Append `v` to `out` exactly as printf's "%.17g" renders it: the one
+/// renderer for metric values, Perfetto counter values, fuzz metric rows,
+/// shard status numbers and query energies.
+void append_g17(std::string& out, double v);
 
 class MetricsRegistry {
 public:
@@ -209,6 +235,8 @@ public:
     /// Flatten everything into name-sorted samples: counters as-is, gauges
     /// as .last/.min/.max/.mean, histograms as .count/.p50/.p90/.p99/.max.
     /// The output is deterministic: same recorded data => same samples.
+    /// Equal names (counter "a.max" beside gauge "a") keep the order
+    /// counter, gauge, histogram.
     [[nodiscard]] std::vector<MetricSample> snapshot() const;
 
     /// Fold another registry into this one, metric by metric, by name:

@@ -5,6 +5,7 @@
 #include <ostream>
 
 #include "mcse/relation.hpp"
+#include "obs/metrics.hpp"
 #include "obs/perfetto.hpp"
 #include "rtos/dvfs.hpp"
 #include "trace/csv.hpp"
@@ -62,10 +63,7 @@ public:
     }
     Out& operator<<(Ps p) { return *this << p.t.raw_ps(); }
     Out& operator<<(Real r) {
-        char buf[32]; // "-d.dddddddddddddddde-ddd" is 24 characters
-        s_.append(buf, std::to_chars(buf, buf + sizeof buf, r.v,
-                                     std::chars_format::general, 17)
-                           .ptr);
+        append_g17(s_, r.v);
         return *this;
     }
 

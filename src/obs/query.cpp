@@ -2,12 +2,12 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
 
 #include "obs/json.hpp"
+#include "obs/metrics.hpp"
 #include "obs/perfetto.hpp" // json_escape
 
 namespace rtsc::obs::query {
@@ -94,9 +94,9 @@ std::string q(const std::string& s) { return "\"" + json_escape(s) + "\""; }
 
 /// Round-trippable JSON number for joule doubles.
 std::string jnum(double v) {
-    char buf[40];
-    std::snprintf(buf, sizeof buf, "%.17g", v);
-    return buf;
+    std::string out;
+    append_g17(out, v);
+    return out;
 }
 
 std::string json_time_map(

@@ -110,6 +110,27 @@ TEST(ShardCodec, RegistryRoundTripsBitExactly) {
     EXPECT_DOUBLE_EQ(h.p99(), hb->p99());
 }
 
+TEST(ShardCodec, HistogramWithOnlyHighBucketsRoundTrips) {
+    // Span storage starts at the first touched bucket; the wire format
+    // still carries absolute bucket indices.
+    std::vector<std::uint32_t> b(obs::Histogram::kBuckets, 0);
+    b[300] = 2;
+    b[302] = 5;
+    obs::MetricsRegistry reg;
+    reg.histogram("high") = obs::Histogram::from_parts(
+        b, 7, obs::Histogram::bucket_lo(300), obs::Histogram::bucket_hi(302),
+        0.0);
+    EXPECT_EQ(reg.find_histogram("high")->bucket_counts(), b);
+
+    obs::MetricsRegistry back;
+    ASSERT_TRUE(shard::decode_registry(shard::encode_registry(reg), back));
+    const obs::Histogram* h = back.find_histogram("high");
+    ASSERT_NE(h, nullptr);
+    EXPECT_EQ(h->bucket_counts(), b);
+    EXPECT_EQ(h->p50(), reg.find_histogram("high")->p50());
+    EXPECT_EQ(h->p99(), reg.find_histogram("high")->p99());
+}
+
 TEST(ShardCodec, RegistryDecodeRejectsBadBucketIndex) {
     shard::Encoder e;
     e.u64(0); // counters

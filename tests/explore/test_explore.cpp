@@ -186,6 +186,32 @@ TEST(Explorer, LoadFrontierRejectsMalformedInput) {
     EXPECT_THROW(e.load_frontier(bad), std::runtime_error);
 }
 
+TEST(Explorer, LoadFrontierRejectsBadCounters) {
+    for (const std::string field :
+         {"schedules=-5", "pruned=7x", "schedules=abc", "clipped=",
+          "schedules=18446744073709551616", "pruned=+3"}) {
+        ex::Explorer e(synthetic({{"cpu0", 2}}), ex::Bounds{});
+        std::stringstream in("explore-frontier v1 " + field + "\n");
+        try {
+            e.load_frontier(in);
+            ADD_FAILURE() << field << " loaded";
+        } catch (const std::runtime_error& err) {
+            // The message names the field and quotes its text.
+            const std::string what = err.what();
+            const std::string name = field.substr(0, field.find('=') + 1);
+            const std::string text = field.substr(field.find('=') + 1);
+            EXPECT_NE(what.find(name), std::string::npos) << what;
+            EXPECT_NE(what.find("'" + text + "'"), std::string::npos) << what;
+        }
+    }
+    // In-range counters still load.
+    ex::Explorer e(synthetic({{"cpu0", 2}}), ex::Bounds{});
+    std::stringstream ok("explore-frontier v1 schedules=18446744073709551615 "
+                         "pruned=0 clipped=3\ncpu0:1\n");
+    EXPECT_NO_THROW(e.load_frontier(ok));
+    EXPECT_FALSE(e.frontier_empty());
+}
+
 TEST(Explorer, MaxGroupClipsWideWindowsAndReportsIncomplete) {
     ex::Bounds b;
     b.max_group = 2; // window wider than 2 alternatives is clipped
@@ -216,6 +242,16 @@ TEST(DecisionTrace, TextRoundTrip) {
     EXPECT_EQ(ex::to_text(ex::DecisionTrace{}), "-");
     EXPECT_EQ(ex::trace_from_text("-"), ex::DecisionTrace{});
     EXPECT_THROW(ex::trace_from_text("cpu0:x"), std::runtime_error);
+}
+
+TEST(DecisionTrace, SlotsMustFitU32) {
+    const ex::DecisionTrace max = ex::trace_from_text("cpu0:4294967295");
+    EXPECT_EQ(max.at("cpu0"), std::vector<std::uint32_t>{UINT32_MAX});
+    // 2^32 + 1 used to narrow to slot 1.
+    for (const char* bad : {"cpu0:4294967297", "cpu0:4294967296",
+                            "cpu0:99999999999999999999", "cpu0:+1",
+                            "cpu0:-1", "cpu0:1,", "cpu0: 1"})
+        EXPECT_THROW(ex::trace_from_text(bad), std::runtime_error) << bad;
 }
 
 // ---------------------------------------------------------- model adapter

@@ -2,14 +2,58 @@
 // quantiles, counter/gauge behaviour and the flattened snapshot.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <cstdio>
 #include <limits>
+#include <map>
+#include <random>
+#include <string>
+#include <vector>
 
 #include "kernel/time.hpp"
 #include "obs/metrics.hpp"
 
 namespace o = rtsc::obs;
 using o::Histogram;
+
+namespace {
+
+/// quantile() as a scan of all kBuckets buckets computes it: the reference
+/// the span-scanning implementation must match bit for bit.
+double full_scan_quantile(const Histogram& h, double q) {
+    if (h.count() == 0) return 0.0;
+    q = std::clamp(q, 0.0, 1.0);
+    const auto rank = std::max<std::uint64_t>(
+        1, static_cast<std::uint64_t>(
+               q * static_cast<double>(h.count()) + 0.9999999999));
+    const std::vector<std::uint32_t> b = h.bucket_counts();
+    std::uint64_t cum = 0;
+    for (std::size_t i = 0; i < b.size(); ++i) {
+        const std::uint64_t c = b[i];
+        if (c == 0) continue;
+        cum += c;
+        if (cum < rank) continue;
+        const double lo = static_cast<double>(Histogram::bucket_lo(i));
+        const double hi = static_cast<double>(Histogram::bucket_hi(i));
+        const double est =
+            lo + (hi - lo) * (static_cast<double>(rank - (cum - c)) /
+                              static_cast<double>(c));
+        return std::clamp(est, static_cast<double>(h.min()),
+                          static_cast<double>(h.max()));
+    }
+    return static_cast<double>(h.max());
+}
+
+/// Values spread over every octave of the u64 range.
+std::vector<std::uint64_t> spread_values(std::uint64_t seed, std::size_t n) {
+    std::mt19937_64 rng(seed);
+    std::vector<std::uint64_t> v(n);
+    for (auto& x : v) x = rng() >> (rng() % 64);
+    return v;
+}
+
+} // namespace
 
 TEST(HistogramBuckets, ExactBelowSixteen) {
     for (std::uint64_t v = 0; v < 16; ++v) {
@@ -100,6 +144,138 @@ TEST(HistogramTest, RecordsKernelTimeAsPicoseconds) {
     EXPECT_EQ(h.max(), 3'000'000u);
 }
 
+TEST(HistogramTest, RecordSaturatesAFullBucket) {
+    std::vector<std::uint32_t> b(Histogram::kBuckets, 0);
+    b[3] = UINT32_MAX;
+    Histogram h = Histogram::from_parts(b, UINT32_MAX, 3, 3, 3.0 * UINT32_MAX);
+    h.record(3);
+    // Wrapping would leave 0 in a bucket that holds every sample.
+    EXPECT_EQ(h.bucket_counts()[3], UINT32_MAX);
+    EXPECT_EQ(h.count(), std::uint64_t{1} << 32);
+    // A value in a bucket that is not full still counts normally.
+    h.record(4);
+    EXPECT_EQ(h.bucket_counts()[4], 1u);
+}
+
+TEST(HistogramTest, QuantilesMatchQuantileBitForBit) {
+    std::vector<std::vector<std::uint64_t>> sets = {
+        {},                                     // empty
+        {42},                                   // one sample
+        {0, 15, 16, std::uint64_t{1} << 63, UINT64_MAX},
+        std::vector<std::uint64_t>(1000, 777),  // heavy duplicates
+    };
+    sets.back().insert(sets.back().end(), {1, 2, 1u << 20});
+    for (std::uint64_t seed = 1; seed <= 40; ++seed)
+        sets.push_back(spread_values(seed, 1 + seed * seed));
+    const std::vector<double> qs = {0.0, 0.25, 0.5, 0.5, 0.9, 0.99, 1.0};
+    for (std::size_t n = 0; n < sets.size(); ++n) {
+        Histogram h;
+        for (const std::uint64_t v : sets[n]) h.record(v);
+        std::vector<double> got(qs.size());
+        h.quantiles(qs, got);
+        for (std::size_t i = 0; i < qs.size(); ++i) {
+            EXPECT_EQ(got[i], h.quantile(qs[i])) << "set " << n << " q=" << qs[i];
+            EXPECT_EQ(h.quantile(qs[i]), full_scan_quantile(h, qs[i]))
+                << "set " << n << " q=" << qs[i];
+        }
+        const double p3[] = {0.50, 0.90, 0.99};
+        double out[3];
+        h.quantiles(p3, out);
+        EXPECT_EQ(out[0], h.p50()) << "set " << n;
+        EXPECT_EQ(out[1], h.p90()) << "set " << n;
+        EXPECT_EQ(out[2], h.p99()) << "set " << n;
+    }
+    // Ranks beyond the bucket total (counts transported without buckets)
+    // resolve to max, as quantile() does.
+    const Histogram bare = Histogram::from_parts({}, 10, 5, 9, 70.0);
+    double out[3];
+    const double p3[] = {0.50, 0.90, 0.99};
+    bare.quantiles(p3, out);
+    for (const double v : out) EXPECT_EQ(v, bare.quantile(0.5));
+    EXPECT_EQ(bare.quantile(0.5), 9.0);
+}
+
+TEST(HistogramTest, BucketCountsIgnoreRecordOrder) {
+    const std::vector<std::uint64_t> shuffled = spread_values(7, 600);
+    std::vector<std::uint64_t> ascending = shuffled;
+    std::sort(ascending.begin(), ascending.end());
+    const std::vector<std::uint64_t> descending(ascending.rbegin(),
+                                                ascending.rend());
+    Histogram a, d, s;
+    for (const std::uint64_t v : ascending) a.record(v);
+    for (const std::uint64_t v : descending) d.record(v);
+    for (const std::uint64_t v : shuffled) s.record(v);
+    ASSERT_EQ(a.bucket_counts().size(), Histogram::kBuckets);
+    EXPECT_EQ(a.bucket_counts(), d.bucket_counts());
+    EXPECT_EQ(a.bucket_counts(), s.bucket_counts());
+    for (const double q : {0.5, 0.9, 0.99}) {
+        EXPECT_EQ(a.quantile(q), d.quantile(q));
+        EXPECT_EQ(a.quantile(q), s.quantile(q));
+    }
+    EXPECT_TRUE(Histogram{}.bucket_counts().empty());
+}
+
+TEST(HistogramTest, MergingDisjointSpansEqualsRecordingBoth) {
+    Histogram low, high, both;
+    for (std::uint64_t v = 0; v < 40; ++v) {
+        low.record(v);
+        both.record(v);
+    }
+    for (std::uint64_t v = 1; v <= 30; ++v) {
+        high.record(v << 50);
+        both.record(v << 50);
+    }
+    Histogram low_high = low, high_low = high;
+    low_high.merge(high);
+    high_low.merge(low);
+    for (const Histogram* m : {&low_high, &high_low}) {
+        EXPECT_EQ(m->bucket_counts(), both.bucket_counts());
+        EXPECT_EQ(m->count(), both.count());
+        EXPECT_EQ(m->min(), both.min());
+        EXPECT_EQ(m->max(), both.max());
+        for (const double q : {0.0, 0.5, 0.9, 0.99, 1.0})
+            EXPECT_EQ(m->quantile(q), both.quantile(q)) << "q=" << q;
+    }
+}
+
+TEST(HistogramTest, FromPartsKeepsAHighFirstBucket) {
+    std::vector<std::uint32_t> b(Histogram::kBuckets, 0);
+    b[400] = 3;
+    b[495] = 1;
+    const Histogram h = Histogram::from_parts(b, 4, Histogram::bucket_lo(400),
+                                              UINT64_MAX, 0.0);
+    EXPECT_EQ(h.bucket_counts(), b);
+    Histogram r = h;
+    r.record(Histogram::bucket_lo(400)); // inside the kept span
+    b[400] = 4;
+    EXPECT_EQ(r.bucket_counts(), b);
+}
+
+TEST(AppendG17, MatchesPrintf) {
+    const double values[] = {0.0,
+                             1.0,
+                             9007199254740992.0, // 2^53
+                             9007199254740994.0, // 2^53 + 2
+                             99999999999999984.0, // largest double < 1e17
+                             1e17,
+                             0.5,
+                             515549.1333333333,
+                             1e-300,
+                             std::numeric_limits<double>::denorm_min(),
+                             std::numeric_limits<double>::max(),
+                             std::numeric_limits<double>::infinity(),
+                             std::numeric_limits<double>::quiet_NaN()};
+    for (const double magnitude : values) {
+        for (const double v : {magnitude, -magnitude}) {
+            char want[40];
+            std::snprintf(want, sizeof want, "%.17g", v);
+            std::string got = "x=";
+            o::append_g17(got, v);
+            EXPECT_EQ(got, std::string("x=") + want);
+        }
+    }
+}
+
 TEST(CounterGaugeTest, Basics) {
     o::Counter c;
     EXPECT_EQ(c.value(), 0u);
@@ -156,6 +332,48 @@ TEST(RegistryTest, FindOrCreateAndSnapshot) {
     reg.clear();
     EXPECT_TRUE(reg.empty());
     EXPECT_TRUE(reg.snapshot().empty());
+}
+
+TEST(RegistryTest, SnapshotOrderMatchesSortByName) {
+    // Names that extend another with a character <= '.' put a suffixed run
+    // out of name order: "a.b.last" < "a.last", "b-c.count" < "b.count".
+    o::MetricsRegistry reg;
+    reg.gauge("a").set(1.0);
+    reg.gauge("a").set(2.0);
+    reg.gauge("a.b").set(-3.0);
+    reg.histogram("a-b").record(30);
+    reg.histogram("a!").record(40);
+    reg.histogram("b").record(50);
+    reg.histogram("b").record(5000);
+    reg.histogram("b-c").record(60);
+    reg.counter("a.c").inc(7);
+    reg.counter("a/z").inc(8);
+
+    const auto snap = reg.snapshot();
+    std::vector<std::string> names;
+    for (const auto& s : snap) names.push_back(s.name);
+    std::vector<std::string> sorted = names;
+    std::sort(sorted.begin(), sorted.end());
+    EXPECT_EQ(names, sorted);
+
+    std::map<std::string, double> want;
+    for (const auto& [n, c] : reg.counters())
+        want[n] = static_cast<double>(c.value());
+    for (const auto& [n, g] : reg.gauges()) {
+        want[n + ".last"] = g.last();
+        want[n + ".max"] = g.max();
+        want[n + ".mean"] = g.mean();
+        want[n + ".min"] = g.min();
+    }
+    for (const auto& [n, h] : reg.histograms()) {
+        want[n + ".count"] = static_cast<double>(h.count());
+        want[n + ".max"] = static_cast<double>(h.max());
+        want[n + ".p50"] = h.p50();
+        want[n + ".p90"] = h.p90();
+        want[n + ".p99"] = h.p99();
+    }
+    ASSERT_EQ(snap.size(), want.size());
+    for (const auto& s : snap) EXPECT_EQ(s.value, want.at(s.name)) << s.name;
 }
 
 TEST(MergeTest, HistogramMergeIsExact) {
