@@ -70,8 +70,17 @@ std::vector<RtaResult> response_time_analysis(
 
 kernel::Time hyperperiod(const std::vector<PeriodicTask>& tasks) {
     k::Time::rep l = 1;
-    for (const auto& t : tasks)
-        l = std::lcm(l, t.period.raw_ps());
+    for (const auto& t : tasks) {
+        const k::Time::rep p = t.period.raw_ps();
+        if (l == 0 || p == 0) { // std::lcm's convention for a zero operand
+            l = 0;
+            continue;
+        }
+        // lcm = l / gcd * p; picosecond periods overflow u64 quickly, where
+        // std::lcm would wrap (or abort under _GLIBCXX_ASSERTIONS).
+        if (__builtin_mul_overflow(l / std::gcd(l, p), p, &l))
+            return k::Time::max();
+    }
     return k::Time::ps(l);
 }
 

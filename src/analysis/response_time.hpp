@@ -63,7 +63,10 @@ struct RtaResult {
     const std::vector<PeriodicTask>& tasks, const RtaOptions& opts = {});
 
 /// Hyperperiod (LCM of periods) — the natural simulation horizon for
-/// validating a periodic set exhaustively.
+/// validating a periodic set exhaustively. An LCM past the 64-bit
+/// picosecond range saturates at Time::max(), the kernel's "never", as
+/// Time's own arithmetic does, instead of wrapping to a meaningless
+/// horizon; callers clamp it (`std::min(hyperperiod(ts), cap)`).
 [[nodiscard]] kernel::Time hyperperiod(const std::vector<PeriodicTask>& tasks);
 
 } // namespace rtsc::analysis

@@ -264,6 +264,20 @@ void Simulator::flush_hot() {
         nullptr, p);
 }
 
+void Simulator::fire_hot() noexcept {
+    Process& p = *hot_.proc;
+    hot_.proc = nullptr;
+    if (hot_.at > now_) {
+        now_ = hot_.at;
+        deltas_this_instant_ = 0;
+    }
+    p.timeout_armed_ = false;
+    if (p.timeout_counted_) {
+        p.timeout_counted_ = false;
+        --live_timed_;
+    }
+}
+
 void Simulator::suspend_current() {
     Process& p = *current_process_;
     p.wake_reason_ = Process::WakeReason::none;
@@ -297,10 +311,57 @@ void Simulator::kill_process(Process& p) {
     wake(p, Process::WakeReason::killed, nullptr);
 }
 
+// ---- inline wake ----
+//
+// With skip-ahead on, a wait whose wake is provably the run loop's next step
+// completes in place: nothing else is queued in this sweep, and the update
+// and delta-notification phases would be empty, so the loop would end the
+// sweep, count one delta cycle, and (for a timeout) take advance_time's fast
+// path straight back to this process. The caller applies exactly that
+// bookkeeping and keeps running; only the switch counters differ. The
+// skip-ahead-off path stays the reference the differential legs compare to.
+
+bool Simulator::sweep_ends_idle() const noexcept {
+    // A cancelled entry still in delta_pending_ or a stale zero-waiter entry
+    // counts as pending: the exact path runs delta_notify_phase() for it,
+    // with its per-instant limit check.
+    return skip_ahead_ && !stop_requested_ && sweep_ == runnable_.size() &&
+           update_requests_.empty() && delta_pending_.empty() &&
+           zero_waiters_.empty();
+}
+
+bool Simulator::wake_inline(Process& p) {
+    // advance_time's fast-path test (ties fall through), its horizon check,
+    // and run()'s dry-run exit: a background timeout is not live work.
+    if (hot_.proc != &p || !sweep_ends_idle() ||
+        hot_.at.raw_ps() >= wheel_.next_lower_bound() || hot_.at > limit_ ||
+        (limit_ == Time::max() && live_timed_ == 0))
+        return false;
+    ++delta_count_; // the empty delta cycle the suspension would have ended
+    ++deltas_this_instant_;
+    fire_hot();
+    resume_in_place(p, Process::WakeReason::timeout);
+    return true;
+}
+
+void Simulator::resume_in_place(Process& p, Process::WakeReason reason) {
+    clear_wait_state(p);
+    p.wake_reason_ = reason;
+    p.waking_event_ = nullptr;
+    // Every slot of the sweep has been visited (nulled): recycle the queue so
+    // a long streak of inline wakes inside one sweep keeps it short.
+    runnable_.clear();
+    sweep_ = 0;
+}
+
 // ---- wait services ----
 
 void Simulator::yield() {
     Process& p = require_process("yield()");
+    if (skip_ahead_ && sweep_ == runnable_.size()) {
+        resume_in_place(p, Process::WakeReason::none);
+        return;
+    }
     // The evaluate sweep already dequeued this process (runnable_ false);
     // re-appending lets the same index-based FIFO sweep pick it up again
     // after everything queued ahead of it.
@@ -317,13 +378,21 @@ void Simulator::wait(Time duration) {
         // (same-instant timeouts fire in a later *timed* batch). Use a
         // dedicated delta wake instead.
         ++p.timeout_seq_;
+        if (sweep_ends_idle() && deltas_this_instant_ < max_deltas_per_instant_) {
+            // This process is the delta cycle's only wake; at the limit the
+            // exact path raises the error where it always has.
+            ++delta_count_;
+            ++deltas_this_instant_;
+            resume_in_place(p, Process::WakeReason::timeout);
+            return;
+        }
         p.timeout_armed_ = true;
         zero_waiters_.push_back({&p, p.timeout_seq_});
         suspend_current();
         return;
     }
     arm_timeout(p, duration);
-    suspend_current();
+    if (!wake_inline(p)) suspend_current();
 }
 
 void Simulator::wait(Event& e) {
@@ -338,7 +407,7 @@ Process::WakeReason Simulator::wait(Time timeout, Event& e) {
     e.waiters_.push_back(&p);
     p.waiting_on_.push_back(&e);
     arm_timeout(p, timeout);
-    suspend_current();
+    if (!wake_inline(p)) suspend_current();
     return p.wake_reason_;
 }
 
@@ -363,7 +432,7 @@ Event* Simulator::wait_any(Time timeout, const std::vector<Event*>& events) {
         p.waiting_on_.push_back(e);
     }
     arm_timeout(p, timeout);
-    suspend_current();
+    if (!wake_inline(p)) suspend_current();
     return p.wake_reason_ == Process::WakeReason::event ? p.waking_event_ : nullptr;
 }
 
@@ -383,18 +452,9 @@ bool Simulator::advance_time(Time limit) {
             // a tie or a stale bound falls through to the general path,
             // which restores the event-before-timeout and FIFO ordering).
             if (hot_.at > limit) return false;
-            Process* p = hot_.proc;
-            hot_.proc = nullptr;
-            if (hot_.at > now_) {
-                now_ = hot_.at;
-                deltas_this_instant_ = 0;
-            }
-            p->timeout_armed_ = false;
-            if (p->timeout_counted_) {
-                p->timeout_counted_ = false;
-                --live_timed_;
-            }
-            wake(*p, Process::WakeReason::timeout, nullptr);
+            Process& p = *hot_.proc;
+            fire_hot();
+            wake(p, Process::WakeReason::timeout, nullptr);
             return true;
         }
         flush_hot();
@@ -433,19 +493,20 @@ void Simulator::evaluate_phase() {
     // Index-based FIFO over a plain vector: processes woken mid-phase append
     // and are picked up by the same sweep. Visited slots are nulled so a
     // kill_process() erase (which only matches live queue entries) cannot
-    // shift unvisited elements across the cursor. If a process body throws,
-    // the nulls are dropped so only unprocessed entries remain queued.
+    // shift unvisited elements across the cursor. The cursor is a member:
+    // an inline wake reads it, and may restart an all-visited queue. If a
+    // process body throws, the nulls are dropped so only unprocessed entries
+    // remain queued.
     try {
-    for (std::size_t i = 0; i < runnable_.size(); ++i) {
-        Process* p = runnable_[i];
+    for (sweep_ = 0; sweep_ < runnable_.size();) {
+        Process* p = runnable_[sweep_];
+        runnable_[sweep_++] = nullptr;
         if (p == nullptr) continue;
-        runnable_[i] = nullptr;
         p->runnable_ = false;
         if (p->terminated_) continue;
         current_process_ = p;
         ++activations_;
         ++p->activations_;
-        if (on_process_switch) on_process_switch(*p, true);
         if (p->kind_ == Process::Kind::method) {
             p->next_trigger_armed_ = false;
             try {
@@ -465,7 +526,6 @@ void Simulator::evaluate_phase() {
         } else {
             p->coro_->resume();
         }
-        if (on_process_switch) on_process_switch(*p, false);
         current_process_ = nullptr;
         if (p->kind_ == Process::Kind::thread && p->coro_->finished()) {
             p->terminated_ = true;
@@ -527,6 +587,7 @@ void Simulator::run_loop(Time limit) {
     }
     running_ = true;
     stop_requested_ = false;
+    limit_ = limit;
     // Host self-profiling wraps each phase in two steady_clock reads; the
     // timed wrapper compiles down to the plain call when disabled. It must
     // not perturb the phase sequencing in any way — only measure it.

@@ -86,6 +86,17 @@ public:
     // ---- wait services (must be called from within a process) ----
 
     /// Suspend for a duration. wait(Time::zero()) waits one delta cycle.
+    ///
+    /// Inline wake: with skip-ahead on, a timed wait (this one, the timed
+    /// wait(Time, Event&) and wait_any(Time, ...)) or a zero-delay wait
+    /// returns without a context switch when the run loop's very next step
+    /// would be to resume this caller: nothing else is queued in the
+    /// current evaluate sweep, no update, delta notification or zero-delay
+    /// wait is pending, stop() was not requested, and -- for a timeout --
+    /// it lies strictly before every other timed entry and within the run's
+    /// horizon. Time, delta counters and the wake reason advance exactly as
+    /// the suspension would have advanced them; only the switch counters
+    /// (process_activations(), Process::activations()) do not move.
     void wait(Time duration);
     /// Suspend until the event fires.
     void wait(Event& e);
@@ -106,6 +117,8 @@ public:
     /// sweep) has run. Equivalent to being woken by an immediate notify at
     /// this point — the RTOS engines use it to start a synchronously
     /// granted task body at the position a notify-granted one would get.
+    /// With skip-ahead on and nothing queued behind the caller, it returns
+    /// at once without a context switch (the sweep would resume it next).
     void yield();
 
     /// The process currently executing, or nullptr in scheduler context.
@@ -118,6 +131,8 @@ public:
     [[nodiscard]] std::uint64_t delta_count() const noexcept { return delta_count_; }
     /// Total scheduler->process context switches so far. This is the metric
     /// the paper's §4 uses to compare the two RTOS engine implementations.
+    /// It counts switches, not wakes: a wait that skip-ahead completes
+    /// inline (see wait(Time)) wakes its process without a switch.
     [[nodiscard]] std::uint64_t process_activations() const noexcept { return activations_; }
     [[nodiscard]] std::size_t process_count() const noexcept { return processes_.size(); }
     [[nodiscard]] Reporter& reporter() noexcept { return reporter_; }
@@ -169,11 +184,15 @@ public:
 
     /// Toggle the skip-ahead fast path for this simulator: empty update/
     /// delta-notification phases are elided (their counters still advance
-    /// identically) and the newest armed process timeout is staged in a
-    /// one-slot hot buffer that can fire without touching the wheel. Purely
-    /// an execution-speed toggle -- every observable (trace, digests,
-    /// delta_count, attribution) is bit-identical either way; the
-    /// differential tests run both settings to prove it.
+    /// identically), the newest armed process timeout is staged in a
+    /// one-slot hot buffer that can fire without touching the wheel, and a
+    /// wait whose own wake comes next completes inline, without a context
+    /// switch (see wait(Time)). Purely an execution-speed toggle -- every
+    /// observable (trace, digests, delta_count, wheel statistics,
+    /// attribution) is bit-identical either way except the switch counters
+    /// process_activations() and Process::activations(), which count fewer
+    /// switches with it on; the differential tests run both settings to
+    /// prove it.
     void set_skip_ahead(bool on) noexcept {
         if (!on && hot_.proc != nullptr) flush_hot();
         skip_ahead_ = on;
@@ -210,10 +229,6 @@ public:
         return stall_report_;
     }
 
-    /// Hook invoked on every process state change the kernel can observe;
-    /// the trace layer uses this sparingly. May be empty.
-    std::function<void(Process&, bool started)> on_process_switch;
-
 private:
     friend class Event;
 
@@ -228,7 +243,14 @@ private:
     void clear_wait_state(Process& p);
     void arm_timeout(Process& p, Time timeout);
     void flush_hot();                       ///< move the staged timeout into the wheel
+    void fire_hot() noexcept;               ///< advance to the staged timeout, disarm it
     void suspend_current();                 ///< yield back to scheduler
+    /// Inline wake (see wait(Time)): true when, were the caller to suspend
+    /// now, the sweep would end with nothing else queued, the update and
+    /// delta-notification phases would be empty, and the loop would go on.
+    [[nodiscard]] bool sweep_ends_idle() const noexcept;
+    [[nodiscard]] bool wake_inline(Process& p); ///< timed wait: true if woken in place
+    void resume_in_place(Process& p, Process::WakeReason reason);
     Process& require_process(const char* what) const;
 
     bool advance_time(Time limit);          ///< pop next time's entries; false if none <= limit
@@ -262,6 +284,12 @@ private:
 
     std::vector<std::unique_ptr<Process>> processes_;
     std::vector<Process*> runnable_;
+    /// Evaluate-sweep cursor: the next unvisited runnable_ slot. Visited
+    /// slots are nulled and kill_process() erases only unvisited ones, so
+    /// `sweep_ == runnable_.size()` means nothing is queued behind the
+    /// running process.
+    std::size_t sweep_ = 0;
+    Time limit_ = Time::max();          ///< horizon of the running run loop
     TimingWheel wheel_;                 ///< timed notifications and timeouts
     /// One-slot staging buffer for the newest armed process timeout: in the
     /// common single-runnable pattern (compute / overhead charge) it fires

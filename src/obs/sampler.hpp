@@ -13,8 +13,14 @@
 //
 // On the auxiliary "kernel" process, the simulator's self-description:
 //   delta_cycles, activations, timed_live, timed_tombstones,
-//   timed_compactions — all simulated-state quantities, so sampled values
-//   are bit-identical across runs and engines.
+//   timed_compactions — all deterministic, so sampled values are
+//   bit-identical from run to run. They are not engine-neutral: the two RTOS
+//   engines reach the same schedule through different kernel work (120
+//   MPEG-2 frames end at 6,969 vs 5,487 delta cycles on the procedural and
+//   threaded engines). `activations` counts context switches
+//   (Simulator::process_activations), so it also depends on skip-ahead,
+//   whose inline wakes need none: 4,808 vs 6,567 with it on, 10,591 vs
+//   10,778 with it off.
 //
 // With Options::include_host (off by default — wall-clock readings are
 // nondeterministic, so equivalence tests must not enable it) the kernel's

@@ -96,6 +96,15 @@ TEST(AnalysisTest, Hyperperiod) {
               7_us);
 }
 
+TEST(AnalysisTest, HyperperiodSaturatesInsteadOfWrapping) {
+    // lcm(2^63, 3) ps = 3 * 2^63 ps does not fit in 64 bits.
+    EXPECT_EQ(a::hyperperiod({{"a", Time::ps(1ull << 63), 1_ps, Time::zero(), 2,
+                               Time::zero()},
+                              {"b", Time::ps(3), 1_ps, Time::zero(), 1, Time::zero()}}),
+              Time::max());
+    EXPECT_EQ(a::hyperperiod(classic_set()), 60_ms);
+}
+
 TEST(AnalysisTest, EffectiveDeadlineDefaultsToPeriod) {
     a::PeriodicTask t{"t", 10_ms, 1_ms, Time::zero(), 1, Time::zero()};
     EXPECT_EQ(t.effective_deadline(), 10_ms);

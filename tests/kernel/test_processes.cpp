@@ -2,6 +2,7 @@
 // done-events, run/run_until, stop, statistics, error paths.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -141,15 +142,22 @@ TEST(ProcessTest, StopRequestEndsRun) {
 }
 
 TEST(ProcessTest, ActivationCountsTracked) {
-    Simulator sim;
-    auto& p = sim.spawn("p", [&] {
-        k::wait(1_us);
-        k::wait(1_us);
-    });
-    sim.run();
-    // initial start + two wake-ups
-    EXPECT_EQ(p.activations(), 3u);
-    EXPECT_GE(sim.process_activations(), 3u);
+    // Activations count context switches. With skip-ahead off: the initial
+    // start plus two wake-ups. With it on, a lone process's timed waits
+    // complete inline, so only the initial start switches.
+    for (const bool skip_ahead : {false, true}) {
+        Simulator sim;
+        sim.set_skip_ahead(skip_ahead);
+        auto& p = sim.spawn("p", [&] {
+            k::wait(1_us);
+            k::wait(1_us);
+        });
+        sim.run();
+        const std::uint64_t want = skip_ahead ? 1 : 3;
+        EXPECT_EQ(p.activations(), want) << "skip-ahead " << skip_ahead;
+        EXPECT_EQ(sim.process_activations(), want) << "skip-ahead " << skip_ahead;
+        EXPECT_EQ(sim.now(), 2_us);
+    }
 }
 
 TEST(ProcessTest, WaitOutsideProcessThrows) {
