@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <stdexcept>
 
-#include "fuzz/runner.hpp" // fnv1a
 #include "fuzz/spec.hpp"   // parse_decimal
 #include "rtos/processor.hpp"
 #include "rtos/task.hpp"
@@ -77,19 +76,12 @@ std::string log_to_text(const DecisionLog& log) {
         out += d.cpu + " at=" + std::to_string(d.at_ps) + " task=" + d.task +
                (d.front ? " front" : "") + " n=" + std::to_string(d.n) +
                " chosen=" + std::to_string(d.chosen) +
-               (d.forced ? " forced" : "") + (d.mattered ? " mattered" : "") +
-               " group=[";
+               (d.forced ? " forced" : "") + " group=[";
         for (std::size_t i = 0; i < d.group.size(); ++i)
             out += (i != 0 ? " " : "") + d.group[i];
         out += "]\n";
     }
     return out;
-}
-
-std::uint64_t log_digest(const DecisionLog& log) {
-    std::uint64_t h = fuzz::kFnvOffset;
-    for (const std::string& row : decision_rows(log)) h = fuzz::fnv1a(h, row);
-    return h;
 }
 
 std::size_t TraceOracle::choose_ready_insert(const rtos::ReadyInsertDecision& d,
@@ -121,44 +113,13 @@ std::size_t TraceOracle::choose_ready_insert(const rtos::ReadyInsertDecision& d,
     rec.front = d.front;
     rec.n = static_cast<std::uint32_t>(d.window_len + 1);
     rec.chosen = static_cast<std::uint32_t>(slot);
-    rec.preset = static_cast<std::uint32_t>(preset);
     rec.forced = forced;
     rec.group.reserve(d.window_len + 1);
     for (std::size_t i = 0; i < d.window_len; ++i)
         rec.group.push_back(d.window[i]->name());
     rec.group.push_back(d.task.name());
-    groups_[cpu].push_back({log_.size(), rec.group});
     log_.push_back(std::move(rec));
     return slot;
-}
-
-void TraceOracle::on_dispatch(rtos::Processor& cpu, rtos::Task& winner,
-                              const rtos::ReadyQueue& remaining) {
-    const auto git = groups_.find(cpu.name());
-    if (git == groups_.end()) return;
-    const std::string& won = winner.name();
-    for (const Group& g : git->second) {
-        if (log_[g.log_index].mattered) continue;
-        if (std::find(g.members.begin(), g.members.end(), won) ==
-            g.members.end())
-            continue;
-        // The winner belonged to this tie-break group; if another member is
-        // still waiting in the queue, their relative order decided who won.
-        for (const rtos::Task* r : remaining) {
-            if (r->name() != won && std::find(g.members.begin(),
-                                              g.members.end(),
-                                              r->name()) != g.members.end()) {
-                log_[g.log_index].mattered = true;
-                break;
-            }
-        }
-    }
-}
-
-void TraceOracle::on_order_consumed(rtos::Processor& cpu) {
-    const auto git = groups_.find(cpu.name());
-    if (git == groups_.end()) return;
-    for (const Group& g : git->second) log_[g.log_index].mattered = true;
 }
 
 } // namespace rtsc::explore

@@ -36,9 +36,7 @@ struct Decision {
     bool front = false;   ///< preempted-style insert
     std::uint32_t n = 1;  ///< alternative slots (window_len + 1)
     std::uint32_t chosen = 0;
-    std::uint32_t preset = 0; ///< the pinned default slot
     bool forced = false;  ///< prescribed by the replayed trace
-    bool mattered = false; ///< a dispatch consumed this group's order
     std::vector<std::string> group; ///< window members + the inserted task
 };
 
@@ -72,9 +70,6 @@ public:
 
     std::size_t choose_ready_insert(const rtos::ReadyInsertDecision& d,
                                     std::size_t preset) override;
-    void on_dispatch(rtos::Processor& cpu, rtos::Task& winner,
-                     const rtos::ReadyQueue& remaining) override;
-    void on_order_consumed(rtos::Processor& cpu) override;
 
     [[nodiscard]] const DecisionLog& log() const noexcept { return log_; }
     [[nodiscard]] DecisionLog take_log() noexcept { return std::move(log_); }
@@ -91,18 +86,7 @@ private:
     DecisionLog log_;
     /// Per-CPU count of decisions consumed so far (prefix cursor).
     std::map<std::string, std::size_t> cursor_;
-    /// Open tie-break groups per CPU, for mattered-tracking: log index plus
-    /// the member names. A dispatch of member M while another member is
-    /// still queued marks the group's decision as mattered.
-    struct Group {
-        std::size_t log_index;
-        std::vector<std::string> members;
-    };
-    std::map<std::string, std::vector<Group>> groups_;
     std::string replay_error_;
 };
-
-/// FNV-1a 64-bit over the canonical decision rows (log identity digest).
-[[nodiscard]] std::uint64_t log_digest(const DecisionLog& log);
 
 } // namespace rtsc::explore

@@ -22,11 +22,6 @@ void Explorer::expand(const DecisionTrace& parent, const RunOutcome& outcome,
         const std::size_t prefix_len =
             pit == parent.end() ? 0 : pit->second.size();
         if (index < prefix_len) continue; // enumerated by an ancestor
-        if (bounds_.prune && !d.mattered) {
-            result.pruned_branches += d.n - 1;
-            pruned_total_ += d.n - 1;
-            continue;
-        }
         if (g >= bounds_.max_decisions ||
             static_cast<std::size_t>(d.n) > bounds_.max_group + 1) {
             result.clipped_branches += d.n - 1;
@@ -63,7 +58,6 @@ ExploreResult Explorer::run() {
         expand(trace, outcome, result);
     }
     result.schedules = schedules_total_;
-    result.pruned_branches = pruned_total_;
     result.clipped_branches = clipped_total_;
     result.complete = frontier_.empty() && clipped_total_ == 0;
     return result;
@@ -71,8 +65,7 @@ ExploreResult Explorer::run() {
 
 void Explorer::save_frontier(std::ostream& os) const {
     os << "explore-frontier v1 schedules=" << schedules_total_
-       << " pruned=" << pruned_total_ << " clipped=" << clipped_total_
-       << "\n";
+       << " clipped=" << clipped_total_ << "\n";
     for (const DecisionTrace& t : frontier_) os << to_text(t) << "\n";
 }
 
@@ -99,7 +92,6 @@ void Explorer::load_frontier(std::istream& is) {
         line.rfind("explore-frontier v1 ", 0) != 0)
         throw std::runtime_error("not an explore-frontier v1 file");
     schedules_total_ = header_counter(line, "schedules");
-    pruned_total_ = header_counter(line, "pruned");
     clipped_total_ = header_counter(line, "clipped");
     frontier_.clear();
     while (std::getline(is, line)) {

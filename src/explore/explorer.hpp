@@ -20,16 +20,9 @@
 // position): every schedule is visited exactly once, and draining the
 // frontier proves the enumeration complete.
 //
-// DPOR-style pruning (`Bounds::prune`, on by default): a free decision is
-// only branched on when the run marked it `mattered` — some dispatch picked
-// a group member while another member was still co-resident in the ready
-// queue (or a rare front-reading path consumed the order outside a pass).
-// Dispatch is the only point where queue order becomes behaviour: overhead
-// formulas see the ready *count*, requeue/kill preserve the relative order
-// of the others, and preemption checks compare candidate against running
-// only. Reorderings of never-co-dispatched groups are therefore
-// commutative and explored once. docs/EXPLORE.md carries the full
-// soundness argument.
+// No reduction is applied: every order of every same-instant group runs.
+// docs/EXPLORE.md ("Why nothing is pruned") says why a dispatch-based
+// pruning rule almost never fires; sound reductions are ROADMAP item 6.
 //
 // The frontier (pending traces + progress counters) serializes to a text
 // stream, so a bounded run can stop at its budget and resume later.
@@ -61,14 +54,12 @@ struct Bounds {
     std::uint64_t max_schedules = 1u << 20; ///< run budget for this call
     std::size_t max_decisions = 4096; ///< branch only on the first N decisions
     std::size_t max_group = 16;       ///< widest window branched on (slots-1)
-    bool prune = true;                ///< DPOR-style mattered pruning
     bool stop_at_violation = true;    ///< abort the DFS on the first finding
     bool collect_digests = false;     ///< keep every schedule digest
 };
 
 struct ExploreResult {
     std::uint64_t schedules = 0;       ///< runs executed (distinct schedules)
-    std::uint64_t pruned_branches = 0; ///< alternatives skipped as commutative
     std::uint64_t clipped_branches = 0;///< alternatives dropped by max_* bounds
     bool complete = false;   ///< frontier drained and nothing clipped
     bool violation = false;
@@ -94,7 +85,9 @@ public:
     }
 
     /// Persist the pending frontier + progress counters ("explore-frontier
-    /// v1" header, one trace per line). Round-trips through load_frontier.
+    /// v1" header, one trace per line). Round-trips through load_frontier,
+    /// which also accepts and ignores the `pruned=` counter older files
+    /// carry.
     void save_frontier(std::ostream& os) const;
     /// Replace the frontier with a previously saved one. Throws
     /// std::runtime_error on malformed input.
@@ -108,7 +101,6 @@ private:
     Bounds bounds_;
     std::deque<DecisionTrace> frontier_;
     std::uint64_t schedules_total_ = 0; ///< across resumed runs
-    std::uint64_t pruned_total_ = 0;
     std::uint64_t clipped_total_ = 0;
 };
 

@@ -167,7 +167,6 @@ ModelReport explore_model(const fuzz::ModelSpec& spec,
         Explorer explorer(make_model_check(variant), cfg.bounds);
         ExploreResult result = explorer.run();
         report.schedules += result.schedules;
-        report.pruned_branches += result.pruned_branches;
         report.clipped_branches += result.clipped_branches;
         if (!result.complete) report.complete = false;
         if (result.violation && !report.violation) {

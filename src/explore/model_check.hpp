@@ -55,6 +55,8 @@ struct VariantReport {
 struct ModelReport {
     std::vector<VariantReport> variants;
     std::uint64_t schedules = 0; ///< total runs across variants
+    /// Always 0: the explorer prunes nothing. Kept only because the
+    /// repository benchmark (perfbench/src/verify.cpp) reads and pins it.
     std::uint64_t pruned_branches = 0;
     std::uint64_t clipped_branches = 0;
     bool complete = false; ///< every variant drained, variant space not clipped

@@ -77,13 +77,13 @@ void DeadlineMissHandler::apply(const Entry& e) {
         case RecoveryAction::log:
             break;
         case RecoveryAction::kill:
-            if (!t.body_finished()) {
+            if (!t.terminated()) {
                 t.kill();
                 ++kills_;
             }
             break;
         case RecoveryAction::restart: {
-            if (!t.body_finished()) {
+            if (!t.terminated()) {
                 t.kill();
                 ++kills_;
             }

@@ -85,19 +85,23 @@ void FaultInjector::arm_task_crash(const TaskCrash& e) {
         "fault.crash." + t->name(), [this, t, at, restart, restart_delay] {
             const k::Time delay = k::Time::sat_sub(at, sim_.now());
             if (!delay.is_zero()) k::wait(delay);
-            if (!t->body_finished()) {
+            // A task that already left for good (returned, or was killed)
+            // has nothing to crash. terminated() flips at the same instant
+            // on both engines; the end of the task's kernel process does not
+            // (the engines pay the terminal leave charges in different
+            // threads).
+            if (!t->terminated()) {
                 t->kill();
                 ++counters_.tasks_crashed;
                 for (rtos::Observer* o : observers_)
                     o->on_marker("fault", "crash:" + t->name());
-                // A killed Running task still pays save + sched during the
-                // unwind; restart only once the incarnation fully retired.
-                // TaskRetired fires at the same instant on both engines —
-                // the kernel done_event does not (the engines pay the leave
-                // charges in different threads).
-                if (!t->retired()) k::wait(t->retired_event());
             }
             if (restart) {
+                // Restart only once the incarnation fully retired: a killed
+                // Running task, or one that just returned, still pays save +
+                // sched. TaskRetired fires at the same instant on both
+                // engines.
+                if (!t->retired()) k::wait(t->retired_event());
                 t->processor().restart_task(*t, restart_delay);
                 ++counters_.tasks_restarted;
                 for (rtos::Observer* o : observers_)

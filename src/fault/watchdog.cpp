@@ -30,7 +30,7 @@ void Watchdog::body() {
         if (reason == k::Process::WakeReason::event) continue;
         // A task that ended on its own stops being supervised (only the
         // restart policy has business with a dead task).
-        if (task_.body_finished() && policy_.action != RecoveryAction::restart)
+        if (task_.terminated() && policy_.action != RecoveryAction::restart)
             return;
         fire();
         if (policy_.action == RecoveryAction::kill) {
@@ -57,10 +57,10 @@ void Watchdog::fire() {
         case RecoveryAction::log:
             break;
         case RecoveryAction::kill:
-            if (!task_.body_finished()) task_.kill();
+            if (!task_.terminated()) task_.kill();
             break;
         case RecoveryAction::restart: {
-            if (!task_.body_finished()) task_.kill();
+            if (!task_.terminated()) task_.kill();
             // Restart only once the terminal leave settled (engine-
             // independent instant; see Task::retired_event).
             if (!task_.retired()) k::wait(task_.retired_event());

@@ -9,18 +9,7 @@ namespace rtsc::kernel {
 
 namespace {
 thread_local Simulator* g_current_sim = nullptr;
-// Process-wide default for Simulator::skip_ahead(); relaxed atomic so
-// concurrent campaign threads constructing simulators race cleanly.
-std::atomic<bool> g_skip_ahead_default{true};
 } // namespace
-
-void Simulator::set_skip_ahead_default(bool on) noexcept {
-    g_skip_ahead_default.store(on, std::memory_order_relaxed);
-}
-
-bool Simulator::skip_ahead_default() noexcept {
-    return g_skip_ahead_default.load(std::memory_order_relaxed);
-}
 
 // ---------------------------------------------------------------- Process
 
@@ -83,7 +72,6 @@ void Event::cancel() {
 Simulator::Simulator() {
     prev_current_ = g_current_sim;
     g_current_sim = this;
-    skip_ahead_ = skip_ahead_default();
 }
 
 Simulator::~Simulator() { g_current_sim = prev_current_; }

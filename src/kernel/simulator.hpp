@@ -11,7 +11,6 @@
 // Events, Processes and channels bind to it on construction, so sequential
 // tests can each build an isolated simulation.
 
-#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <initializer_list>
@@ -182,9 +181,10 @@ public:
 
     // ---- skip-ahead fast path ----
 
-    /// Toggle the skip-ahead fast path for this simulator: empty update/
-    /// delta-notification phases are elided (their counters still advance
-    /// identically), the newest armed process timeout is staged in a
+    /// Toggle the skip-ahead fast path for this simulator (a new simulator
+    /// starts with it on): empty update/delta-notification phases are
+    /// elided (their counters still advance identically), the newest armed
+    /// process timeout is staged in a
     /// one-slot hot buffer that can fire without touching the wheel, and a
     /// wait whose own wake comes next completes inline, without a context
     /// switch (see wait(Time)). Purely an execution-speed toggle -- every
@@ -198,10 +198,6 @@ public:
         skip_ahead_ = on;
     }
     [[nodiscard]] bool skip_ahead() const noexcept { return skip_ahead_; }
-    /// Process-wide default for newly constructed simulators (on by
-    /// default); lets test harnesses force a mode without plumbing.
-    static void set_skip_ahead_default(bool on) noexcept;
-    [[nodiscard]] static bool skip_ahead_default() noexcept;
 
     // ---- deadlock / stall detection ----
 
@@ -277,7 +273,7 @@ private:
     bool running_ = false;
     bool deadlock_detection_ = false;
     bool host_profiling_ = false;
-    bool skip_ahead_ = true;            ///< initialised from the static default
+    bool skip_ahead_ = true;            ///< see set_skip_ahead
     int trigger_depth_ = 0;             ///< guards the trigger scratch buffer
     StallReport stall_report_;
     HostProfile host_profile_;

@@ -87,16 +87,29 @@ public:
             sv_.record(rtos::current_task(), AccessKind::lock_op,
                        lk.blocked_for, lk.blocked);
         }
-        ~Guard() {
-            sv_.unlock();
-            sv_.record(rtos::current_task(), AccessKind::unlock_op,
-                       kernel::Time::zero(), false);
+        /// The release is a suspension point: the waiter it readies may
+        /// preempt this task, and a kill may land before it runs again.
+        /// Then ProcessKilled leaves through here, after the release has
+        /// been recorded.
+        ~Guard() noexcept(false) {
+            try {
+                sv_.unlock();
+            } catch (...) {
+                record_unlock();
+                throw;
+            }
+            record_unlock();
         }
         Guard(const Guard&) = delete;
         Guard& operator=(const Guard&) = delete;
         [[nodiscard]] T& value() noexcept { return sv_.value_; }
 
     private:
+        void record_unlock() {
+            sv_.record(rtos::current_task(), AccessKind::unlock_op,
+                       kernel::Time::zero(), false);
+        }
+
         SharedVariable& sv_;
     };
     [[nodiscard]] Guard access() { return Guard(*this); }
@@ -177,7 +190,14 @@ private:
             if (protection_ == Protection::preemption_lock)
                 released_by->processor().unlock_preemption();
         }
-        wake_highest_priority_waiter();
+        // The wake can suspend the releaser (the waiter preempts it) and a
+        // kill can unwind it from there: hardware waiters are told either way.
+        try {
+            wake_highest_priority_waiter();
+        } catch (...) {
+            hw_wake().notify();
+            throw;
+        }
         hw_wake().notify();
     }
 

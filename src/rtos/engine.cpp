@@ -75,81 +75,48 @@ SchedulerEngine::PhaseStats SchedulerEngine::phase_stats() const {
 // ------------------------------------------------------------ small helpers
 
 void SchedulerEngine::push_ready(Task& t, bool front) {
-    if (oracle_ != nullptr) {
-        push_ready_oracle(t, front);
-        return;
-    }
-    if (!ordered_) {
-        if (front)
-            ready_.insert(ready_.begin(), &t);
-        else
-            ready_.push_back(&t);
-        return;
-    }
-    // Ordered insert, stable within one rank: a preempted task (`front`)
-    // goes ahead of its equal-rank peers, a fresh arrival behind them — the
-    // same tie-break the arrival-order queue plus select()-scan produced.
+    // The pinned default slot, stable within one rank: a preempted task
+    // (`front`) goes ahead of its equal-rank peers, a fresh arrival behind
+    // them — the same tie-break the arrival-order queue plus select()-scan
+    // produced. Unordered policies (fifo / round-robin) dispatch in pure
+    // queue order, so every queued task is an equal-rank peer there.
     const SchedulingPolicy& pol = processor_.policy();
-    const auto cmp = [&pol](const Task* a, const Task* b) {
+    const auto before = [&pol](const Task* a, const Task* b) {
         return pol.before(*a, *b);
     };
-    const auto it =
-        front ? std::lower_bound(ready_.begin(), ready_.end(), &t, cmp)
-              : std::upper_bound(ready_.begin(), ready_.end(), &t, cmp);
-    ready_.insert(it, &t);
-}
-
-void SchedulerEngine::push_ready_oracle(Task& t, bool front) {
-    const k::Time now = processor_.simulator().now();
-    t.ready_enqueued_at_ = now; // only written while an oracle is installed
-    const SchedulingPolicy& pol = processor_.policy();
-    // Same rank: the policy has no ordering preference either way. Unordered
-    // policies (fifo / round-robin) dispatch in pure queue order, so every
-    // task counts as equal-rank there.
-    const auto equal_rank = [&](const Task* x) {
-        return !ordered_ || (!pol.before(*x, t) && !pol.before(t, *x));
-    };
-    // Default slot, exactly as the oracle-free path computes it.
-    std::size_t pos;
-    if (!ordered_) {
-        pos = front ? 0 : ready_.size();
-    } else {
-        const auto cmp = [&pol](const Task* a, const Task* b) {
-            return pol.before(*a, *b);
+    auto pos = front ? ready_.begin() : ready_.end();
+    if (ordered_)
+        pos = front ? std::lower_bound(ready_.begin(), ready_.end(), &t, before)
+                    : std::upper_bound(ready_.begin(), ready_.end(), &t, before);
+    if (oracle_ != nullptr) {
+        // Widen the default slot to the tie-break window: the contiguous run
+        // of equal-rank tasks adjacent to it that entered the queue at this
+        // same instant. Tasks queued at an earlier instant carry
+        // semantically fixed FIFO seniority — crossing them would change the
+        // model, not the interleaving — so the scan stops at the first one.
+        const k::Time now = processor_.simulator().now();
+        t.ready_enqueued_at_ = now; // only written while an oracle is installed
+        const auto peer = [&](const Task* x) {
+            return x->ready_enqueued_at_ == now &&
+                   (!ordered_ || (!before(x, &t) && !before(&t, x)));
         };
-        const auto it =
-            front ? std::lower_bound(ready_.begin(), ready_.end(), &t, cmp)
-                  : std::upper_bound(ready_.begin(), ready_.end(), &t, cmp);
-        pos = static_cast<std::size_t>(it - ready_.begin());
+        auto first = pos;
+        auto last = pos;
+        if (front)
+            while (last != ready_.end() && peer(*last)) ++last;
+        else
+            while (first != ready_.begin() && peer(*(first - 1))) --first;
+        const auto window_len = static_cast<std::size_t>(last - first);
+        if (window_len > 0) {
+            const ReadyInsertDecision d{processor_, t, now, front, &*first,
+                                        window_len};
+            const std::size_t slot =
+                oracle_->choose_ready_insert(d, front ? 0 : window_len);
+            if (slot <= window_len)
+                pos = first + static_cast<ReadyQueue::difference_type>(slot);
+        }
     }
-    // The window the new entry may permute with: the contiguous run of
-    // equal-rank tasks adjacent to the default slot that entered the queue
-    // at this same instant. Tasks queued at an earlier instant carry
-    // semantically fixed FIFO seniority — crossing them would change the
-    // model, not the interleaving — so the scan stops at the first one.
-    std::size_t wbegin = pos;
-    std::size_t wend = pos;
-    if (front) {
-        while (wend < ready_.size() && equal_rank(ready_[wend]) &&
-               ready_[wend]->ready_enqueued_at_ == now)
-            ++wend;
-    } else {
-        while (wbegin > 0 && equal_rank(ready_[wbegin - 1]) &&
-               ready_[wbegin - 1]->ready_enqueued_at_ == now)
-            --wbegin;
-    }
-    const std::size_t window_len = wend - wbegin;
-    const std::size_t preset = front ? 0 : window_len;
-    std::size_t slot = preset;
-    if (window_len > 0) {
-        const ReadyInsertDecision d{processor_, t, now, front,
-                                    ready_.data() + wbegin, window_len};
-        slot = oracle_->choose_ready_insert(d, preset);
-        if (slot > window_len) slot = preset;
-    }
-    ready_.insert(ready_.begin() +
-                      static_cast<ReadyQueue::difference_type>(wbegin + slot),
-                  &t);
+    ready_.insert(pos, &t);
 }
 
 void SchedulerEngine::requeue_ready(Task& t) {
@@ -257,7 +224,6 @@ Task* SchedulerEngine::select_and_grant() {
         engine_error("scheduling policy selected a task that is not ready: " +
                      next->name());
     ready_.erase(it);
-    if (oracle_) oracle_->on_dispatch(processor_, *next, ready_);
     // Keep the overhead phase alive until the winner finishes its context
     // load; arrivals in between only join the queue.
     set_phase(Phase::overhead);
@@ -666,15 +632,11 @@ void SchedulerEngine::kill(Task& t) {
                 if (owned_kick) {
                     // The victim was designated to execute an idle-dispatch
                     // pass that has not started yet: hand the kick to another
-                    // ready task, or drop the dispatch. Reads the queue front
-                    // outside a scheduling pass — tell the oracle the order
-                    // was consumed.
-                    if (!ready_.empty()) {
-                        if (oracle_) oracle_->on_order_consumed(processor_);
+                    // ready task, or drop the dispatch.
+                    if (!ready_.empty())
                         kick_idle_dispatch(*ready_.front());
-                    } else {
+                    else
                         dispatch_in_progress_ = false;
-                    }
                 }
             } else {
                 // Granted or mid-context-load: the dispatch decision is

@@ -116,9 +116,8 @@ public:
     /// Install (or clear, with nullptr) the schedule-space oracle
     /// (rtos/oracle.hpp): same-instant equal-rank ready-queue tie-breaks are
     /// delegated to it instead of taking the pinned default. At most one per
-    /// engine; every hook site costs one branch when none is installed.
+    /// engine; a ready-queue insert costs one branch when none is installed.
     void set_schedule_oracle(ScheduleOracle* o) noexcept { oracle_ = o; }
-    [[nodiscard]] ScheduleOracle* schedule_oracle() const noexcept { return oracle_; }
 
 protected:
     // -- locus hooks: where the RTOS algorithm executes differs per engine --
@@ -164,8 +163,9 @@ protected:
     /// Mark a terminated task's incarnation as fully retired and fire its
     /// TaskRetired event. Both engines call this at the instant the terminal
     /// leave settled — after the save + sched charges of the pass the leaver
-    /// triggered — so the event's timing is engine-independent (done_event's
-    /// is not: the engines pay those charges in different threads). Also
+    /// triggered — so the event's timing is engine-independent (the end of
+    /// the task's kernel process is not: the engines pay those charges in
+    /// different threads). Also
     /// called from the charge-free unwind paths (killed while Waiting/Ready).
     /// Idempotent; a no-op on live tasks.
     void retire_if_terminated(Task& t);
@@ -199,6 +199,10 @@ protected:
     /// (procedural engine only) — then charge load and enter Running.
     void await_dispatch(Task& t);
 
+    /// Insert `t` into the ready queue at its pinned default slot (ahead of
+    /// its equal-rank peers when `front`, behind them otherwise), or at the
+    /// slot the schedule oracle picks within the same-instant tie-break
+    /// window around it.
     void push_ready(Task& t, bool front);
     void set_phase(Phase p);
 
@@ -244,11 +248,6 @@ protected:
     Task* pass_runner_ = nullptr;
     PhaseStats stats_;
     ScheduleOracle* oracle_ = nullptr; ///< optional tie-break oracle, see above
-
-private:
-    /// push_ready with the oracle installed: compute the same-instant
-    /// equal-rank window around the default slot and let the oracle pick.
-    void push_ready_oracle(Task& t, bool front);
 };
 
 } // namespace rtsc::rtos

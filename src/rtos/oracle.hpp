@@ -12,21 +12,14 @@
 // entry may legitimately permute with (equal rank under the policy, queued
 // at the same simulated instant), and the pinned default slot. The oracle
 // answers with the slot to use; returning the preset everywhere reproduces
-// the pinned behaviour bit-for-bit. Without an oracle every hook site costs
-// one branch (same contract as the observer lists, rtos/observer.hpp).
-//
-// The two notification hooks feed the explorer's pruning: on_dispatch fires
-// whenever the scheduler removes a winner from the ready queue (the only
-// point where queue *order* becomes observable behaviour), and
-// on_order_consumed flags the rare paths that read the queue front outside
-// a scheduling pass (kill() handing a pending idle-dispatch kick to
-// ready_.front()).
+// the pinned behaviour bit-for-bit. Without an oracle the hook costs one
+// branch per ready-queue insert (same contract as the observer lists,
+// rtos/observer.hpp).
 
 #include <cstddef>
 
 #include "kernel/time.hpp"
 #include "rtos/fwd.hpp"
-#include "rtos/policy.hpp"
 
 namespace rtsc::rtos {
 
@@ -52,21 +45,6 @@ public:
     /// Out-of-range answers are clamped to the preset.
     virtual std::size_t choose_ready_insert(const ReadyInsertDecision& d,
                                             std::size_t preset) = 0;
-
-    /// The scheduler granted `winner` the CPU and removed it from the ready
-    /// queue; `remaining` is the queue after the removal. This is where
-    /// relative queue order turns into observable behaviour — the explorer
-    /// uses it to mark which recorded tie-breaks actually mattered.
-    virtual void on_dispatch(Processor& cpu, Task& winner,
-                             const ReadyQueue& remaining) {
-        (void)cpu; (void)winner; (void)remaining;
-    }
-
-    /// The engine consumed ready-queue order outside a scheduling pass
-    /// (e.g. kill() handing a pending idle-dispatch kick to the queue
-    /// front). Conservative: the explorer marks every pending tie-break on
-    /// this CPU as order-sensitive.
-    virtual void on_order_consumed(Processor& cpu) { (void)cpu; }
 };
 
 } // namespace rtsc::rtos

@@ -81,10 +81,6 @@ void Task::run_body() {
 
 void Task::kill() { processor_.engine().kill(*this); }
 
-k::Event& Task::done_event() noexcept { return proc_->done_event(); }
-
-bool Task::body_finished() const noexcept { return proc_->terminated(); }
-
 void Task::prepare_restart(kernel::Time delay) {
     killed_ = false;
     crashed_ = false;

@@ -94,24 +94,16 @@ public:
     using ComputeHook = std::function<kernel::Time(Task&, kernel::Time)>;
     void set_compute_hook(ComputeHook hook) { compute_hook_ = std::move(hook); }
 
-    /// Fires (delta-delayed) when the current incarnation's process body
-    /// returns or finishes unwinding. A killed Running task still owes its
-    /// context-save + scheduling charges when kill() returns; wait on this
-    /// before Processor::restart_task().
-    [[nodiscard]] kernel::Event& done_event() noexcept;
-    /// The current incarnation's process has fully finished (body returned
-    /// or unwind + leave charges completed). Stronger than terminated():
-    /// a killed Running task is terminated before its unwind finishes.
-    [[nodiscard]] bool body_finished() const noexcept;
-
     /// Fires when the current incarnation has fully retired: the body
     /// returned or unwound AND the engine finished charging the terminal
-    /// context-save + scheduling pass. Unlike done_event(), whose instant is
-    /// an engine implementation detail (the procedural engine pays the leave
-    /// charges in the leaving task's own thread, the threaded engine in the
-    /// RTOS thread), this fires at the same simulated time on both engines.
-    /// Recovery code (FaultInjector, Watchdog, DeadlineMissHandler) waits on
-    /// this before Processor::restart_task().
+    /// context-save + scheduling pass. Unlike the end of the task's kernel
+    /// process, whose instant is an engine implementation detail (the
+    /// procedural engine pays the leave charges in the leaving task's own
+    /// thread, the threaded engine in the RTOS thread), this fires at the
+    /// same simulated time on both engines. A killed Running task still
+    /// owes those charges when kill() returns: recovery code
+    /// (FaultInjector, Watchdog, DeadlineMissHandler) waits on this before
+    /// Processor::restart_task().
     [[nodiscard]] kernel::Event& retired_event() noexcept { return ev_retired_; }
     /// The current incarnation has fully retired (see retired_event()).
     [[nodiscard]] bool retired() const noexcept { return retired_; }

@@ -1,9 +1,8 @@
 // Unit tests for the bounded schedule-space explorer: the stateless-DFS
 // enumeration itself (driven by a synthetic RunCheck with a fixed decision
 // structure — no simulator involved), the frontier persistence round-trip,
-// the DPOR-style pruning soundness on models where the commutativity is
-// known by construction, and the ModelSpec adapter on small hand-written
-// models with a countable schedule space.
+// and the ModelSpec adapter on small hand-written models with a countable
+// schedule space.
 //
 // Also pins the two bugs the explorer's first sweeps found (regression
 // tests live here because they assert through explore_model, which the
@@ -37,19 +36,15 @@ namespace fuzz = rtsc::fuzz;
 
 namespace {
 
-/// One synthetic decision point: CPU it belongs to, slot count, and whether
-/// the run reports its order as consumed (mattered).
+/// One synthetic decision point: CPU it belongs to and slot count.
 struct Point {
     std::string cpu;
     std::uint32_t n;
-    bool mattered = true;
 };
 
 /// A deterministic RunCheck over a fixed decision structure. Prescribed
-/// slots replay per-CPU in observation order, free decisions take preset 0.
-/// The digest folds only the *mattered* decisions' choices, mirroring the
-/// engine property pruning relies on: unmattered tie-breaks are
-/// behaviourally invisible.
+/// slots replay per-CPU in observation order, free decisions take slot 0.
+/// The digest folds every decision's choice.
 ex::RunCheck synthetic(std::vector<Point> points,
                        std::function<bool(const std::vector<std::uint32_t>&)>
                            violates = nullptr) {
@@ -64,20 +59,15 @@ ex::RunCheck synthetic(std::vector<Point> points,
             d.cpu = p.cpu;
             d.task = "t";
             d.n = p.n;
-            d.preset = 0;
-            d.mattered = p.mattered;
             std::size_t& cur = cursor[p.cpu];
             const auto it = trace.find(p.cpu);
             if (it != trace.end() && cur < it->second.size()) {
                 d.chosen = it->second[cur];
                 d.forced = true;
-            } else {
-                d.chosen = d.preset;
             }
             ++cur;
             chosen.push_back(d.chosen);
-            const std::uint32_t fold = p.mattered ? d.chosen : 0;
-            digest = (digest ^ (fold + 1)) * 1099511628211ull;
+            digest = (digest ^ (d.chosen + 1)) * 1099511628211ull;
             out.log.push_back(std::move(d));
         }
         out.digest = digest;
@@ -92,7 +82,7 @@ ex::RunCheck synthetic(std::vector<Point> points,
 } // namespace
 
 TEST(Explorer, EnumeratesFullProductOnOneCpu) {
-    // Two mattered decision points with 2 and 3 slots: 6 distinct schedules.
+    // Two decision points with 2 and 3 slots: 6 distinct schedules.
     ex::Bounds b;
     b.collect_digests = true;
     ex::Explorer e(synthetic({{"cpu0", 2}, {"cpu0", 3}}), b);
@@ -114,31 +104,6 @@ TEST(Explorer, EnumeratesCrossCpuProduct) {
     EXPECT_TRUE(r.complete);
     const std::set<std::uint64_t> uniq(r.digests.begin(), r.digests.end());
     EXPECT_EQ(uniq.size(), 4u);
-}
-
-TEST(Explorer, PruningSkipsUnmatteredGroupsWithoutLosingBehaviours) {
-    // First decision never mattered (its order is invisible to the digest):
-    // pruning must skip its alternative, and the *behaviour set* (digest
-    // set) must equal the unpruned enumeration's.
-    const std::vector<Point> pts{{"cpu0", 2, false}, {"cpu0", 3, true}};
-    ex::Bounds pruned;
-    pruned.collect_digests = true;
-    ex::Explorer ep(synthetic(pts), pruned);
-    const ex::ExploreResult rp = ep.run();
-
-    ex::Bounds full;
-    full.collect_digests = true;
-    full.prune = false;
-    ex::Explorer ef(synthetic(pts), full);
-    const ex::ExploreResult rf = ef.run();
-
-    EXPECT_EQ(rf.schedules, 6u);
-    EXPECT_EQ(rp.schedules, 3u) << "unmattered group must not be branched";
-    EXPECT_GT(rp.pruned_branches, 0u);
-    EXPECT_TRUE(rp.complete);
-    const std::set<std::uint64_t> dp(rp.digests.begin(), rp.digests.end());
-    const std::set<std::uint64_t> df(rf.digests.begin(), rf.digests.end());
-    EXPECT_EQ(dp, df) << "pruning dropped a distinct behaviour";
 }
 
 TEST(Explorer, FindsViolatingScheduleAndItsCounterexampleReplays) {
@@ -188,8 +153,8 @@ TEST(Explorer, LoadFrontierRejectsMalformedInput) {
 
 TEST(Explorer, LoadFrontierRejectsBadCounters) {
     for (const std::string field :
-         {"schedules=-5", "pruned=7x", "schedules=abc", "clipped=",
-          "schedules=18446744073709551616", "pruned=+3"}) {
+         {"schedules=-5", "schedules=abc", "clipped=",
+          "schedules=18446744073709551616"}) {
         ex::Explorer e(synthetic({{"cpu0", 2}}), ex::Bounds{});
         std::stringstream in("explore-frontier v1 " + field + "\n");
         try {
@@ -204,7 +169,8 @@ TEST(Explorer, LoadFrontierRejectsBadCounters) {
             EXPECT_NE(what.find("'" + text + "'"), std::string::npos) << what;
         }
     }
-    // In-range counters still load.
+    // In-range counters still load; the `pruned=` counter older frontier
+    // files carry is accepted and ignored.
     ex::Explorer e(synthetic({{"cpu0", 2}}), ex::Bounds{});
     std::stringstream ok("explore-frontier v1 schedules=18446744073709551615 "
                          "pruned=0 clipped=3\ncpu0:1\n");

@@ -4,6 +4,7 @@
 // different fault pattern; an empty plan must be perfectly transparent.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -201,6 +202,77 @@ TEST(FaultInjection, ScheduledCrashKillsAndRestarts) {
             EXPECT_TRUE(t.killed());
             EXPECT_TRUE(t.terminated());
             EXPECT_EQ(incarnations, 1);
+        }
+    }
+}
+
+namespace {
+
+/// Fault markers with their instants ("40 us restart:t").
+struct MarkerLog final : r::Observer {
+    explicit MarkerLog(k::Simulator& s) : sim(s) {}
+    void on_marker(const std::string& category,
+                   const std::string& name) override {
+        lines.push_back(sim.now().to_string() + " " + category + " " + name);
+    }
+    k::Simulator& sim;
+    std::vector<std::string> lines;
+};
+
+} // namespace
+
+TEST(FaultInjection, CrashBetweenEndAndRetirementMatchesAcrossEngines) {
+    // The task's body returns at 30 us; its terminal save (30-35) and
+    // scheduling pass (35-40) retire it at 40. A crash scheduled at 32 finds
+    // the task already terminated on both engines: nothing is crashed, and a
+    // restart waits for the retirement. (The end of the task's kernel
+    // process differs here: the procedural engine pays the pass in the
+    // task's own thread, the threaded engine after that thread ended.)
+    for (const bool restart : {false, true}) {
+        std::vector<std::string> logs[2];
+        std::vector<std::string> markers[2];
+        f::FaultInjector::Counters counters[2];
+        const r::EngineKind kinds[2] = {r::EngineKind::procedure_calls,
+                                        r::EngineKind::rtos_thread};
+        for (int e = 0; e < 2; ++e) {
+            k::Simulator sim;
+            r::Processor cpu("cpu",
+                             std::make_unique<r::PriorityPreemptivePolicy>(),
+                             kinds[e]);
+            cpu.set_overheads(r::RtosOverheads::uniform(5_us));
+            RecordingObserver rec;
+            cpu.add_observer(rec);
+            r::Task& t = cpu.create_task(
+                {.name = "t", .priority = 1},
+                [](r::Task& self) { self.compute(20_us); });
+            f::FaultPlan plan;
+            plan.task_crashes.push_back({&t, 32_us, restart, k::Time::zero()});
+            f::FaultInjector inj(sim, plan, 7);
+            MarkerLog log(sim);
+            inj.add_observer(log);
+            inj.arm();
+            sim.run();
+
+            logs[e] = rec.strings();
+            markers[e] = log.lines;
+            counters[e] = inj.counters();
+            EXPECT_FALSE(t.killed()) << restart;
+            EXPECT_EQ(t.restarts(), restart ? 1u : 0u);
+        }
+        EXPECT_EQ(logs[0], logs[1]) << restart;
+        EXPECT_EQ(markers[0], markers[1]) << restart;
+        for (const auto& c : counters) {
+            EXPECT_EQ(c.tasks_crashed, 0u) << restart;
+            EXPECT_EQ(c.tasks_restarted, restart ? 1u : 0u);
+        }
+        if (restart) {
+            EXPECT_EQ(markers[0],
+                      (std::vector<std::string>{"40 us fault restart:t"}));
+            EXPECT_NE(std::find(logs[0].begin(), logs[0].end(),
+                                "40 us t->created"),
+                      logs[0].end());
+        } else {
+            EXPECT_TRUE(markers[0].empty());
         }
     }
 }

@@ -73,7 +73,7 @@ TEST(KillRestart, KillWaitingTaskUnlinksWithoutCharges) {
         EXPECT_TRUE(a.killed()) << ec.label;
         EXPECT_FALSE(a.crashed()) << ec.label;
         EXPECT_TRUE(a.terminated()) << ec.label;
-        EXPECT_TRUE(a.body_finished()) << ec.label;
+        EXPECT_TRUE(a.retired()) << ec.label;
         EXPECT_FALSE(resumed) << ec.label;
         const auto ts = rec.of("a");
         ASSERT_FALSE(ts.empty()) << ec.label;
@@ -338,9 +338,8 @@ TEST(KillRestart, RestartRunsAFreshIncarnation) {
                                      });
         sim.spawn("recover", [&] {
             k::wait(50_us);
-            k::Event& done = a.done_event();
             a.kill();
-            if (!a.body_finished()) k::wait(done);
+            if (!a.retired()) k::wait(a.retired_event());
             cpu.restart_task(a, 5_us);
         });
         sim.run();

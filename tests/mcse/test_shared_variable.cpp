@@ -243,6 +243,68 @@ TEST_P(SharedVarTest, UtilizationIsLockedFraction) {
     EXPECT_NEAR(sv.utilization(), 0.25, 1e-9);
 }
 
+TEST(SharedVarKill, KillAfterPreemptingReleaseUnwindsTheReleaser) {
+    // Leaving a Guard scope readies a higher-priority waiter, which preempts
+    // the releaser inside the release itself. A kill that lands before the
+    // releaser runs again unwinds it from there: ProcessKilled leaves the
+    // guard's destructor, with the release recorded, and the run completes
+    // the same way on both engines.
+    std::vector<std::string> logs[2];
+    const r::EngineKind kinds[2] = {r::EngineKind::procedure_calls,
+                                    r::EngineKind::rtos_thread};
+    for (int e = 0; e < 2; ++e) {
+        k::Simulator sim;
+        r::Processor cpu("cpu", std::make_unique<r::PriorityPreemptivePolicy>(),
+                         kinds[e]);
+        cpu.set_overheads(r::RtosOverheads::uniform(5_us));
+        RecordingObserver rec;
+        cpu.add_observer(rec);
+        m::SharedVariable<int> sv("sv", 0);
+        bool low_resumed = false;
+        bool held_at_kill = false;
+        int high_saw = -1;
+        r::Task& low = cpu.create_task(
+            {.name = "low", .priority = 1}, [&](r::Task& self) {
+                {
+                    auto g = sv.access();
+                    g.value() = 1;
+                    self.compute(20_us);
+                } // readies "high", which preempts this task right here
+                low_resumed = true;
+                self.compute(10_us);
+            });
+        cpu.create_task({.name = "high", .priority = 2, .start_time = 10_us},
+                        [&](r::Task& self) {
+                            auto g = sv.access(); // blocks until low releases
+                            high_saw = g.value();
+                            g.value() = 2;
+                            self.compute(40_us);
+                        });
+        // low holds sv 10-60 (preempted 10-40 while high arrives and
+        // blocks); its release at 60 hands the CPU to high (save 60-65,
+        // sched 65-70, load 70-75), which holds sv 75-115.
+        sim.spawn("killer", [&] {
+            k::wait(90_us);
+            low.kill();
+            held_at_kill = sv.locked();
+        });
+        sim.run();
+
+        EXPECT_TRUE(low.killed());
+        EXPECT_FALSE(low_resumed);
+        EXPECT_TRUE(held_at_kill) << "the waiter must hold the variable";
+        EXPECT_EQ(high_saw, 1);
+        EXPECT_FALSE(sv.locked());
+        // lock + unlock by each task: the killed releaser's unlock counts.
+        EXPECT_EQ(sv.access_stats().accesses, 4u);
+        const auto lt = rec.of("low");
+        ASSERT_FALSE(lt.empty());
+        EXPECT_EQ(lt.back().str(), "90 us low->terminated");
+        logs[e] = rec.strings();
+    }
+    EXPECT_EQ(logs[0], logs[1]);
+}
+
 INSTANTIATE_TEST_SUITE_P(BothEngines, SharedVarTest,
                          ::testing::Values(r::EngineKind::procedure_calls,
                                            r::EngineKind::rtos_thread),

@@ -107,9 +107,8 @@ TEST(AttributionFaults, RestartOpensAFreshJob) {
                                      });
         sim.spawn("supervisor", [&] {
             k::wait(30_us);
-            k::Event& done = a.done_event();
             a.kill();
-            if (!a.body_finished()) k::wait(done);
+            if (!a.retired()) k::wait(a.retired_event());
             cpu.restart_task(a, 10_us);
         });
         sim.run();

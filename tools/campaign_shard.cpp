@@ -18,7 +18,6 @@
 // scenarios, injections, timeout/retry config) — never on worker count,
 // crashes, interruption or resume.
 
-#include <cerrno>
 #include <chrono>
 #include <csignal>
 #include <cstdint>
@@ -31,10 +30,12 @@
 #include <stdexcept>
 #include <string>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
 #include "campaign/campaign.hpp"
 #include "campaign/shard/coordinator.hpp"
+#include "fuzz/spec.hpp" // parse_decimal
 #include "kernel/simulator.hpp"
 #include "rtos/policy.hpp"
 #include "rtos/processor.hpp"
@@ -93,22 +94,24 @@ struct Cli {
     std::exit(code);
 }
 
-[[nodiscard]] long num_arg(int argc, char** argv, int& i) {
+/// Set `field` from the value of numeric flag argv[i] (advancing i), parsed
+/// as the field's own type: anything fuzz::parse_decimal rejects (signs,
+/// garbage, values the type cannot hold) and negative values exit 2 naming
+/// the flag, instead of wrapping or clamping.
+template <typename T>
+void num_arg(int argc, char** argv, int& i, T& field) {
     if (i + 1 >= argc) usage(2);
+    const char* flag = argv[i];
     const char* s = argv[++i];
-    // errno must be cleared first: strtol reports overflow ONLY via ERANGE,
-    // returning LONG_MAX/LONG_MIN — without the check "99999999999999999999"
-    // silently became a clamped (or on 32-bit, wrapped) value. An empty
-    // string parses to 0 with *end == '\0', so require progress too.
-    errno = 0;
-    char* end = nullptr;
-    const long v = std::strtol(s, &end, 10);
-    if (errno != 0 || end == s || end == nullptr || *end != '\0' || v < 0) {
-        std::fprintf(stderr, "campaign_shard: bad numeric argument for %s: '%s'\n",
-                     argv[i - 1], s);
+    const auto v = rtsc::fuzz::parse_decimal<T>(s);
+    bool ok = v.has_value();
+    if constexpr (std::is_signed_v<T>) ok = ok && *v >= 0;
+    if (!ok) {
+        std::fprintf(stderr, "campaign_shard: %s: '%s' is not a decimal "
+                             "number in range\n", flag, s);
         usage(2);
     }
-    return v;
+    field = *v;
 }
 
 void simulate_taskset(c::ScenarioContext& ctx, r::EngineKind kind) {
@@ -162,23 +165,29 @@ int main(int argc, char** argv) {
     Cli cli;
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
-        if (arg == "--scenarios") cli.scenarios = static_cast<std::size_t>(num_arg(argc, argv, i));
-        else if (arg == "--workers") cli.workers = static_cast<unsigned>(num_arg(argc, argv, i));
-        else if (arg == "--seed") cli.seed = static_cast<std::uint64_t>(num_arg(argc, argv, i));
-        else if (arg == "--timeout") cli.timeout_ms = num_arg(argc, argv, i);
-        else if (arg == "--retries") cli.retries = static_cast<unsigned>(num_arg(argc, argv, i));
-        else if (arg == "--backoff") cli.backoff_ms = num_arg(argc, argv, i);
-        else if (arg == "--backoff-cap") cli.backoff_cap_ms = num_arg(argc, argv, i);
-        else if (arg == "--slow") cli.slow_ms = num_arg(argc, argv, i);
+        const auto number = [&](auto& field) { num_arg(argc, argv, i, field); };
+        const auto add_index = [&](std::set<std::size_t>& set) {
+            std::size_t v = 0;
+            number(v);
+            set.insert(v);
+        };
+        if (arg == "--scenarios") number(cli.scenarios);
+        else if (arg == "--workers") number(cli.workers);
+        else if (arg == "--seed") number(cli.seed);
+        else if (arg == "--timeout") number(cli.timeout_ms);
+        else if (arg == "--retries") number(cli.retries);
+        else if (arg == "--backoff") number(cli.backoff_ms);
+        else if (arg == "--backoff-cap") number(cli.backoff_cap_ms);
+        else if (arg == "--slow") number(cli.slow_ms);
         else if (arg == "--checkpoint") { if (i + 1 >= argc) usage(2); cli.checkpoint = argv[++i]; }
         else if (arg == "--status-file") { if (i + 1 >= argc) usage(2); cli.status_file = argv[++i]; }
-        else if (arg == "--status-period") cli.status_period_ms = num_arg(argc, argv, i);
+        else if (arg == "--status-period") number(cli.status_period_ms);
         else if (arg == "--resume") cli.resume = true;
         else if (arg == "--quiet") cli.quiet = true;
         else if (arg == "--digest-out") { if (i + 1 >= argc) usage(2); cli.digest_out = argv[++i]; }
-        else if (arg == "--inject-crash") cli.inject_crash.insert(static_cast<std::size_t>(num_arg(argc, argv, i)));
-        else if (arg == "--inject-hang") cli.inject_hang.insert(static_cast<std::size_t>(num_arg(argc, argv, i)));
-        else if (arg == "--inject-throw") cli.inject_throw.insert(static_cast<std::size_t>(num_arg(argc, argv, i)));
+        else if (arg == "--inject-crash") add_index(cli.inject_crash);
+        else if (arg == "--inject-hang") add_index(cli.inject_hang);
+        else if (arg == "--inject-throw") add_index(cli.inject_throw);
         else if (arg == "--help" || arg == "-h") usage(0);
         else { std::cerr << "unknown option: " << arg << "\n"; usage(2); }
     }

@@ -15,13 +15,13 @@
 #include <chrono>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <sstream>
 #include <string>
 #include <thread>
 
+#include "fuzz/spec.hpp" // parse_decimal
 #include "obs/json.hpp"
 
 namespace j = rtsc::obs::json;
@@ -138,9 +138,14 @@ int main(int argc, char** argv) {
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
         if (arg == "--watch") {
-            if (i + 1 >= argc) return 2;
-            watch_ms = std::strtol(argv[++i], nullptr, 10);
-            if (watch_ms <= 0) watch_ms = 500;
+            const char* s = i + 1 < argc ? argv[++i] : "";
+            const auto v = rtsc::fuzz::parse_decimal<long>(s);
+            if (!v || *v <= 0) {
+                std::fprintf(stderr, "campaign_top: --watch: '%s' is not a "
+                                     "positive number of milliseconds\n", s);
+                return 2;
+            }
+            watch_ms = *v;
         } else if (arg == "--once") {
             once = true;
         } else if (arg == "--help" || arg == "-h") {

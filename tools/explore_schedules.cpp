@@ -77,7 +77,7 @@ void usage(const char* argv0) {
         "usage: %s [--model FILE]... [--corpus DIR] [--seed X]\n"
         "          [--seeds N] [--start S] [--jobs J]\n"
         "          [--max-schedules N] [--max-decisions N] [--max-group N]\n"
-        "          [--max-variants N] [--no-prune] [--keep-going]\n"
+        "          [--max-variants N] [--keep-going]\n"
         "          [--offsets K --window PS]\n"
         "          [--crash-offsets K --crash-window PS]\n"
         "          [--frontier FILE] [--bench FILE] [--trace T] [--dump]\n"
@@ -187,14 +187,12 @@ void report_violation(const ModelItem& item, const explore::ModelReport& r,
 void print_report(const ModelItem& item, const explore::ModelReport& r,
                   const Options& opt) {
     if (opt.quiet && !r.violation) return;
-    std::printf("%s: %s — %llu schedules (%zu variants, %llu pruned, "
-                "%llu clipped)%s\n",
+    std::printf("%s: %s — %llu schedules (%zu variants, %llu clipped)%s\n",
                 item.name.c_str(),
                 r.violation ? "VIOLATION"
                             : (r.complete ? "verified" : "incomplete"),
                 static_cast<unsigned long long>(r.schedules),
                 r.variants.size(),
-                static_cast<unsigned long long>(r.pruned_branches),
                 static_cast<unsigned long long>(r.clipped_branches),
                 r.complete ? "" : " [bounds clipped enumeration]");
 }
@@ -215,7 +213,6 @@ int run_sweep(const std::vector<ModelItem>& items, const Options& opt,
                              &opt](campaign::ScenarioContext& ctx) {
                  r = explore::explore_model(spec, opt.cfg);
                  ctx.metric("schedules", static_cast<double>(r.schedules));
-                 ctx.metric("pruned", static_cast<double>(r.pruned_branches));
                  ctx.metric("violation", r.violation ? 1.0 : 0.0);
                  ctx.metric("complete", r.complete ? 1.0 : 0.0);
                  if (r.violation)
@@ -301,12 +298,11 @@ int run_frontier(const ModelItem& item, const Options& opt) {
         }
     }
     const explore::ExploreResult r = explorer.run();
-    std::printf("%s: %s — %llu schedules total (%llu pruned, %llu clipped)%s\n",
+    std::printf("%s: %s — %llu schedules total (%llu clipped)%s\n",
                 item.name.c_str(),
                 r.violation ? "VIOLATION"
                             : (r.complete ? "verified" : "paused"),
                 static_cast<unsigned long long>(r.schedules),
-                static_cast<unsigned long long>(r.pruned_branches),
                 static_cast<unsigned long long>(r.clipped_branches),
                 resuming ? " [resumed]" : "");
     if (r.violation) {
@@ -403,7 +399,6 @@ int main(int argc, char** argv) {
         else if (arg == "--max-decisions") number(opt.cfg.bounds.max_decisions);
         else if (arg == "--max-group") number(opt.cfg.bounds.max_group);
         else if (arg == "--max-variants") number(opt.cfg.max_variants);
-        else if (arg == "--no-prune") opt.cfg.bounds.prune = false;
         else if (arg == "--keep-going")
             opt.cfg.bounds.stop_at_violation = false;
         else if (arg == "--offsets") number(opt.cfg.offsets);
