@@ -90,9 +90,11 @@ void Attribution::on_overhead(const r::Processor& cpu, r::OverheadKind kind,
                               k::Time start, k::Time duration, const r::Task*) {
     CpuCtx& c = cpu_ctx(cpu);
     // Fold the previous charge: charges never overlap per CPU, so by the
-    // time a new one is announced the old one has fully elapsed.
+    // time a new one is announced the old one has elapsed — fully, or up to
+    // this start when a kill cut it short (the unwind's scheduling charge
+    // is announced at the kill instant).
     if (c.cur_kind >= 0) {
-        const k::Time d = c.cur_end - c.cur_start;
+        const k::Time d = std::min(c.cur_end, start) - c.cur_start;
         c.ov_done[static_cast<std::size_t>(c.cur_kind)] += d;
         c.ov_done_total += d;
     }
@@ -309,65 +311,74 @@ void Attribution::finish_job(TaskCtx& c, k::Time now, bool aborted) {
     }
 }
 
+Attribution::JobView Attribution::job_view(std::size_t i) const {
+    const JobCore& core = cores_[i];
+    JobView v;
+    v.task = core.task;
+    JobBlame& j = v.blame;
+    j.index = core.index;
+    j.release = core.release;
+    j.end = core.end;
+    j.aborted = core.aborted;
+    j.exec = core.exec;
+    j.ov_scheduling =
+        core.ov[static_cast<std::size_t>(r::OverheadKind::scheduling)];
+    j.ov_load = core.ov[static_cast<std::size_t>(r::OverheadKind::context_load)];
+    j.ov_save = core.ov[static_cast<std::size_t>(r::OverheadKind::context_save)];
+    j.ov_switch =
+        core.ov[static_cast<std::size_t>(r::OverheadKind::frequency_switch)];
+    j.energy_exec = core.energy_exec;
+    j.energy_overhead = core.energy_ov;
+    // The derived sums are recomputed here instead of being carried in
+    // JobCore: preemption/interrupt split the per-preemptor shares on
+    // isr_task(), blocking sums the per-resource shares, and residual falls
+    // out of the conservation identity (response = exec + preemption +
+    // interrupt + blocking + overheads + residual), which holds exactly by
+    // construction of the charging scheme.
+    auto& pre_pairs = preempted_scratch_;
+    pre_pairs.clear();
+    const auto* pre = pre_pool_.data() + core.pre_first;
+    for (std::uint32_t n = 0; n < core.pre_count; ++n) {
+        if (pre[n].first->isr_task()) {
+            j.interrupt += pre[n].second;
+            continue;
+        }
+        j.preemption += pre[n].second;
+        pre_pairs.emplace_back(pre[n].first->name(), pre[n].second);
+    }
+    if (pre_pairs.size() > 1)
+        std::sort(pre_pairs.begin(), pre_pairs.end(),
+                  [](const auto& a, const auto& b) { return a.first < b.first; });
+    // Merge the shares of same-named preemptors in place.
+    std::size_t merged = 0;
+    for (std::size_t n = 0; n < pre_pairs.size(); ++n) {
+        if (merged != 0 && pre_pairs[merged - 1].first == pre_pairs[n].first)
+            pre_pairs[merged - 1].second += pre_pairs[n].second;
+        else
+            pre_pairs[merged++] = pre_pairs[n];
+    }
+    pre_pairs.resize(merged);
+    v.preempted_by = pre_pairs;
+    v.blocked_on = {blk_pool_.data() + core.blk_first, core.blk_count};
+    for (const auto& b : v.blocked_on) j.blocking += b.second;
+    j.residual = (core.end - core.release) - core.exec - j.preemption -
+                 j.interrupt - j.blocking - j.ov_scheduling - j.ov_load -
+                 j.ov_save - j.ov_switch;
+    j.overhead =
+        j.ov_scheduling + j.ov_load + j.ov_save + j.ov_switch + j.residual;
+    return v;
+}
+
 void Attribution::materialize() const {
     if (jobs_.size() == cores_.size()) return;
     jobs_.reserve(cores_.capacity());
     for (std::size_t n = jobs_.size(); n < cores_.size(); ++n) {
-        const JobCore& core = cores_[n];
-        jobs_.emplace_back();
-        JobRecord& j = jobs_.back();
-        j.task = core.task->name();
-        j.index = core.index;
-        j.release = core.release;
-        j.end = core.end;
-        j.aborted = core.aborted;
-        j.exec = core.exec;
-        j.ov_scheduling =
-            core.ov[static_cast<std::size_t>(r::OverheadKind::scheduling)];
-        j.ov_load =
-            core.ov[static_cast<std::size_t>(r::OverheadKind::context_load)];
-        j.ov_save =
-            core.ov[static_cast<std::size_t>(r::OverheadKind::context_save)];
-        j.ov_switch = core.ov[static_cast<std::size_t>(
-            r::OverheadKind::frequency_switch)];
-        j.energy_exec = core.energy_exec;
-        j.energy_overhead = core.energy_ov;
-        // The derived sums are recomputed here instead of being carried in
-        // JobCore: preemption/interrupt split the per-preemptor shares on
-        // isr_task(), blocking sums the per-resource shares, and residual
-        // falls out of the conservation identity (response = exec +
-        // preemption + interrupt + blocking + overheads + residual), which
-        // holds exactly by construction of the charging scheme.
-        std::vector<std::pair<std::string, k::Time>>& pre_pairs = pre_scratch_;
-        pre_pairs.clear();
-        const auto* pre = pre_pool_.data() + core.pre_first;
-        for (std::uint32_t i = 0; i < core.pre_count; ++i) {
-            if (pre[i].first->isr_task()) {
-                j.interrupt += pre[i].second;
-                continue;
-            }
-            j.preemption += pre[i].second;
-            pre_pairs.emplace_back(pre[i].first->name(), pre[i].second);
-        }
-        std::sort(
-            pre_pairs.begin(), pre_pairs.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
-        for (auto& p : pre_pairs) {
-            if (!j.preempted_by.empty() &&
-                j.preempted_by.back().first == p.first)
-                j.preempted_by.back().second += p.second;
-            else
-                j.preempted_by.push_back(std::move(p));
-        }
-        const auto* blk = blk_pool_.data() + core.blk_first;
-        j.blocked_on.assign(blk, blk + core.blk_count);
-        for (std::uint32_t i = 0; i < core.blk_count; ++i)
-            j.blocking += blk[i].second;
-        j.residual = (core.end - core.release) - core.exec - j.preemption -
-                     j.interrupt - j.blocking - j.ov_scheduling - j.ov_load -
-                     j.ov_save - j.ov_switch;
-        j.overhead =
-            j.ov_scheduling + j.ov_load + j.ov_save + j.ov_switch + j.residual;
+        const JobView v = job_view(n);
+        JobRecord& j = jobs_.emplace_back();
+        static_cast<JobBlame&>(j) = v.blame;
+        j.task = v.task->name();
+        j.preempted_by.assign(v.preempted_by.begin(), v.preempted_by.end());
+        j.blocked_on.assign(v.blocked_on.begin(), v.blocked_on.end());
     }
 }
 

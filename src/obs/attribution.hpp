@@ -33,7 +33,9 @@
 #include <deque>
 #include <functional>
 #include <map>
+#include <span>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -70,9 +72,9 @@ public:
         kernel::Time overhead{};
     };
 
-    /// Exact decomposition of one completed (or aborted) job.
-    struct JobRecord {
-        std::string task;
+    /// Exact decomposition of one completed (or aborted) job, without the
+    /// names: what JobRecord and JobView share.
+    struct JobBlame {
         std::uint64_t index = 0;     ///< activation ordinal, 0-based per task
         kernel::Time release{};
         kernel::Time end{};          ///< completion (or abort) instant
@@ -100,10 +102,6 @@ public:
         rtos::Energy energy_exec = 0;
         rtos::Energy energy_overhead = 0;
 
-        /// Per-culprit shares, name-sorted, only non-zero entries.
-        std::vector<std::pair<std::string, kernel::Time>> preempted_by;
-        std::vector<std::pair<std::string, kernel::Time>> blocked_on;
-
         [[nodiscard]] kernel::Time response() const noexcept {
             return end - release;
         }
@@ -111,6 +109,26 @@ public:
         [[nodiscard]] kernel::Time components_sum() const noexcept {
             return exec + preemption + blocking + overhead + interrupt;
         }
+    };
+
+    /// One completed (or aborted) job with its names.
+    struct JobRecord : JobBlame {
+        std::string task;
+        /// Per-culprit shares, name-sorted, only non-zero entries.
+        std::vector<std::pair<std::string, kernel::Time>> preempted_by;
+        std::vector<std::pair<std::string, kernel::Time>> blocked_on;
+    };
+
+    /// One completed job read straight from the analyzer's compact record:
+    /// the JobRecord it materializes to, with names as views into the
+    /// model (tasks) and the analyzer (resources) instead of copies.
+    /// `preempted_by` is valid until the next job_view() call.
+    struct JobView {
+        const rtos::Task* task = nullptr;
+        JobBlame blame;
+        std::span<const std::pair<std::string_view, kernel::Time>>
+            preempted_by;
+        std::span<const std::pair<std::string, kernel::Time>> blocked_on;
     };
 
     /// One Waiting-for-resource episode with its causal chain.
@@ -209,6 +227,19 @@ public:
     /// Completed jobs of one task, in release order.
     [[nodiscard]] std::vector<const JobRecord*> jobs_for(
         const std::string& task) const;
+    /// How many jobs have completed: the length of jobs(), without
+    /// materializing it.
+    [[nodiscard]] std::size_t job_count() const noexcept {
+        return cores_.size();
+    }
+    /// The task of job `i` of jobs().
+    [[nodiscard]] const rtos::Task& job_task(std::size_t i) const {
+        return *cores_[i].task;
+    }
+    /// Job `i` of jobs() without building its JobRecord: the export reads
+    /// every job this way, and jobs() materializes from it. Call while the
+    /// scenario's Task objects are still alive.
+    [[nodiscard]] JobView job_view(std::size_t i) const;
 
     /// Materialize the ordered tiling of [release, end] for one recorded job
     /// (the critical path). Built on demand from the job's segment skeleton
@@ -422,8 +453,10 @@ private:
     /// time).
     std::vector<std::pair<const rtos::Task*, kernel::Time>> pre_pool_;
     std::vector<std::pair<std::string, kernel::Time>> blk_pool_;
-    /// materialize() scratch (kept across jobs to avoid per-job allocation)
-    mutable std::vector<std::pair<std::string, kernel::Time>> pre_scratch_;
+    /// job_view() scratch behind JobView::preempted_by (kept across jobs to
+    /// avoid per-job allocation)
+    mutable std::vector<std::pair<std::string_view, kernel::Time>>
+        preempted_scratch_;
     std::map<const mcse::Relation*, const rtos::Task*> owner_of_;
     mutable std::vector<JobRecord> jobs_;  ///< lazy cache over cores_
     std::vector<BlockEpisode> episodes_;

@@ -193,21 +193,23 @@ std::vector<MetricSample> MetricsRegistry::snapshot() const {
     return out;
 }
 
-void append_g17(std::string& out, double v) {
-    char buf[32]; // "-d.dddddddddddddddde-ddd" is 24 characters
+char* write_g17(char* p, double v) noexcept {
     // A finite integral value below 1e17 in magnitude has at most 17
     // digits, so "%.17g" prints exactly its integer digits (-0.0 excepted:
     // it prints "-0").
     if (v > -1e17 && v < 1e17) {
         const auto i = static_cast<std::int64_t>(v);
-        if (static_cast<double>(i) == v && (i != 0 || !std::signbit(v))) {
-            out.append(buf, std::to_chars(buf, buf + sizeof buf, i).ptr);
-            return;
-        }
+        if (static_cast<double>(i) == v && (i != 0 || !std::signbit(v)))
+            return std::to_chars(p, p + kMaxG17Chars, i).ptr;
     }
-    out.append(buf, std::to_chars(buf, buf + sizeof buf, v,
-                                  std::chars_format::general, 17)
-                        .ptr);
+    return std::to_chars(p, p + kMaxG17Chars, v, std::chars_format::general,
+                         17)
+        .ptr;
+}
+
+void append_g17(std::string& out, double v) {
+    char buf[kMaxG17Chars];
+    out.append(buf, write_g17(buf, v));
 }
 
 } // namespace rtsc::obs

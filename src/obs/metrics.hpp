@@ -211,9 +211,16 @@ struct MetricSample {
     double value = 0;
 };
 
-/// Append `v` to `out` exactly as printf's "%.17g" renders it: the one
-/// renderer for metric values, Perfetto counter values, fuzz metric rows,
-/// shard status numbers and query energies.
+/// Longest write_g17 rendering: "-d.dddddddddddddddde-ddd".
+inline constexpr std::size_t kMaxG17Chars = 24;
+
+/// Write `v` at `p` exactly as printf's "%.17g" renders it and return the
+/// end (at most kMaxG17Chars bytes): the one renderer for metric values,
+/// Perfetto counter values, fuzz metric rows, shard status numbers and
+/// query energies.
+char* write_g17(char* p, double v) noexcept;
+
+/// write_g17 appended to `out`.
 void append_g17(std::string& out, double v);
 
 class MetricsRegistry {

@@ -12,31 +12,6 @@ namespace rtsc::obs {
 
 namespace k = rtsc::kernel;
 
-void append_json_escaped(std::string& out, std::string_view s) {
-    static constexpr char hex[] = "0123456789abcdef";
-    std::size_t plain = 0; // start of the pending run that needs no escaping
-    for (std::size_t i = 0; i < s.size(); ++i) {
-        const auto c = static_cast<unsigned char>(s[i]);
-        if (c >= 0x20 && c != '"' && c != '\\') continue;
-        out += s.substr(plain, i - plain);
-        plain = i + 1;
-        switch (c) {
-            case '"': out += "\\\""; break;
-            case '\\': out += "\\\\"; break;
-            case '\b': out += "\\b"; break;
-            case '\f': out += "\\f"; break;
-            case '\n': out += "\\n"; break;
-            case '\r': out += "\\r"; break;
-            case '\t': out += "\\t"; break;
-            default:
-                out += "\\u00";
-                out += hex[c >> 4];
-                out += hex[c & 0xf];
-        }
-    }
-    out += s.substr(plain);
-}
-
 std::string json_escape(std::string_view s) {
     std::string out;
     out.reserve(s.size());
@@ -52,8 +27,7 @@ void write_perfetto_json(std::ostream& os, const trace::Recorder& rec,
 
     const auto& cpus = rec.processors();
     const auto& rels = rec.relations();
-    const int comm_pid = static_cast<int>(cpus.size()) + 1;
-    const int marker_pid = comm_pid + 1;
+    const int marker_pid = static_cast<int>(cpus.size()) + 2;
 
     // --- metadata: stable pid/tid assignment (obs/perfetto_format.hpp) ----
     pfmt::emit_layout(ev, cpus, rels, opts.attribution != nullptr,
@@ -63,18 +37,17 @@ void write_perfetto_json(std::ostream& os, const trace::Recorder& rec,
     // --- task state slices ------------------------------------------------
     // Segments from one task never overlap (they partition the trace), so
     // every (pid, tid) track holds strictly sequential slices.
+    pfmt::Tracks tracks(cpus, rels);
     const trace::Timeline tl(rec);
-    for (std::size_t pi = 0; pi < cpus.size(); ++pi) {
-        const int pid = static_cast<int>(pi) + 1;
-        const auto& tasks = cpus[pi]->tasks();
-        for (std::size_t ti = 0; ti < tasks.size(); ++ti) {
-            for (const auto& seg : tl.segments(*tasks[ti])) {
+    for (const rtos::Processor* cpu : cpus) {
+        for (const auto& task : cpu->tasks()) {
+            const pfmt::TaskTrack& track = tracks.task(*task);
+            for (const auto& seg : tl.segments(*task)) {
                 if (!pfmt::visible(seg.state) || seg.end <= seg.begin)
                     continue;
-                ev.emit([&](std::string& out) {
-                    pfmt::state_slice(out, pid, static_cast<int>(ti) + 1,
-                                      seg.begin, seg.end - seg.begin,
-                                      seg.state);
+                ev.emit([&](pfmt::Buffer& out) {
+                    pfmt::state_slice(out, track, seg.begin,
+                                      seg.end - seg.begin, seg.state);
                 });
             }
         }
@@ -83,10 +56,12 @@ void write_perfetto_json(std::ostream& os, const trace::Recorder& rec,
     // --- RTOS overhead slices (tid 0 of each processor) -------------------
     for (const auto& o : rec.overheads()) {
         if (o.duration.is_zero()) continue;
-        const int pid = pfmt::track_id(cpus, o.cpu);
-        if (pid == 0) continue; // overhead of an unattached processor
-        ev.emit([&](std::string& out) {
-            pfmt::overhead(out, pid, o.at, o.duration, o.kind, o.about);
+        const std::string* track = tracks.rtos_track(*o.cpu);
+        if (track == nullptr) continue; // overhead of an unattached processor
+        const pfmt::TaskTrack* about =
+            o.about != nullptr ? &tracks.task(*o.about) : nullptr;
+        ev.emit([&](pfmt::Buffer& out) {
+            pfmt::overhead(out, *track, o.at, o.duration, o.kind, about);
         });
     }
 
@@ -100,11 +75,12 @@ void write_perfetto_json(std::ostream& os, const trace::Recorder& rec,
     // --- communication accesses as thread instants ------------------------
     if (opts.include_comms) {
         for (const auto& c : rec.comms()) {
-            const int tid = pfmt::track_id(rels, c.relation);
-            if (tid == 0) continue;
-            ev.emit([&](std::string& out) {
-                pfmt::access(out, comm_pid, tid, c.at, c.task, c.kind,
-                             c.blocked);
+            const std::string* track = tracks.relation_track(*c.relation);
+            if (track == nullptr) continue;
+            const pfmt::TaskTrack* task =
+                c.task != nullptr ? &tracks.task(*c.task) : nullptr;
+            ev.emit([&](pfmt::Buffer& out) {
+                pfmt::access(out, *track, c.at, task, c.kind, c.blocked);
             });
         }
     }
@@ -112,7 +88,7 @@ void write_perfetto_json(std::ostream& os, const trace::Recorder& rec,
     // --- fault / watchdog / deadline markers as global instants -----------
     if (opts.include_markers) {
         for (const auto& m : rec.markers())
-            ev.emit([&](std::string& out) {
+            ev.emit([&](pfmt::Buffer& out) {
                 pfmt::instant(out, marker_pid, 1, m.at, 'g', m.category, m.name);
             });
     }

@@ -34,27 +34,28 @@ void require_finite(std::string_view name, double value) {
 
 } // namespace
 
-PerfettoStreamWriter::PerfettoStreamWriter(std::string path, Options opts)
-    : path_(std::move(path)), spool_path_(unique_spool_path(path_)),
-      opts_(opts), os_(spool_path_, std::ios::trunc),
-      events_(os_, opts_.window_bytes) {
-    if (!os_)
-        throw k::SimulationError("cannot open perfetto spool file: " +
-                                 spool_path_);
-    events_.open();
-    if (!os_)
-        throw k::SimulationError("failed writing perfetto spool file: " +
-                                 spool_path_);
+PerfettoStreamWriter::Spool::~Spool() {
+    if (renamed) return;
+    // Abandoned mid-run (exception unwound past the writer, test bailed):
+    // leave no half-written artifact behind.
+    os.close();
+    std::remove(path.c_str());
 }
 
-PerfettoStreamWriter::~PerfettoStreamWriter() {
-    if (!finished_) {
-        // Abandoned mid-run (exception unwound past us, test bailed):
-        // leave no half-written artifact behind.
-        os_.close();
-        std::remove(spool_path_.c_str());
-    }
+PerfettoStreamWriter::PerfettoStreamWriter(std::string path, Options opts)
+    : path_(std::move(path)), opts_(opts), spool_{unique_spool_path(path_), {}},
+      events_(spool_.os, opts_.window_bytes) {
+    spool_.os.open(spool_.path, std::ios::trunc);
+    if (!spool_.os)
+        throw k::SimulationError("cannot open perfetto spool file: " +
+                                 spool_.path);
+    events_.open();
+    if (!spool_.os)
+        throw k::SimulationError("failed writing perfetto spool file: " +
+                                 spool_.path);
 }
+
+PerfettoStreamWriter::~PerfettoStreamWriter() = default;
 
 void PerfettoStreamWriter::attach(rtos::Processor& cpu) {
     cpu.add_observer(*this);
@@ -72,20 +73,17 @@ void PerfettoStreamWriter::on_task_state(const rtos::Task& task,
     const k::Time at = task.processor().simulator().now();
     note_time(at);
     TaskCursor& cur = cursors_[&task];
-    if (!cur.seen) { // first sight: locate the task's track once
+    if (!cur.seen) { // first sight: render the task's templates once
         cur.seen = true;
         cur.prev_at = at;
         cur.prev_state = from;
-        cur.pid = pfmt::track_id(processors_, &task.processor());
-        const auto& tasks = task.processor().tasks();
-        for (std::size_t ti = 0; ti < tasks.size(); ++ti)
-            if (tasks[ti].get() == &task) cur.tid = static_cast<int>(ti) + 1;
+        cur.track = &tracks_.task(task);
     }
     if (from == to) return; // creation announcement
     if (pfmt::visible(cur.prev_state) && at > cur.prev_at)
-        events_.emit([&](std::string& out) {
-            pfmt::state_slice(out, cur.pid, cur.tid, cur.prev_at,
-                              at - cur.prev_at, cur.prev_state);
+        events_.emit([&](pfmt::Buffer& out) {
+            pfmt::state_slice(out, *cur.track, cur.prev_at, at - cur.prev_at,
+                              cur.prev_state);
         });
     cur.prev_at = at;
     cur.prev_state = to;
@@ -98,10 +96,12 @@ void PerfettoStreamWriter::on_overhead(const rtos::Processor& cpu,
                                        const rtos::Task* about) {
     note_time(start + duration);
     if (duration.is_zero()) return;
-    const int pid = pfmt::track_id(processors_, &cpu);
-    if (pid == 0) return; // overhead of an unattached processor
-    events_.emit([&](std::string& out) {
-        pfmt::overhead(out, pid, start, duration, kind, about);
+    const std::string* track = tracks_.rtos_track(cpu);
+    if (track == nullptr) return; // overhead of an unattached processor
+    const pfmt::TaskTrack* about_track =
+        about != nullptr ? &tracks_.task(*about) : nullptr;
+    events_.emit([&](pfmt::Buffer& out) {
+        pfmt::overhead(out, *track, start, duration, kind, about_track);
     });
 }
 
@@ -113,10 +113,12 @@ void PerfettoStreamWriter::on_access(const mcse::Relation& rel,
                            : k::Simulator::current().now();
     note_time(at);
     if (!opts_.include_comms) return;
-    const int tid = pfmt::track_id(relations_, &rel);
-    if (tid == 0) return;
-    events_.emit([&](std::string& out) {
-        pfmt::access(out, comm_pid(), tid, at, task, kind, blocked);
+    const std::string* track = tracks_.relation_track(rel);
+    if (track == nullptr) return;
+    const pfmt::TaskTrack* task_track =
+        task != nullptr ? &tracks_.task(*task) : nullptr;
+    events_.emit([&](pfmt::Buffer& out) {
+        pfmt::access(out, *track, at, task_track, kind, blocked);
     });
 }
 
@@ -126,25 +128,30 @@ void PerfettoStreamWriter::on_marker(const std::string& category,
     note_time(at);
     if (!opts_.include_markers) return;
     any_marker_ = true;
-    events_.emit([&](std::string& out) {
+    events_.emit([&](pfmt::Buffer& out) {
         pfmt::instant(out, marker_pid(), 1, at, 'g', category, name);
     });
 }
 
-void PerfettoStreamWriter::counter(const rtos::Processor& cpu, kernel::Time at,
-                                   std::string_view name, double value) {
+PerfettoStreamWriter::CounterHandle PerfettoStreamWriter::counter_track_at(
+    int pid, std::string_view name) {
+    for (std::size_t i = 0; i < counters_.size(); ++i)
+        if (counters_[i].pid == pid && counters_[i].name == name) return {i};
+    counters_.push_back({pid, std::string(name), pfmt::counter_track(pid, name)});
+    return {counters_.size() - 1};
+}
+
+PerfettoStreamWriter::CounterHandle PerfettoStreamWriter::counter_track(
+    const rtos::Processor& cpu, std::string_view name) {
     const int pid = pfmt::track_id(processors_, &cpu);
     if (pid == 0)
         throw k::SimulationError("counter() on a processor never attached "
                                  "to this PerfettoStreamWriter");
-    require_finite(name, value);
-    events_.emit(
-        [&](std::string& out) { pfmt::counter(out, pid, at, name, value); });
+    return counter_track_at(pid, name);
 }
 
-void PerfettoStreamWriter::counter(std::string_view process, kernel::Time at,
-                                   std::string_view name, double value) {
-    require_finite(name, value); // before the process is allocated a pid
+PerfettoStreamWriter::CounterHandle PerfettoStreamWriter::counter_track(
+    std::string_view process, std::string_view name) {
     int idx = -1;
     for (std::size_t i = 0; i < counter_procs_.size(); ++i)
         if (counter_procs_[i] == process) idx = static_cast<int>(i);
@@ -152,9 +159,27 @@ void PerfettoStreamWriter::counter(std::string_view process, kernel::Time at,
         idx = static_cast<int>(counter_procs_.size());
         counter_procs_.emplace_back(process);
     }
-    const int pid = marker_pid() + 1 + idx;
-    events_.emit(
-        [&](std::string& out) { pfmt::counter(out, pid, at, name, value); });
+    return counter_track_at(marker_pid() + 1 + idx, name);
+}
+
+void PerfettoStreamWriter::counter(CounterHandle track, kernel::Time at,
+                                   double value) {
+    const CounterSlot& slot = counters_.at(track.index);
+    require_finite(slot.name, value);
+    events_.emit([&](pfmt::Buffer& out) {
+        pfmt::counter(out, slot.track, at, value);
+    });
+}
+
+void PerfettoStreamWriter::counter(const rtos::Processor& cpu, kernel::Time at,
+                                   std::string_view name, double value) {
+    counter(counter_track(cpu, name), at, value);
+}
+
+void PerfettoStreamWriter::counter(std::string_view process, kernel::Time at,
+                                   std::string_view name, double value) {
+    require_finite(name, value); // before the process is allocated a pid
+    counter(counter_track(process, name), at, value);
 }
 
 void PerfettoStreamWriter::finish(
@@ -172,8 +197,8 @@ void PerfettoStreamWriter::finish(
             const TaskCursor& cur = it->second;
             const k::Time end = std::max(cur.prev_at, trace_end_);
             if (pfmt::visible(cur.prev_state) && end > cur.prev_at)
-                events_.emit([&](std::string& out) {
-                    pfmt::state_slice(out, cur.pid, cur.tid, cur.prev_at,
+                events_.emit([&](pfmt::Buffer& out) {
+                    pfmt::state_slice(out, *cur.track, cur.prev_at,
                                       end - cur.prev_at, cur.prev_state);
                 });
         }
@@ -185,7 +210,7 @@ void PerfettoStreamWriter::finish(
     pfmt::emit_layout(events_, processors_, relations_, attribution != nullptr,
                       opts_.include_comms, opts_.include_markers && any_marker_);
     for (std::size_t ci = 0; ci < counter_procs_.size(); ++ci)
-        events_.emit([&](std::string& out) {
+        events_.emit([&](pfmt::Buffer& out) {
             pfmt::meta_process(out, marker_pid() + 1 + static_cast<int>(ci),
                                counter_procs_[ci]);
         });
@@ -193,15 +218,16 @@ void PerfettoStreamWriter::finish(
         pfmt::emit_attribution(events_, pfmt::track_index(processors_),
                                *attribution, misses);
 
-    events_.close();
-    os_.flush();
-    if (!os_)
+    events_.close(); // joins the I/O thread
+    spool_.os.flush();
+    if (!spool_.os)
         throw k::SimulationError("failed writing perfetto spool file: " +
-                                 spool_path_);
-    os_.close();
-    if (std::rename(spool_path_.c_str(), path_.c_str()) != 0)
+                                 spool_.path);
+    spool_.os.close();
+    if (std::rename(spool_.path.c_str(), path_.c_str()) != 0)
         throw k::SimulationError("cannot rename perfetto spool onto: " +
                                  path_);
+    spool_.renamed = true;
     finished_ = true;
 }
 

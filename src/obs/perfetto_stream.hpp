@@ -4,12 +4,11 @@
 // Where obs::write_perfetto_file serialises a whole trace::Recorder after
 // the run, PerfettoStreamWriter observes the model directly (an
 // rtos::Observer of processors, relations and fault components) and spools
-// events to disk *as the simulation runs*: resident state is one append
-// window of at most ~window_bytes plus O(#tasks) per-task cursors,
-// independent of trace length. A long-horizon
-// scenario that would hold millions of records in a Recorder streams in a
-// few tens of kilobytes (tests/obs/test_perfetto_stream.cpp pins the peak
-// window occupancy).
+// events to disk *as the simulation runs*: resident state is two append
+// windows of at most ~window_bytes plus O(#tasks) per-task cursors and
+// templates, independent of trace length. A long-horizon scenario that
+// would hold millions of records in a Recorder streams in about two windows
+// (tests/obs/test_perfetto_stream.cpp pins the peak window occupancy).
 //
 // Equivalence contract: for one run observed by both a Recorder and a
 // PerfettoStreamWriter (same processors/relations attached, both subscribed
@@ -32,11 +31,21 @@
 // attribution events, writes the footer and atomically renames the spool
 // onto `path`. A writer destroyed without finish() removes its spool.
 //
+// Rendering and spooling (obs/perfetto_format.hpp): every event renders
+// from its track's template straight into an in-memory window. A full
+// window goes to the writer's I/O thread, which appends it to the spool
+// while the simulation renders into a second window, so the spool prefix
+// lags the events emitted by at most one window. The thread starts at the
+// first spill and is joined by finish() and the destructor; the simulation
+// waits for it only while the previous window is still being written.
+// Resident memory is two windows plus one event.
+//
 // Requirements: attach every processor/relation *before* the simulation
 // starts (pid numbering follows attach order, and events emitted mid-run
 // bake their pids in), and call finish() while the model is still alive.
 
 #include <cstddef>
+#include <cstdint>
 #include <fstream>
 #include <string>
 #include <string_view>
@@ -56,16 +65,22 @@ namespace rtsc::obs {
 class PerfettoStreamWriter final : public rtos::Observer {
 public:
     struct Options {
-        /// Flush the in-memory window to the spool once it reaches this many
-        /// bytes. Peak residency stays below window_bytes + one event.
+        /// Hand the in-memory window to the spool once it reaches this many
+        /// bytes. Peak residency stays below two windows plus one event.
         std::size_t window_bytes = 64 * 1024;
         bool include_comms = true;
         bool include_markers = true;
     };
 
-    /// Events emitted, window occupancy and its high-water mark, spills to
-    /// the spool and the event bytes spooled.
+    /// Events emitted, window occupancy and its high-water mark, windows
+    /// handed to the spool and the event bytes they carried.
     using Stats = pfmt::EventArray::Stats;
+
+    /// One counter track of this writer (see counter_track()).
+    struct CounterHandle {
+        std::size_t index = SIZE_MAX;
+        [[nodiscard]] bool valid() const noexcept { return index != SIZE_MAX; }
+    };
 
     /// Opens a writer-unique spool file (see spool_path()) and emits the
     /// JSON header. Throws kernel::SimulationError when the spool cannot be
@@ -110,6 +125,18 @@ public:
     void counter(std::string_view process, kernel::Time at,
                  std::string_view name, double value);
 
+    /// The counter track `name` on `cpu`'s process, or on the auxiliary
+    /// process `process` (allocating its pid on first use): its template is
+    /// rendered once, and counter(handle, ...) skips the name lookup the
+    /// overloads above make. Throws kernel::SimulationError when `cpu` was
+    /// never attached.
+    [[nodiscard]] CounterHandle counter_track(const rtos::Processor& cpu,
+                                              std::string_view name);
+    [[nodiscard]] CounterHandle counter_track(std::string_view process,
+                                              std::string_view name);
+    /// Emit one sample on `track`, as the overloads above do.
+    void counter(CounterHandle track, kernel::Time at, double value);
+
     /// Close open task segments at the end of the trace, emit process/thread
     /// metadata (plus attribution events when given), write the footer and
     /// atomically rename the spool onto the final path. Must be called
@@ -124,7 +151,7 @@ public:
     [[nodiscard]] const std::string& path() const noexcept { return path_; }
     /// Where events spool until finish() renames them onto path().
     [[nodiscard]] const std::string& spool_path() const noexcept {
-        return spool_path_;
+        return spool_.path;
     }
 
 private:
@@ -132,8 +159,21 @@ private:
         kernel::Time prev_at{};
         rtos::TaskState prev_state = rtos::TaskState::created;
         bool seen = false;
+        const pfmt::TaskTrack* track = nullptr;
+    };
+
+    /// The spool file, removed on destruction unless finish() renamed it.
+    struct Spool {
+        std::string path;
+        std::ofstream os;
+        bool renamed = false;
+        ~Spool();
+    };
+
+    struct CounterSlot {
         int pid = 0;
-        int tid = 0;
+        std::string name;
+        pfmt::CounterTrack track;
     };
 
     [[nodiscard]] int comm_pid() const noexcept {
@@ -143,20 +183,24 @@ private:
     void note_time(kernel::Time t) noexcept {
         if (t > trace_end_) trace_end_ = t;
     }
+    [[nodiscard]] CounterHandle counter_track_at(int pid, std::string_view name);
 
     std::string path_;
-    std::string spool_path_;
     Options opts_;
-    std::ofstream os_;
-    pfmt::EventArray events_; ///< renders into its window, spills to os_
+    std::vector<rtos::Processor*> processors_;
+    std::vector<mcse::Relation*> relations_;
+    pfmt::Tracks tracks_{processors_, relations_};
+    // Members are destroyed in reverse order: the event array joins its I/O
+    // thread before the spool file is closed and removed.
+    Spool spool_;
+    pfmt::EventArray events_; ///< renders into its window, spills to spool_
     bool finished_ = false;
     bool any_marker_ = false;
     kernel::Time trace_end_{};
 
-    std::vector<rtos::Processor*> processors_;
-    std::vector<mcse::Relation*> relations_;
     std::unordered_map<const rtos::Task*, TaskCursor> cursors_;
     std::vector<std::string> counter_procs_; ///< aux counter process names
+    std::vector<CounterSlot> counters_;
 };
 
 } // namespace rtsc::obs

@@ -13,7 +13,7 @@ MetricsSampler::MetricsSampler(PerfettoStreamWriter& out, Options opts)
 }
 
 void MetricsSampler::attach(rtos::Processor& cpu) {
-    cpus_.push_back(CpuState{&cpu, {}, 0});
+    cpus_.emplace_back().cpu = &cpu;
 }
 
 void MetricsSampler::start(kernel::Simulator& sim) {
@@ -28,12 +28,14 @@ void MetricsSampler::start(kernel::Simulator& sim) {
     p.set_background(true); // never keeps an open-ended run() alive
 }
 
-void MetricsSampler::record(const rtos::Processor* cpu, kernel::Time at,
-                            std::string_view name, double value) {
-    if (cpu != nullptr)
-        out_.counter(*cpu, at, name, value);
-    else
-        out_.counter(std::string_view{"kernel"}, at, name, value);
+void MetricsSampler::record(const rtos::Processor* cpu, Handle& track,
+                            std::string_view name, kernel::Time at,
+                            double value) {
+    if (!track.valid())
+        track = cpu != nullptr
+                    ? out_.counter_track(*cpu, name)
+                    : out_.counter_track(std::string_view{"kernel"}, name);
+    out_.counter(track, at, value);
     if (registry_ != nullptr)
         registry_
             ->gauge((cpu != nullptr ? cpu->name() : "kernel") + "." +
@@ -50,13 +52,13 @@ void MetricsSampler::sample(kernel::Simulator& sim) {
         const auto busy_d = k::Time::sat_sub(stats.busy_time, cs.last.busy_time);
         const auto over_d =
             k::Time::sat_sub(stats.overhead_time, cs.last.overhead_time);
-        record(cs.cpu, at, "utilization_pct",
+        record(cs.cpu, cs.utilization, "utilization_pct", at,
                100.0 * static_cast<double>(busy_d.raw_ps()) / period_ps);
-        record(cs.cpu, at, "overhead_pct",
+        record(cs.cpu, cs.overhead, "overhead_pct", at,
                100.0 * static_cast<double>(over_d.raw_ps()) / period_ps);
-        record(cs.cpu, at, "ready_depth",
+        record(cs.cpu, cs.ready_depth, "ready_depth", at,
                static_cast<double>(cs.cpu->ready_queue().size()));
-        record(cs.cpu, at, "dispatches",
+        record(cs.cpu, cs.dispatches, "dispatches", at,
                static_cast<double>(stats.dispatches));
         if (cs.cpu->dvfs_enabled()) {
             // total() = busy + overhead; the overhead ledger already
@@ -64,32 +66,34 @@ void MetricsSampler::sample(kernel::Simulator& sim) {
             const rtos::Energy total = cs.cpu->energy().total();
             const rtos::Energy delta = total - cs.last_energy;
             // Joules over the period, divided by the period in seconds.
-            record(cs.cpu, at, "power_w",
+            record(cs.cpu, cs.power, "power_w", at,
                    rtos::energy_to_joules(delta) / (period_ps * 1e-12));
             cs.last_energy = total;
         }
         cs.last = stats;
     }
 
-    record(nullptr, at, "delta_cycles",
+    KernelTracks& kt = kernel_;
+    record(nullptr, kt.delta_cycles, "delta_cycles", at,
            static_cast<double>(sim.delta_count()));
-    record(nullptr, at, "activations",
+    record(nullptr, kt.activations, "activations", at,
            static_cast<double>(sim.process_activations()));
-    record(nullptr, at, "timed_live", static_cast<double>(sim.timed_live()));
-    record(nullptr, at, "timed_tombstones",
+    record(nullptr, kt.timed_live, "timed_live", at,
+           static_cast<double>(sim.timed_live()));
+    record(nullptr, kt.timed_tombstones, "timed_tombstones", at,
            static_cast<double>(sim.timed_tombstones()));
-    record(nullptr, at, "timed_compactions",
+    record(nullptr, kt.timed_compactions, "timed_compactions", at,
            static_cast<double>(sim.timed_compactions()));
 
     if (opts_.include_host) {
         const auto& hp = sim.host_profile();
-        record(nullptr, at, "host.evaluate_ms",
+        record(nullptr, kt.evaluate, "host.evaluate_ms", at,
                static_cast<double>(hp.evaluate_ns) * 1e-6);
-        record(nullptr, at, "host.update_ms",
+        record(nullptr, kt.update, "host.update_ms", at,
                static_cast<double>(hp.update_ns) * 1e-6);
-        record(nullptr, at, "host.delta_notify_ms",
+        record(nullptr, kt.delta_notify, "host.delta_notify_ms", at,
                static_cast<double>(hp.delta_notify_ns) * 1e-6);
-        record(nullptr, at, "host.advance_ms",
+        record(nullptr, kt.advance, "host.advance_ms", at,
                static_cast<double>(hp.advance_ns) * 1e-6);
     }
     ++samples_;

@@ -80,20 +80,32 @@ public:
     [[nodiscard]] std::uint64_t samples() const noexcept { return samples_; }
 
 private:
+    using Handle = PerfettoStreamWriter::CounterHandle;
+
     struct CpuState {
         rtos::Processor* cpu = nullptr;
         rtos::SchedulerEngine::PhaseStats last;
         rtos::Energy last_energy = 0;
+        // Counter tracks on the CPU's process, opened on their first sample.
+        Handle utilization, overhead, ready_depth, dispatches, power;
+    };
+    /// Counter tracks on the "kernel" process.
+    struct KernelTracks {
+        Handle delta_cycles, activations, timed_live, timed_tombstones,
+            timed_compactions, evaluate, update, delta_notify, advance;
     };
 
     void sample(kernel::Simulator& sim);
-    void record(const rtos::Processor* cpu, kernel::Time at,
-                std::string_view name, double value);
+    /// Emit `value` on `track`, the counter `name` of `cpu` (the kernel
+    /// process when nullptr), opening the track on its first sample.
+    void record(const rtos::Processor* cpu, Handle& track,
+                std::string_view name, kernel::Time at, double value);
 
     PerfettoStreamWriter& out_;
     Options opts_;
     MetricsRegistry* registry_ = nullptr;
     std::vector<CpuState> cpus_;
+    KernelTracks kernel_;
     std::uint64_t samples_ = 0;
 };
 

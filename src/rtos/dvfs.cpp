@@ -1,6 +1,9 @@
 #include "rtos/dvfs.hpp"
 
 #include <algorithm>
+#include <charconv>
+#include <cstdint>
+#include <limits>
 
 #include "kernel/simulator.hpp"
 #include "rtos/processor.hpp"
@@ -10,14 +13,24 @@ namespace rtsc::rtos {
 
 namespace k = rtsc::kernel;
 
-void append_energy(std::string& out, Energy raw) {
-    char buf[40]; // 2^128 has 39 decimal digits
-    char* p = buf + sizeof buf;
+char* write_energy(char* p, Energy raw) noexcept {
+    // Most ledgers fit 64 bits, where to_chars needs no 128-bit division.
+    if (raw <= std::numeric_limits<std::uint64_t>::max())
+        return std::to_chars(p, p + kMaxEnergyChars,
+                             static_cast<std::uint64_t>(raw))
+            .ptr;
+    char buf[kMaxEnergyChars];
+    char* digits = buf + sizeof buf;
     do {
-        *--p = static_cast<char>('0' + static_cast<unsigned>(raw % 10));
+        *--digits = static_cast<char>('0' + static_cast<unsigned>(raw % 10));
         raw /= 10;
     } while (raw != 0);
-    out.append(p, buf + sizeof buf);
+    return std::copy(digits, buf + sizeof buf, p);
+}
+
+void append_energy(std::string& out, Energy raw) {
+    char buf[kMaxEnergyChars];
+    out.append(buf, write_energy(buf, raw));
 }
 
 std::string energy_to_string(Energy raw) {

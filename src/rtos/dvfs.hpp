@@ -21,6 +21,7 @@
 // frequency-switch overhead (RtosOverheads::frequency_switch) whenever the
 // level actually changes.
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -30,11 +31,18 @@
 
 namespace rtsc::rtos {
 
-/// Append a 128-bit energy accumulator to `out` as decimal digits (no
-/// locale; the fuzz harness renders its canonical rows with it).
+/// Longest write_energy rendering: 2^128 - 1 has 39 decimal digits.
+inline constexpr std::size_t kMaxEnergyChars = 39;
+
+/// Write a 128-bit energy accumulator at `p` as decimal digits (no locale)
+/// and return the end; at most kMaxEnergyChars bytes.
+char* write_energy(char* p, Energy raw) noexcept;
+
+/// write_energy appended to `out` (the fuzz harness renders its canonical
+/// rows with it).
 void append_energy(std::string& out, Energy raw);
 
-/// append_energy into a new string (used by the Perfetto export).
+/// append_energy into a new string.
 [[nodiscard]] std::string energy_to_string(Energy raw);
 
 /// Model units -> joules (1 unit = 1 fJ with C_eff normalized to 1).

@@ -178,18 +178,27 @@ void SchedulerEngine::charge(OverheadKind kind, Task* about) {
     // during the wait (level flips happen inside a scheduling pass, and a
     // pass is never re-entered), so reading dvfs_power() afterwards sees
     // the same level the slice ran at.
-    set_phase(Phase::overhead);
-    k::wait(d);
-    if (dvfs) {
+    const auto book = [&](k::Time charged) {
         const Energy e =
-            static_cast<Energy>(processor_.dvfs_power()) * d.raw_ps();
+            static_cast<Energy>(processor_.dvfs_power()) * charged.raw_ps();
         if (about != nullptr) {
             about->energy_ov_ += e;
             about->job_energy_ov_ += e;
         } else {
             processor_.energy_.unattributed += e;
         }
+    };
+    set_phase(Phase::overhead);
+    try {
+        k::wait(d);
+    } catch (const k::ProcessKilled&) {
+        // A kill cut the charge short (say, a crash mid-context-load). The
+        // unwind's next set_phase folds the elapsed share into the overhead
+        // ledger at the kill instant, so the split books that same share.
+        if (dvfs) book(processor_.simulator().now() - start);
+        throw;
     }
+    if (dvfs) book(d);
 }
 
 // --------------------------------------------------------------- scheduling

@@ -1,6 +1,10 @@
 #include "trace/csv.hpp"
 
+#include <array>
+#include <bit>
 #include <charconv>
+#include <cstdint>
+#include <cstring>
 #include <ostream>
 
 namespace rtsc::trace {
@@ -19,18 +23,66 @@ std::string csv_field(std::string_view s) {
     return out;
 }
 
-void append_us(std::string& out, kernel::Time t) {
-    const kernel::Time::rep ps = t.raw_ps();
-    char buf[32]; // the longest is UINT64_MAX ps: "18446744073709.551615"
-    char* end = std::to_chars(buf, buf + sizeof buf, ps / 1'000'000u).ptr;
-    if (kernel::Time::rep frac = ps % 1'000'000u; frac != 0) {
-        *end++ = '.';
-        for (int i = 5; i >= 0; --i, frac /= 10)
-            end[i] = static_cast<char>('0' + frac % 10);
-        end += 6;
-        while (end[-1] == '0') --end;
+namespace {
+
+/// "00" "01" ... "99": two digits per table lookup.
+constexpr auto kDigitPairs = [] {
+    std::array<char, 200> t{};
+    for (int i = 0; i < 100; ++i) {
+        t[2 * i] = static_cast<char>('0' + i / 10);
+        t[2 * i + 1] = static_cast<char>('0' + i % 10);
     }
-    out.append(buf, end);
+    return t;
+}();
+
+constexpr std::uint32_t kPow10[] = {
+    1, 10, 100, 1000, 10000, 100000, 1000000, 10000000, 100000000, 1000000000};
+
+void write_pair(char* p, std::uint32_t v) noexcept {
+    std::memcpy(p, &kDigitPairs[2 * v], 2);
+}
+
+/// `v` in decimal at `p`; returns the end. The digit count comes from the
+/// bit width, without a loop.
+char* write_u32(char* p, std::uint32_t v) noexcept {
+    const std::uint32_t t =
+        (static_cast<std::uint32_t>(std::bit_width(v | 1)) * 1233) >> 12;
+    char* const end = p + t + 1 - ((v | 1) < kPow10[t] ? 1 : 0);
+    char* q = end;
+    for (; v >= 100; v /= 100) {
+        q -= 2;
+        write_pair(q, v % 100);
+    }
+    if (v >= 10)
+        write_pair(q - 2, v);
+    else
+        q[-1] = static_cast<char>('0' + v);
+    return end;
+}
+
+} // namespace
+
+char* write_us(char* p, kernel::Time t) noexcept {
+    const kernel::Time::rep ps = t.raw_ps();
+    const kernel::Time::rep whole = ps / 1'000'000u;
+    p = whole < kPow10[9] ? write_u32(p, static_cast<std::uint32_t>(whole))
+                          : std::to_chars(p, p + kMaxUsChars, whole).ptr;
+    const auto frac = static_cast<std::uint32_t>(ps % 1'000'000u);
+    if (frac == 0) return p;
+    p[0] = '.';
+    write_pair(p + 1, frac / 10'000);
+    write_pair(p + 3, frac / 100 % 100);
+    write_pair(p + 5, frac % 100);
+    // Drop the fraction's trailing zeros, counted without branching.
+    const int zeros = (frac % 10 == 0) + (frac % 100 == 0) +
+                      (frac % 1000 == 0) + (frac % 10000 == 0) +
+                      (frac % 100000 == 0);
+    return p + 7 - zeros;
+}
+
+void append_us(std::string& out, kernel::Time t) {
+    char buf[kMaxUsChars];
+    out.append(buf, write_us(buf, t));
 }
 
 std::string format_us(kernel::Time t) {

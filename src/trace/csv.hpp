@@ -7,6 +7,7 @@
 // the full picosecond value rendered as fractional microseconds (no
 // precision loss — sub-µs events stay distinct).
 
+#include <cstddef>
 #include <iosfwd>
 #include <string>
 #include <string_view>
@@ -19,9 +20,16 @@ namespace rtsc::trace {
 /// doubled when it contains a comma, quote, CR or LF.
 [[nodiscard]] std::string csv_field(std::string_view s);
 
-/// Append the exact decimal rendering of `t` in microseconds to `out`
-/// ("12.000001" for 12 us + 1 ps; trailing zeros trimmed, "12" when
-/// integral). The CSV and Perfetto exports render every time through it.
+/// Longest write_us rendering: UINT64_MAX ps is "18446744073709.551615".
+inline constexpr std::size_t kMaxUsChars = 21;
+
+/// Write the exact decimal rendering of `t` in microseconds at `p` and
+/// return its end ("12.000001" for 12 us + 1 ps; trailing zeros trimmed,
+/// "12" when integral). At most kMaxUsChars bytes. The CSV and Perfetto
+/// exports render every time through it.
+char* write_us(char* p, kernel::Time t) noexcept;
+
+/// write_us appended to `out`.
 void append_us(std::string& out, kernel::Time t);
 
 /// append_us into a fresh string.

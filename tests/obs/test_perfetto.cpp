@@ -235,16 +235,18 @@ TEST(PerfettoTest, CounterValuesRenderAsPrintfG17) {
     for (const double v : {0.1, -0.0, 5e-324, 1e300, 1.0 / 3, 37.5, 12345.0}) {
         char want[40];
         std::snprintf(want, sizeof want, "%.17g", v);
-        std::string out;
-        o::pfmt::counter(out, 1, 2_us, "c", v);
-        EXPECT_EQ(out, std::string("{\"name\": \"c\", \"ph\": \"C\", \"ts\": 2, "
-                                   "\"pid\": 1, \"tid\": 0, \"args\": "
-                                   "{\"value\": ") +
-                           want + "}}");
+        o::pfmt::Buffer out;
+        o::pfmt::counter(out, o::pfmt::counter_track(1, "c"), 2_us, v);
+        EXPECT_EQ(out.view(),
+                  std::string("{\"name\": \"c\", \"ph\": \"C\", \"ts\": 2, "
+                              "\"pid\": 1, \"tid\": 0, \"args\": "
+                              "{\"value\": ") +
+                      want + "}}");
     }
-    std::string out;
-    o::pfmt::counter(out, 1, 2_us, "c", 0.1);
-    EXPECT_NE(out.find("\"value\": 0.10000000000000001}"), std::string::npos);
+    o::pfmt::Buffer out;
+    o::pfmt::counter(out, o::pfmt::counter_track(1, "c"), 2_us, 0.1);
+    EXPECT_NE(out.view().find("\"value\": 0.10000000000000001}"),
+              std::string::npos);
 }
 
 TEST(JsonParserTest, RejectsMalformedInput) {

@@ -72,16 +72,19 @@ struct Exports {
     Golden stream;
     Golden stream_without_activations;
     Golden batch;
+    o::PerfettoStreamWriter::Stats stats;
 };
 
 /// 120 frames of the MPEG-2 SoC, observed by a Recorder (batch export) and
-/// by the streaming stack at the same time.
-Exports export_mpeg2(r::EngineKind engine) {
+/// by the streaming stack at the same time. `tag` keeps the export files of
+/// tests that ctest runs in parallel apart.
+Exports export_mpeg2(r::EngineKind engine, std::string_view tag = "") {
     const std::string path =
-        std::string("golden_mpeg2_") +
+        "golden_mpeg2_" + std::string(tag) +
         (engine == r::EngineKind::procedure_calls ? "proc" : "thread") +
         ".perfetto.json";
     std::string batch_text;
+    o::PerfettoStreamWriter::Stats stats;
     {
         k::Simulator sim;
         w::Mpeg2Config cfg;
@@ -110,6 +113,7 @@ Exports export_mpeg2(r::EngineKind engine) {
         sim.run_until(cfg.frame_period * cfg.frames + k::Time::ms(5));
 
         writer.finish(&attribution);
+        stats = writer.stats();
         std::ostringstream os;
         o::PerfettoOptions opts;
         opts.attribution = &attribution;
@@ -122,7 +126,7 @@ Exports export_mpeg2(r::EngineKind engine) {
     std::remove(path.c_str());
     const std::string stream_text = buf.str();
     return {golden_of(stream_text), golden_of(without_activations(stream_text)),
-            golden_of(batch_text)};
+            golden_of(batch_text), stats};
 }
 
 void expect_golden(const Golden& got, const Golden& want, const char* what) {
@@ -148,4 +152,20 @@ TEST(PerfettoGoldenTest, ThreadedExportsKeepTheirBytes) {
     expect_golden(ex.stream_without_activations, {2172992, 0xac2ffd8861dc7ad4ull},
                   "streamed export without activations");
     expect_golden(ex.batch, {1980471, 0x4113318f7ec6334bull}, "batch export");
+}
+
+TEST(PerfettoGoldenTest, StreamStatsKeepTheirCounts) {
+    // The writer's own account of the golden runs: events, windows handed to
+    // the spool and the event bytes they carried (the file minus its 18-byte
+    // head and 4-byte tail).
+    for (const auto engine :
+         {r::EngineKind::procedure_calls, r::EngineKind::rtos_thread}) {
+        const bool proc = engine == r::EngineKind::procedure_calls;
+        const Exports ex = export_mpeg2(engine, "stats_");
+        EXPECT_EQ(ex.stats.events, 14296u);
+        EXPECT_EQ(ex.stats.flushes, 34u);
+        EXPECT_EQ(ex.stats.spooled_bytes, proc ? 2184805u : 2184807u);
+        EXPECT_EQ(ex.stats.spooled_bytes + 22, ex.stream.bytes);
+        EXPECT_LE(ex.stats.peak_window_bytes, 64u * 1024 + 2048);
+    }
 }

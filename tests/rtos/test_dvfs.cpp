@@ -296,6 +296,46 @@ TEST_P(DvfsEngineTest, EnergyConservationHoldsUnderPreemptionAndOverheads) {
     EXPECT_GT(cpu.energy().overhead, r::Energy{0});
 }
 
+TEST_P(DvfsEngineTest, KillMidContextLoadKeepsEnergyConserved) {
+    // A kill that lands inside a task's context-load charge cuts the charge
+    // short. The overhead ledger folds the elapsed share of the load at the
+    // kill instant, so the split must book the same share, or
+    //   busy + overhead == sum(task exec + ov) + unattributed
+    // breaks (explorer seed 6352).
+    k::Simulator sim;
+    r::Processor cpu("cpu", std::make_unique<r::PriorityPreemptivePolicy>(),
+                     GetParam());
+    cpu.set_dvfs(r::DvfsModel({{800'000, 1100}, {400'000, 800}}));
+    cpu.set_overheads(r::RtosOverheads::uniform(10_us));
+    RecordingObserver rec;
+    cpu.add_observer(rec);
+    r::Task& victim = cpu.create_task({.name = "victim", .priority = 5},
+                                      [](r::Task& self) { self.compute(40_us); });
+    cpu.create_task({.name = "other", .priority = 1},
+                    [](r::Task& self) { self.compute(30_us); });
+    sim.spawn("killer", [&] {
+        k::wait(15_us);
+        victim.kill();
+    });
+    sim.run();
+
+    // The kill landed inside the victim's context load.
+    bool mid_load = false;
+    for (const auto& o : rec.overheads)
+        if (o.kind == r::OverheadKind::context_load && o.about == "victim" &&
+            o.start < 15_us && 15_us < o.start + o.duration)
+            mid_load = true;
+    EXPECT_TRUE(mid_load);
+    EXPECT_TRUE(victim.killed());
+
+    r::Energy attributed = 0;
+    for (const auto& t : cpu.tasks())
+        attributed += t->energy_exec() + t->energy_overhead();
+    EXPECT_EQ(cpu.energy().busy + cpu.energy().overhead,
+              attributed + cpu.energy().unattributed);
+    EXPECT_GT(victim.energy_overhead(), r::Energy{0});
+}
+
 INSTANTIATE_TEST_SUITE_P(BothEngines, DvfsEngineTest,
                          ::testing::Values(r::EngineKind::procedure_calls,
                                            r::EngineKind::rtos_thread));

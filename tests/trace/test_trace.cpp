@@ -2,10 +2,14 @@
 // CSV and VCD exporters.
 #include <gtest/gtest.h>
 
+#include <cstddef>
 #include <cstdint>
 #include <limits>
 #include <memory>
+#include <random>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "kernel/simulator.hpp"
 #include "mcse/event.hpp"
@@ -278,6 +282,57 @@ TEST(CsvTest, TimestampsKeepSubMicrosecondPrecision) {
     std::ostringstream os;
     tr::write_states_csv(os, rec);
     EXPECT_NE(os.str().find("1.5,T,"), std::string::npos);
+}
+
+namespace {
+
+/// The formula write_us replaced, kept as the reference: integer part
+/// through std::to_chars, six fraction digits, trailing zeros trimmed.
+std::string reference_us(std::uint64_t ps) {
+    std::string out = std::to_string(ps / 1'000'000u);
+    if (std::uint64_t frac = ps % 1'000'000u; frac != 0) {
+        char digits[6];
+        for (int i = 5; i >= 0; --i, frac /= 10)
+            digits[i] = static_cast<char>('0' + frac % 10);
+        std::size_t n = 6;
+        while (digits[n - 1] == '0') --n;
+        out += '.';
+        out.append(digits, n);
+    }
+    return out;
+}
+
+} // namespace
+
+TEST(CsvTest, AppendUsMatchesTheReferenceFormula) {
+    std::vector<std::uint64_t> values = {
+        0, 1, 999'999, 1'000'000, 1'000'001,
+        // one to five trailing zeros in the fraction
+        1'000'010, 1'000'100, 1'001'000, 1'010'000, 1'100'000,
+        123'450'000, 9'999'999'999'999'000,
+        // digit-count boundaries of the integer part
+        9'999'999, 10'000'000, 999'999'999'999'999, 1'000'000'000'000'000,
+        std::numeric_limits<std::uint64_t>::max()};
+    std::mt19937_64 rng(20261019);
+    for (int i = 0; i < 200'000; ++i) {
+        const std::uint64_t r = rng();
+        switch (i % 4) {
+            case 0: values.push_back(r); break;                   // anything
+            case 1: values.push_back(r % 2'000'000'000'000); break; // seconds
+            case 2: values.push_back(r % 2'000'000'000 * 1000); break; // ns grid
+            default: values.push_back(r >> (r % 64)); break;   // any width
+        }
+    }
+    for (const std::uint64_t ps : values) {
+        std::string out = "x";
+        tr::append_us(out, Time::ps(ps));
+        ASSERT_EQ(out, "x" + reference_us(ps)) << ps;
+        char buf[tr::kMaxUsChars];
+        ASSERT_LE(tr::write_us(buf, Time::ps(ps)) - buf,
+                  static_cast<std::ptrdiff_t>(tr::kMaxUsChars));
+    }
+    EXPECT_EQ(reference_us(std::numeric_limits<std::uint64_t>::max()),
+              "18446744073709.551615");
 }
 
 TEST(RecorderTest, MarkersCaptureInstantEvents) {
