@@ -12,29 +12,27 @@ RunOutcome check_model_once(const fuzz::ModelSpec& spec,
                             const DecisionTrace& trace,
                             const std::string* baseline_error) {
     RunOutcome out;
-    fuzz::RunResult results[4];
-    DecisionLog logs[4];
-    for (std::size_t i = 0; i < 4; ++i) {
-        const fuzz::Leg& leg = fuzz::kLegs[i];
-        TraceOracle oracle(&trace);
-        results[i] = fuzz::run_model(spec, leg.kind, leg.skip_ahead, &oracle);
-        logs[i] = oracle.take_log();
-        if (!oracle.replay_ok() && !out.violation) {
+    TraceOracle oracles[4] = {TraceOracle(&trace), TraceOracle(&trace),
+                              TraceOracle(&trace), TraceOracle(&trace)};
+    const fuzz::LegRuns runs = fuzz::run_legs(
+        spec, {&oracles[0], &oracles[1], &oracles[2], &oracles[3]});
+    for (std::size_t i = 0; i < 4 && !out.violation; ++i) {
+        if (!oracles[i].replay_ok()) {
             out.violation = true;
-            out.diagnosis = std::string("replay desync on ") + leg.name +
-                            ": " + oracle.replay_error();
+            out.diagnosis = std::string("replay desync on ") +
+                            fuzz::kLegs[i].name + ": " +
+                            oracles[i].replay_error();
         }
     }
-    out.log = std::move(logs[0]);
-    out.digest = fuzz::fnv1a(results[0].digest, to_text(trace));
-    out.error = results[0].error;
+    out.log = oracles[0].take_log();
+    out.digest = fuzz::fnv1a(runs.legs[0].digest, to_text(trace));
+    out.error = runs.legs[0].error;
 
     if (out.violation) return out;
 
-    const fuzz::Divergence d = fuzz::check_legs(results);
-    if (d.diverged) {
+    if (runs.verdict.diverged) {
         out.violation = true;
-        out.diagnosis = d.to_string();
+        out.diagnosis = runs.verdict.to_string();
         return out;
     }
     // Decision-stream invariant: all four runs must have consumed identical
@@ -42,7 +40,7 @@ RunOutcome check_model_once(const fuzz::ModelSpec& spec,
     // luck and replayed alternatives would flip different decisions.
     const std::vector<std::string> rows0 = decision_rows(out.log);
     for (std::size_t i = 1; i < 4; ++i) {
-        const std::vector<std::string> rows = decision_rows(logs[i]);
+        const std::vector<std::string> rows = decision_rows(oracles[i].log());
         if (rows != rows0) {
             std::size_t k = 0;
             while (k < rows.size() && k < rows0.size() && rows[k] == rows0[k])
@@ -59,10 +57,10 @@ RunOutcome check_model_once(const fuzz::ModelSpec& spec,
     // A schedule that fails where the default schedule did not (or vice
     // versa): a tie-break order flipped a deadlock / stall / lost-wakeup
     // diagnostic.
-    if (baseline_error != nullptr && results[0].error != *baseline_error) {
+    if (baseline_error != nullptr && out.error != *baseline_error) {
         out.violation = true;
         out.diagnosis = "schedule-dependent failure: default run error '" +
-                        *baseline_error + "' vs '" + results[0].error + "'";
+                        *baseline_error + "' vs '" + out.error + "'";
     }
     return out;
 }

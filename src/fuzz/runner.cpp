@@ -33,7 +33,7 @@ namespace k = rtsc::kernel;
 namespace r = rtsc::rtos;
 namespace m = rtsc::mcse;
 
-std::uint64_t fnv1a(std::uint64_t h, const std::string& s) noexcept {
+std::uint64_t fnv1a(std::uint64_t h, std::string_view s) noexcept {
     for (const char c : s) {
         h ^= static_cast<unsigned char>(c);
         h *= 0x100000001b3ull;
@@ -43,6 +43,27 @@ std::uint64_t fnv1a(std::uint64_t h, const std::string& s) noexcept {
     h ^= 0xffu;
     h *= 0x100000001b3ull;
     return h;
+}
+
+RowTable::RowTable(std::initializer_list<std::string_view> rows) {
+    for (const std::string_view row : rows) push_back(row);
+}
+
+void RowTable::push_back(std::string_view row) {
+    bytes_ += row;
+    ends_.push_back(bytes_.size());
+}
+
+std::size_t RowTable::find(std::string_view text) const noexcept {
+    for (std::size_t at = bytes_.find(text); at != std::string::npos;
+         at = bytes_.find(text, at + 1)) {
+        // The row holding the match's first byte; a match that runs on into
+        // the next row is no match.
+        const auto end = std::upper_bound(ends_.begin(), ends_.end(), at);
+        if (end != ends_.end() && at + text.size() <= *end)
+            return static_cast<std::size_t>(end - ends_.begin());
+    }
+    return size();
 }
 
 namespace {
@@ -205,82 +226,116 @@ struct Real {
     double v;
 };
 
-/// Builds canonical rows in place. Each row is rendered into one reused
-/// scratch string (time prefix, text, integers through std::to_chars) and
-/// only the finished row is copied out, once, at its exact size.
-class Rows {
+} // namespace
+
+/// Renders canonical rows straight into a RowTable's buffer: text,
+/// integers through std::to_chars, no per-row string.
+class RowWriter {
 public:
-    /// Start a row that sorts at instant `t`; its text opens with "<t> ",
-    /// in picoseconds.
-    Rows& at(k::Time t) {
-        at_ = t.raw_ps();
-        s_.clear();
-        return *this << at_ << ' ';
+    /// Render the rows of `t` from here on.
+    void open(RowTable& t) {
+        t_ = &t;
+        at_.clear();
     }
-    /// Start a row that keeps its place (no time prefix, no sort).
-    Rows& row() {
-        s_.clear();
-        return *this;
+    /// Start a row that sorts at instant `t`; its text opens with "<t> ",
+    /// in picoseconds. A stream's rows all start with at() or none does.
+    RowWriter& at(k::Time t) {
+        at_.push_back(t.raw_ps());
+        return *this << t.raw_ps() << ' ';
     }
 
-    Rows& operator<<(std::string_view v) {
-        s_ += v;
+    RowWriter& operator<<(std::string_view v) {
+        t_->bytes_ += v;
         return *this;
     }
-    Rows& operator<<(char c) {
-        s_ += c;
+    RowWriter& operator<<(char c) {
+        t_->bytes_ += c;
         return *this;
     }
     template <std::integral I>
-    Rows& operator<<(I v) {
+    RowWriter& operator<<(I v) {
         char buf[24];
-        s_.append(buf, std::to_chars(buf, buf + sizeof buf, v).ptr);
+        t_->bytes_.append(buf, std::to_chars(buf, buf + sizeof buf, v).ptr);
         return *this;
     }
-    Rows& operator<<(k::Time t) { return *this << t.raw_ps(); }
-    Rows& operator<<(Fj e) {
-        r::append_energy(s_, e.v);
+    RowWriter& operator<<(k::Time t) { return *this << t.raw_ps(); }
+    RowWriter& operator<<(Fj e) {
+        r::append_energy(t_->bytes_, e.v);
         return *this;
     }
-    Rows& operator<<(Real r) {
-        obs::append_g17(s_, r.v);
+    RowWriter& operator<<(Real r) {
+        obs::append_g17(t_->bytes_, r.v);
         return *this;
     }
 
-    /// Finish an at() row into the sort buffer.
-    void end() { sorted_.emplace_back(at_, s_); }
-    /// Finish a row() straight into `dst`.
-    void end(std::vector<std::string>& dst) { dst.push_back(s_); }
+    /// Finish the row.
+    void end() { t_->ends_.push_back(t_->bytes_.size()); }
 
-    /// Move the buffered rows into `dst`, ordered by (instant, text). Rows
-    /// of one instant share their prefix, so this is the order of their
-    /// text alone.
-    void flush(std::vector<std::string>& dst) {
-        std::sort(sorted_.begin(), sorted_.end());
-        dst.reserve(sorted_.size());
-        for (auto& kv : sorted_) dst.push_back(std::move(kv.second));
+    /// Order the at() rows by (instant, text). Rows of one instant share
+    /// their prefix, so this is the order of their text alone. A stream
+    /// already in that order is left as it is; otherwise its (instant,
+    /// offset, length) keys are sorted and its bytes rebuilt.
+    void sort() {
+        RowTable& t = *t_;
+        keys_.clear();
+        for (std::size_t n = 0; n < at_.size(); ++n) {
+            const std::size_t begin = n == 0 ? 0 : t.ends_[n - 1];
+            keys_.push_back({at_[n], begin, t.ends_[n] - begin});
+        }
+        const std::string_view bytes = t.bytes_;
+        const auto less = [bytes](const Key& a, const Key& b) {
+            return a.at != b.at ? a.at < b.at
+                                : bytes.substr(a.begin, a.size) <
+                                      bytes.substr(b.begin, b.size);
+        };
+        if (std::is_sorted(keys_.begin(), keys_.end(), less)) return;
+        std::sort(keys_.begin(), keys_.end(), less);
         sorted_.clear();
+        sorted_.reserve(bytes.size());
+        for (std::size_t n = 0; n < keys_.size(); ++n) {
+            sorted_.append(bytes.substr(keys_[n].begin, keys_[n].size));
+            t.ends_[n] = sorted_.size();
+        }
+        t.bytes_.swap(sorted_);
     }
 
 private:
-    std::string s_;
-    std::uint64_t at_ = 0;
-    std::vector<std::pair<std::uint64_t, std::string>> sorted_;
+    struct Key {
+        std::uint64_t at;
+        std::size_t begin, size;
+    };
+    RowTable* t_ = nullptr;
+    std::vector<std::uint64_t> at_; ///< instant of each row of *t_
+    std::vector<Key> keys_;         ///< sort scratch
+    std::string sorted_;            ///< sort scratch
 };
 
+namespace {
+
 /// The compared row streams, in comparison (and digest) order.
-constexpr std::pair<const char*, std::vector<std::string> RunResult::*>
-    kStreams[] = {{"states", &RunResult::states},
-                  {"overheads", &RunResult::overheads},
-                  {"comms", &RunResult::comms},
-                  {"markers", &RunResult::markers},
-                  {"metrics", &RunResult::metrics},
-                  {"attribution", &RunResult::attribution}};
+constexpr std::pair<const char*, RowTable RunResult::*> kStreams[] = {
+    {"states", &RunResult::states},
+    {"overheads", &RunResult::overheads},
+    {"comms", &RunResult::comms},
+    {"markers", &RunResult::markers},
+    {"metrics", &RunResult::metrics},
+    {"attribution", &RunResult::attribution}};
 
-} // namespace
+/// The digest: FNV-1a over every compared row, the end time and the error.
+std::uint64_t digest_of(const RunResult& out) {
+    std::uint64_t h = kFnvOffset;
+    for (const auto& [name, stream] : kStreams) {
+        const RowTable& rows = out.*stream;
+        for (std::size_t i = 0; i < rows.size(); ++i) h = fnv1a(h, rows[i]);
+    }
+    char end[24];
+    h = fnv1a(h, {end, std::to_chars(end, end + sizeof end, out.end_ps).ptr});
+    return fnv1a(h, out.error);
+}
 
-RunResult run_model(const ModelSpec& spec, r::EngineKind kind,
-                    bool skip_ahead, r::ScheduleOracle* oracle) {
+/// run_model without the digest.
+RunResult run_unhashed(const ModelSpec& spec, r::EngineKind kind,
+                       bool skip_ahead, r::ScheduleOracle* oracle) {
     RunResult out;
     try {
         k::Simulator sim;
@@ -469,13 +524,15 @@ RunResult run_model(const ModelSpec& spec, r::EngineKind kind,
         // inserts extra RTOS-thread activations). The simulated-time
         // observable is the per-instant multiset of records, so rows with
         // equal timestamps are ordered lexicographically.
-        Rows rows;
+        RowWriter rows;
+        rows.open(out.states);
         for (const auto& st : rec.states()) {
             rows.at(st.at) << st.task->name() << ' ' << r::to_string(st.from)
                            << "->" << r::to_string(st.to);
             rows.end();
         }
-        rows.flush(out.states);
+        rows.sort();
+        rows.open(out.overheads);
         for (const auto& o : rec.overheads()) {
             rows.at(o.at)
                 << r::to_string(o.kind) << " dur=" << o.duration
@@ -483,7 +540,8 @@ RunResult run_model(const ModelSpec& spec, r::EngineKind kind,
                 << (o.about != nullptr ? std::string_view(o.about->name()) : "-");
             rows.end();
         }
-        rows.flush(out.overheads);
+        rows.sort();
+        rows.open(out.comms);
         for (const auto& c : rec.comms()) {
             rows.at(c.at)
                 << c.relation->name() << ' '
@@ -491,15 +549,17 @@ RunResult run_model(const ModelSpec& spec, r::EngineKind kind,
                 << ' ' << m::to_string(c.kind) << (c.blocked ? " blocked" : "");
             rows.end();
         }
-        rows.flush(out.comms);
+        rows.sort();
+        rows.open(out.markers);
         for (const auto& mk : rec.markers()) {
             rows.at(mk.at) << mk.category << ' ' << mk.name;
             rows.end();
         }
-        rows.flush(out.markers);
-        for (const auto& sample : reg.snapshot()) {
-            rows.row() << sample.name << '=' << Real{sample.value};
-            rows.end(out.metrics);
+        rows.sort();
+        rows.open(out.metrics);
+        for (const obs::MetricSampleView& sample : reg.sample_views()) {
+            rows << sample.name << sample.suffix << '=' << Real{sample.value};
+            rows.end();
         }
         // Per-CPU energy ledger and its conservation check, in exact model
         // units. The rows feed the digest and the engine diff, so the 4-way
@@ -512,44 +572,48 @@ RunResult run_model(const ModelSpec& spec, r::EngineKind kind,
             for (const auto& t : cpu.tasks())
                 attributed += t->energy_exec() + t->energy_overhead();
             const auto ledger_row = [&](std::string_view field, r::Energy v) {
-                rows.row() << "energy." << cpu.name() << '.' << field << '='
-                           << Fj{v};
-                rows.end(out.metrics);
+                rows << "energy." << cpu.name() << '.' << field << '=' << Fj{v};
+                rows.end();
             };
             ledger_row("busy", led.busy);
             ledger_row("overhead", led.overhead);
             ledger_row("unattributed", led.unattributed);
             ledger_row("tasks", attributed);
             if (led.busy + led.overhead != attributed + led.unattributed) {
-                rows.row() << "energy." << cpu.name() << ".BROKEN-ENERGY total="
-                           << Fj{led.busy + led.overhead}
-                           << " split=" << Fj{attributed + led.unattributed};
-                rows.end(out.metrics);
+                rows << "energy." << cpu.name() << ".BROKEN-ENERGY total="
+                     << Fj{led.busy + led.overhead}
+                     << " split=" << Fj{attributed + led.unattributed};
+                rows.end();
             }
         }
-        // Attribution rows: jobs_ is completion-ordered, which can differ
-        // across engines when several jobs end in one instant — canonicalize
-        // by (release, task, index). Jobs still open at the end of the run
-        // never reached jobs_ and are excluded by construction.
-        for (const auto& j : attr.jobs()) {
+        // Attribution rows, read from the analyzer's job cores as the
+        // Perfetto export reads them: completion order can differ across
+        // engines when several jobs end in one instant, so canonicalize by
+        // (release, task, index). Jobs still open at the end of the run
+        // never completed and are excluded by construction.
+        rows.open(out.attribution);
+        for (std::size_t i = 0; i < attr.job_count(); ++i) {
+            const obs::Attribution::JobView v = attr.job_view(i);
+            const obs::Attribution::JobBlame& j = v.blame;
             rows.at(j.release)
-                << j.task << " #" << j.index << (j.aborted ? " aborted" : "")
-                << " rel=" << j.release << " end=" << j.end << " exec=" << j.exec
+                << v.task->name() << " #" << j.index
+                << (j.aborted ? " aborted" : "") << " rel=" << j.release
+                << " end=" << j.end << " exec=" << j.exec
                 << " ovs=" << j.ov_scheduling << " ovl=" << j.ov_load
                 << " ovv=" << j.ov_save << " ovf=" << j.ov_switch
                 << " ee=" << Fj{j.energy_exec} << " eo=" << Fj{j.energy_overhead}
                 << " resid=" << j.residual << " intr=" << j.interrupt << " pre[";
-            for (const auto& [who, t] : j.preempted_by)
+            for (const auto& [who, t] : v.preempted_by)
                 rows << who << ':' << t << ' ';
             rows << "] blk[";
-            for (const auto& [what, t] : j.blocked_on)
+            for (const auto& [what, t] : v.blocked_on)
                 rows << what << ':' << t << ' ';
             rows << ']';
             if (j.components_sum() != j.response())
                 rows << " BROKEN-INVARIANT sum=" << j.components_sum();
             rows.end();
         }
-        rows.flush(out.attribution);
+        rows.sort();
         out.end_ps = sim.now().raw_ps();
         out.kernel_activations = sim.process_activations();
         out.delta_cycles = sim.delta_count();
@@ -559,37 +623,35 @@ RunResult run_model(const ModelSpec& spec, r::EngineKind kind,
         out.error = "unknown exception";
     }
 
-    std::uint64_t h = kFnvOffset;
-    for (const auto& [name, stream] : kStreams)
-        for (const std::string& row : out.*stream) h = fnv1a(h, row);
-    h = fnv1a(h, std::to_string(out.end_ps));
-    h = fnv1a(h, out.error);
-    out.digest = h;
     return out;
 }
 
-namespace {
+constexpr std::string_view kMissing = "<missing>";
 
-const std::string kMissing = "<missing>";
+/// Row `i` of `rows`, or kMissing past its end.
+std::string_view row_or_missing(const RowTable& rows, std::size_t i) {
+    return i < rows.size() ? rows[i] : kMissing;
+}
 
-bool diff_stream(const char* name, const std::vector<std::string>& a,
-                 const std::vector<std::string>& b, Divergence& d) {
-    const std::size_t n = std::min(a.size(), b.size());
-    for (std::size_t i = 0; i < n; ++i) {
-        if (a[i] != b[i]) {
-            d = {true, name, i, a[i], b[i]};
-            return true;
-        }
-    }
-    if (a.size() != b.size()) {
-        d = {true, name, n, n < a.size() ? a[n] : kMissing,
-             n < b.size() ? b[n] : kMissing};
-        return true;
-    }
-    return false;
+/// Whole-buffer equality first; only a mismatch scans for its first row.
+bool diff_stream(const char* name, const RowTable& a, const RowTable& b,
+                 Divergence& d) {
+    if (a == b) return false;
+    std::size_t i = 0;
+    while (i < a.size() && i < b.size() && a[i] == b[i]) ++i;
+    d = {true, name, i, std::string(row_or_missing(a, i)),
+         std::string(row_or_missing(b, i))};
+    return true;
 }
 
 } // namespace
+
+RunResult run_model(const ModelSpec& spec, r::EngineKind kind,
+                    bool skip_ahead, r::ScheduleOracle* oracle) {
+    RunResult out = run_unhashed(spec, kind, skip_ahead, oracle);
+    out.digest = digest_of(out);
+    return out;
+}
 
 std::string Divergence::to_string() const {
     if (!diverged) return "equivalent";
@@ -633,37 +695,53 @@ Divergence check_legs(const RunResult (&legs)[4]) {
         }
     }
     // A conservation break every leg shares passes all the diffs above.
-    const std::pair<const char*, const std::vector<std::string>*> scanned[] = {
-        {"metrics", &legs[0].metrics}, {"attribution", &legs[0].attribution}};
-    for (const auto& [name, rows] : scanned)
-        for (std::size_t i = 0; i < rows->size(); ++i)
-            if ((*rows)[i].find("BROKEN") != std::string::npos)
-                return {true, name, i, (*rows)[i], (*rows)[i], 0, 0};
+    constexpr std::pair<const char*, RowTable RunResult::*> kScanned[] = {
+        {"metrics", &RunResult::metrics},
+        {"attribution", &RunResult::attribution}};
+    for (const auto& [name, stream] : kScanned) {
+        const RowTable& rows = legs[0].*stream;
+        const std::size_t i = rows.find("BROKEN");
+        if (i < rows.size()) {
+            const std::string row(rows[i]);
+            return {true, name, i, row, row, 0, 0};
+        }
+    }
     return {};
+}
+
+LegRuns run_legs(const ModelSpec& spec,
+                 const std::array<r::ScheduleOracle*, 4>& oracles) {
+    LegRuns out;
+    for (std::size_t i = 0; i < 4; ++i)
+        out.legs[i] = run_unhashed(spec, kLegs[i].kind, kLegs[i].skip_ahead,
+                                   oracles[i]);
+    out.verdict = check_legs(out.legs);
+    for (std::size_t i = 0; i < 4; ++i)
+        out.legs[i].digest = i == 0 || out.verdict.diverged
+                                 ? digest_of(out.legs[i])
+                                 : out.legs[0].digest;
+    return out;
 }
 
 Divergence diff_engines(const ModelSpec& spec, RunResult* procedural,
                         RunResult* threaded) {
-    RunResult legs[4];
-    for (std::size_t i = 0; i < 4; ++i)
-        legs[i] = run_model(spec, kLegs[i].kind, kLegs[i].skip_ahead);
-    const Divergence d = check_legs(legs);
-    if (procedural != nullptr) *procedural = std::move(legs[0]);
-    if (threaded != nullptr) *threaded = std::move(legs[1]);
-    return d;
+    LegRuns runs = run_legs(spec);
+    if (procedural != nullptr) *procedural = std::move(runs.legs[0]);
+    if (threaded != nullptr) *threaded = std::move(runs.legs[1]);
+    return runs.verdict;
 }
 
 std::string dump_streams(const RunResult& a, const RunResult& b) {
     std::string out;
     for (const auto& [name, stream] : kStreams) {
-        const std::vector<std::string>& l = a.*stream;
-        const std::vector<std::string>& r = b.*stream;
+        const RowTable& l = a.*stream;
+        const RowTable& r = b.*stream;
         out += "---- ";
         out += name;
         out += " (procedural | threaded) ----\n";
         for (std::size_t i = 0; i < std::max(l.size(), r.size()); ++i) {
-            const std::string& x = i < l.size() ? l[i] : kMissing;
-            const std::string& y = i < r.size() ? r[i] : kMissing;
+            const std::string_view x = row_or_missing(l, i);
+            const std::string_view y = row_or_missing(r, i);
             out += x == y ? "  " : "! ";
             out += x;
             if (x.size() < 55) out.append(55 - x.size(), ' ');

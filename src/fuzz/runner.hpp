@@ -8,11 +8,14 @@
 // between the engines *by design* (that difference is the paper's §4
 // result), so they are reported but never compared.
 //
-// The four-leg check (kLegs, check_legs) is defined here once; the fuzz
-// sweep and every schedule the explorer checks go through it.
+// The four-leg check (kLegs, check_legs, run_legs) is defined here once;
+// the fuzz sweep and every schedule the explorer checks go through it.
 
+#include <array>
 #include <cstdint>
+#include <initializer_list>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "fuzz/spec.hpp"
@@ -24,19 +27,53 @@ class ScheduleOracle;
 
 namespace rtsc::fuzz {
 
+class RowWriter;
+
+/// One stream of canonical rows: the rows' bytes back to back in one buffer
+/// plus where each row ends. Streams compare and hash as whole buffers; a
+/// row is cut out as a view only where a report names it.
+class RowTable {
+public:
+    RowTable() = default;
+    RowTable(std::initializer_list<std::string_view> rows);
+
+    [[nodiscard]] std::size_t size() const noexcept { return ends_.size(); }
+    [[nodiscard]] bool empty() const noexcept { return ends_.empty(); }
+    /// Row `i`, a view valid until the table changes.
+    [[nodiscard]] std::string_view operator[](std::size_t i) const noexcept {
+        const std::size_t begin = i == 0 ? 0 : ends_[i - 1];
+        return {bytes_.data() + begin, ends_[i] - begin};
+    }
+
+    void push_back(std::string_view row);
+
+    /// Index of the first row containing `text` (not empty), or size() when
+    /// none does.
+    [[nodiscard]] std::size_t find(std::string_view text) const noexcept;
+
+    /// Same rows, byte for byte: a size check and a memcmp of the bytes and
+    /// of the row ends.
+    friend bool operator==(const RowTable&, const RowTable&) = default;
+
+private:
+    friend class RowWriter; // renders rows straight into bytes_
+    std::string bytes_;
+    std::vector<std::size_t> ends_; ///< one past each row's last byte
+};
+
 struct RunResult {
     /// Canonical rows, in recorded order, one stream per record class.
-    std::vector<std::string> states;
-    std::vector<std::string> overheads;
-    std::vector<std::string> comms;
-    std::vector<std::string> markers;
+    RowTable states;
+    RowTable overheads;
+    RowTable comms;
+    RowTable markers;
     /// Flattened obs metrics ("name=value"), name-sorted by the registry.
-    std::vector<std::string> metrics;
+    RowTable metrics;
     /// Per-job causal blame decomposition (obs::Attribution), one canonical
     /// row per completed job ordered by (release, task, index). Compared
     /// bit-for-bit: the engines must agree not only on what happened but on
     /// *why* every job took as long as it did.
-    std::vector<std::string> attribution;
+    RowTable attribution;
     /// Simulated end time (ps).
     std::uint64_t end_ps = 0;
     /// FNV-1a digest over every compared row (streams + metrics + end time).
@@ -100,8 +137,22 @@ struct Divergence {
 /// Not diverged when all four agree and balance.
 [[nodiscard]] Divergence check_legs(const RunResult (&legs)[4]);
 
-/// Run the spec on every leg of kLegs and return check_legs' verdict.
-/// Optional out-params receive legs 0 and 1 (for reporting).
+/// The four legs of one spec and their verdict.
+struct LegRuns {
+    RunResult legs[4];  ///< ordered as kLegs
+    Divergence verdict; ///< check_legs(legs)
+};
+
+/// Run the spec on every leg of kLegs, the one four-leg loop; `oracles[i]`,
+/// when non-null, is leg i's `oracle` (see run_model). Each leg's digest is
+/// the one run_model computes, but only leg 0 is hashed when the verdict is
+/// clean: the legs then agree on everything the digest covers.
+[[nodiscard]] LegRuns run_legs(const ModelSpec& spec,
+                               const std::array<rtos::ScheduleOracle*, 4>&
+                                   oracles = {});
+
+/// run_legs' verdict. Optional out-params receive legs 0 and 1 (for
+/// reporting).
 [[nodiscard]] Divergence diff_engines(const ModelSpec& spec,
                                       RunResult* procedural = nullptr,
                                       RunResult* threaded = nullptr);
@@ -113,7 +164,7 @@ struct Divergence {
 
 /// FNV-1a 64-bit over a byte string (the digest primitive, exposed for the
 /// campaign report).
-[[nodiscard]] std::uint64_t fnv1a(std::uint64_t h, const std::string& s) noexcept;
+[[nodiscard]] std::uint64_t fnv1a(std::uint64_t h, std::string_view s) noexcept;
 inline constexpr std::uint64_t kFnvOffset = 0xcbf29ce484222325ull;
 
 } // namespace rtsc::fuzz

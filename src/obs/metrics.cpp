@@ -4,8 +4,10 @@
 #include <charconv>
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <stdexcept>
 #include <string_view>
+#include <utility>
 
 namespace rtsc::obs {
 
@@ -139,57 +141,86 @@ void MetricsRegistry::merge(const MetricsRegistry& other) {
     for (const auto& [name, h] : other.histograms_) histograms_[name].merge(h);
 }
 
-std::vector<MetricSample> MetricsRegistry::snapshot() const {
-    std::vector<MetricSample> out;
+namespace {
+
+/// Lexicographic order of the joined names a + a_suffix and b + b_suffix,
+/// without joining them: one memcmp of the bases, and only where one base
+/// extends the other does its tail meet the other's suffix.
+bool joined_less(const MetricSampleView& a, const MetricSampleView& b) {
+    std::string_view x = a.name, x_next = a.suffix;
+    std::string_view y = b.name, y_next = b.suffix;
+    while (true) {
+        if (x.empty()) {
+            if (x_next.empty()) return !y.empty() || !y_next.empty();
+            x = std::exchange(x_next, {});
+        } else if (y.empty()) {
+            if (y_next.empty()) return false;
+            y = std::exchange(y_next, {});
+        } else {
+            const std::size_t n = std::min(x.size(), y.size());
+            if (const int c = std::memcmp(x.data(), y.data(), n); c != 0)
+                return c < 0;
+            x.remove_prefix(n);
+            y.remove_prefix(n);
+        }
+    }
+}
+
+} // namespace
+
+std::vector<MetricSampleView> MetricsRegistry::sample_views() const {
+    std::vector<MetricSampleView> out;
     out.reserve(counters_.size() + 4 * gauges_.size() + 5 * histograms_.size());
-    const auto add = [&out](const std::string& name, std::string_view suffix,
-                            double value) {
-        MetricSample& s = out.emplace_back();
-        s.name.reserve(name.size() + suffix.size());
-        s.name.append(name).append(suffix);
-        s.value = value;
-    };
     // Three runs: counters, gauges and histograms, each in map order with
     // one metric's suffixes in name order.
     for (const auto& [name, c] : counters_)
-        out.push_back({name, static_cast<double>(c.value())});
+        out.push_back({name, {}, static_cast<double>(c.value())});
     const std::size_t gauges_at = out.size();
     for (const auto& [name, g] : gauges_) {
-        add(name, ".last", g.last());
-        add(name, ".max", g.max());
-        add(name, ".mean", g.mean());
-        add(name, ".min", g.min());
+        out.push_back({name, ".last", g.last()});
+        out.push_back({name, ".max", g.max()});
+        out.push_back({name, ".mean", g.mean()});
+        out.push_back({name, ".min", g.min()});
     }
     const std::size_t histograms_at = out.size();
     static constexpr double kPercentiles[] = {0.50, 0.90, 0.99};
     for (const auto& [name, h] : histograms_) {
         double p[3];
         h.quantiles(kPercentiles, p);
-        add(name, ".count", static_cast<double>(h.count()));
-        add(name, ".max", static_cast<double>(h.max()));
-        add(name, ".p50", p[0]);
-        add(name, ".p90", p[1]);
-        add(name, ".p99", p[2]);
+        out.push_back({name, ".count", static_cast<double>(h.count())});
+        out.push_back({name, ".max", static_cast<double>(h.max())});
+        out.push_back({name, ".p50", p[0]});
+        out.push_back({name, ".p90", p[1]});
+        out.push_back({name, ".p99", p[2]});
     }
     // A suffixed run leaves name order only where one name extends another
     // with a character <= '.' (gauges "a" and "a-b": "a-b.last" < "a.last");
     // such a run is sorted. No run repeats a name, so the sort is
     // deterministic, and the stable merges keep equal names from different
     // runs in counter, gauge, histogram order.
-    const auto by_name = [](const MetricSample& a, const MetricSample& b) {
-        return a.name < b.name;
-    };
     const auto gauges = out.begin() + static_cast<std::ptrdiff_t>(gauges_at);
     const auto histograms =
         out.begin() + static_cast<std::ptrdiff_t>(histograms_at);
-    const auto sort_run = [&by_name](auto first, auto last) {
-        if (!std::is_sorted(first, last, by_name))
-            std::sort(first, last, by_name);
+    const auto sort_run = [](auto first, auto last) {
+        if (!std::is_sorted(first, last, joined_less))
+            std::sort(first, last, joined_less);
     };
     sort_run(gauges, histograms);
     sort_run(histograms, out.end());
-    std::inplace_merge(out.begin(), gauges, histograms, by_name);
-    std::inplace_merge(out.begin(), histograms, out.end(), by_name);
+    std::inplace_merge(out.begin(), gauges, histograms, joined_less);
+    std::inplace_merge(out.begin(), histograms, out.end(), joined_less);
+    return out;
+}
+
+std::vector<MetricSample> MetricsRegistry::snapshot() const {
+    const std::vector<MetricSampleView> views = sample_views();
+    std::vector<MetricSample> out(views.size());
+    for (std::size_t i = 0; i < views.size(); ++i) {
+        std::string& name = out[i].name;
+        name.reserve(views[i].name.size() + views[i].suffix.size());
+        name.append(views[i].name).append(views[i].suffix);
+        out[i].value = views[i].value;
+    }
     return out;
 }
 

@@ -24,6 +24,7 @@
 #include <map>
 #include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "kernel/time.hpp"
@@ -211,6 +212,15 @@ struct MetricSample {
     double value = 0;
 };
 
+/// A MetricSample before its name is joined: the sample is named `name`
+/// followed by `suffix`. `name` views the registry's key, valid until the
+/// registry is cleared or destroyed.
+struct MetricSampleView {
+    std::string_view name;   ///< the metric's registered name
+    std::string_view suffix; ///< "" for a counter, else ".last", ".p99", ...
+    double value = 0;
+};
+
 /// Longest write_g17 rendering: "-d.dddddddddddddddde-ddd".
 inline constexpr std::size_t kMaxG17Chars = 24;
 
@@ -245,6 +255,10 @@ public:
     /// Equal names (counter "a.max" beside gauge "a") keep the order
     /// counter, gauge, histogram.
     [[nodiscard]] std::vector<MetricSample> snapshot() const;
+
+    /// snapshot()'s samples in its order, without building a string per
+    /// sample; snapshot() is this walk with each name joined.
+    [[nodiscard]] std::vector<MetricSampleView> sample_views() const;
 
     /// Fold another registry into this one, metric by metric, by name:
     /// counters and histograms combine exactly (see Histogram::merge),

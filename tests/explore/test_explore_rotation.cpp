@@ -66,7 +66,9 @@ ex::RunCheck scenario_check(const Scenario& s) {
         for (std::size_t i = 0; i < 4; ++i) {
             const rtsc::fuzz::Leg& leg = rtsc::fuzz::kLegs[i];
             ex::TraceOracle oracle(&trace);
-            legs[i].states = run_leg(s, leg.kind, leg.skip_ahead, oracle);
+            for (const std::string& row :
+                 run_leg(s, leg.kind, leg.skip_ahead, oracle))
+                legs[i].states.push_back(row);
             rows[i] = ex::decision_rows(oracle.log());
             if (!oracle.replay_ok() && !out.violation) {
                 out.violation = true;
@@ -88,8 +90,8 @@ ex::RunCheck scenario_check(const Scenario& s) {
                                 rtsc::fuzz::kLegs[0].name;
             }
         std::uint64_t digest = 1469598103934665603ull;
-        for (const auto& row : legs[0].states)
-            digest = rtsc::fuzz::fnv1a(digest, row);
+        for (std::size_t n = 0; n < legs[0].states.size(); ++n)
+            digest = rtsc::fuzz::fnv1a(digest, legs[0].states[n]);
         out.digest = rtsc::fuzz::fnv1a(digest, ex::to_text(trace));
         return out;
     };

@@ -9,6 +9,7 @@
 #include <cstdlib>
 #include <fstream>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -20,6 +21,20 @@
 namespace fuzz = rtsc::fuzz;
 
 namespace {
+
+/// `rows` with row `at` replaced by `text`.
+fuzz::RowTable with_row(const fuzz::RowTable& rows, std::size_t at,
+                        std::string_view text) {
+    fuzz::RowTable out;
+    for (std::size_t i = 0; i < rows.size(); ++i)
+        out.push_back(i == at ? text : rows[i]);
+    return out;
+}
+
+/// Row `at` of `rows` with " tampered" appended.
+std::string tampered(const fuzz::RowTable& rows, std::size_t at) {
+    return std::string(rows[at]) + " tampered";
+}
 
 // ------------------------------------------------------------- generator
 
@@ -190,11 +205,15 @@ TEST(FuzzRunner, CompareFlagsInjectedStateDifference) {
     fuzz::RunResult a = fuzz::run_model(spec, rtsc::rtos::EngineKind::procedure_calls);
     fuzz::RunResult b = a;
     ASSERT_FALSE(b.states.empty());
-    b.states[b.states.size() / 2] += " tampered";
+    const std::size_t mid = b.states.size() / 2;
+    const std::string row = tampered(a.states, mid);
+    b.states = with_row(a.states, mid, row);
     const fuzz::Divergence d = fuzz::compare(a, b);
     ASSERT_TRUE(d.diverged);
     EXPECT_EQ(d.stream, "states");
-    EXPECT_EQ(d.index, b.states.size() / 2);
+    EXPECT_EQ(d.index, mid);
+    EXPECT_EQ(d.lhs, a.states[mid]);
+    EXPECT_EQ(d.rhs, row);
 }
 
 TEST(FuzzRunner, CompareFlagsEndTimeDifference) {
@@ -246,7 +265,7 @@ TEST(FuzzRunner, CheckLegsNamesTheDivergingPair) {
     ASSERT_FALSE(r.attribution.empty());
     struct Case {
         std::size_t leg;
-        std::vector<std::string> fuzz::RunResult::*stream;
+        fuzz::RowTable fuzz::RunResult::*stream;
         const char* name;
         std::size_t lhs_leg, rhs_leg;
     };
@@ -258,16 +277,17 @@ TEST(FuzzRunner, CheckLegsNamesTheDivergingPair) {
     for (const Case& c : cases) {
         SCOPED_TRACE(c.name);
         fuzz::RunResult legs[4] = {r, r, r, r};
-        std::vector<std::string>& rows = legs[c.leg].*c.stream;
+        fuzz::RowTable& rows = legs[c.leg].*c.stream;
         const std::size_t at = rows.size() / 2;
-        rows[at] += " tampered";
+        const std::string row = tampered(rows, at);
+        rows = with_row(rows, at, row);
         const fuzz::Divergence d = fuzz::check_legs(legs);
         ASSERT_TRUE(d.diverged);
         EXPECT_EQ(d.stream, c.name);
         EXPECT_EQ(d.index, at);
         EXPECT_EQ(d.lhs_leg, c.lhs_leg);
         EXPECT_EQ(d.rhs_leg, c.rhs_leg);
-        EXPECT_EQ(d.rhs, rows[at]);
+        EXPECT_EQ(d.rhs, row);
         const std::string text = d.to_string();
         EXPECT_NE(text.find(fuzz::kLegs[c.lhs_leg].name), std::string::npos)
             << text;
@@ -276,12 +296,162 @@ TEST(FuzzRunner, CheckLegsNamesTheDivergingPair) {
     }
 }
 
+TEST(FuzzRunner, DivergenceReportsNameTheFirstDifferingRow) {
+    // Streams compare as whole buffers; a mismatch is then located row by
+    // row. These are the reports the row-by-row comparison gives, field for
+    // field and in their text.
+    fuzz::RunResult a;
+    a.states = {"0 A created->ready", "5 A ready->running",
+                "9 A running->terminated"};
+    struct Case {
+        const char* name;
+        fuzz::RunResult lhs, rhs;
+        const char* stream;
+        std::size_t index;
+        const char *lhs_row, *rhs_row;
+        const char* text;
+    };
+    const auto with = [&a](fuzz::RowTable fuzz::RunResult::*stream,
+                           fuzz::RowTable rows) {
+        fuzz::RunResult r = a;
+        r.*stream = std::move(rows);
+        return r;
+    };
+    const fuzz::RunResult comms =
+        with(&fuzz::RunResult::comms, {"5 q0 A write"});
+    const Case cases[] = {
+        {"changed middle row",
+         a,
+         with(&fuzz::RunResult::states,
+              with_row(a.states, 1, "5 A ready->waiting")),
+         "states",
+         1,
+         "5 A ready->running",
+         "5 A ready->waiting",
+         "diverged in states at record 1\n"
+         "  procedural/skip:  5 A ready->running\n"
+         "  threaded/skip:    5 A ready->waiting"},
+        {"missing last row",
+         a,
+         with(&fuzz::RunResult::states,
+              {"0 A created->ready", "5 A ready->running"}),
+         "states",
+         2,
+         "9 A running->terminated",
+         "<missing>",
+         "diverged in states at record 2\n"
+         "  procedural/skip:  9 A running->terminated\n"
+         "  threaded/skip:    <missing>"},
+        {"extra row",
+         a,
+         with(&fuzz::RunResult::states,
+              {"0 A created->ready", "5 A ready->running",
+               "9 A running->terminated", "12 B created->ready"}),
+         "states",
+         3,
+         "<missing>",
+         "12 B created->ready",
+         "diverged in states at record 3\n"
+         "  procedural/skip:  <missing>\n"
+         "  threaded/skip:    12 B created->ready"},
+        {"empty stream against a non-empty one",
+         a,
+         comms,
+         "comms",
+         0,
+         "<missing>",
+         "5 q0 A write",
+         "diverged in comms at record 0\n"
+         "  procedural/skip:  <missing>\n"
+         "  threaded/skip:    5 q0 A write"},
+        {"non-empty stream against an empty one",
+         comms,
+         a,
+         "comms",
+         0,
+         "5 q0 A write",
+         "<missing>",
+         "diverged in comms at record 0\n"
+         "  procedural/skip:  5 q0 A write\n"
+         "  threaded/skip:    <missing>"},
+        {"same bytes, other row boundaries",
+         a,
+         with(&fuzz::RunResult::states,
+              {"0 A created->ready5 A", " ready->running",
+               "9 A running->terminated"}),
+         "states",
+         0,
+         "0 A created->ready",
+         "0 A created->ready5 A",
+         "diverged in states at record 0\n"
+         "  procedural/skip:  0 A created->ready\n"
+         "  threaded/skip:    0 A created->ready5 A"},
+    };
+    for (const Case& c : cases) {
+        SCOPED_TRACE(c.name);
+        const fuzz::RunResult legs[4] = {c.lhs, c.rhs, c.lhs, c.rhs};
+        const fuzz::Divergence d = fuzz::check_legs(legs);
+        ASSERT_TRUE(d.diverged);
+        EXPECT_EQ(d.stream, c.stream);
+        EXPECT_EQ(d.index, c.index);
+        EXPECT_EQ(d.lhs, c.lhs_row);
+        EXPECT_EQ(d.rhs, c.rhs_row);
+        EXPECT_EQ(d.lhs_leg, 0u);
+        EXPECT_EQ(d.rhs_leg, 1u);
+        EXPECT_EQ(d.to_string(), c.text);
+        EXPECT_EQ(fuzz::compare(c.lhs, c.rhs).to_string(), c.text);
+    }
+}
+
+TEST(FuzzRunner, ConservationBreakPastTheFirstRowIsReported) {
+    fuzz::RunResult r;
+    r.metrics = {"a=1", "b=2", "energy.cpu0.BROKEN-ENERGY total=3 split=2",
+                 "z=4"};
+    const auto check = [](const fuzz::RunResult& leg) {
+        const fuzz::RunResult legs[4] = {leg, leg, leg, leg};
+        return fuzz::check_legs(legs);
+    };
+    fuzz::Divergence d = check(r);
+    ASSERT_TRUE(d.diverged);
+    EXPECT_EQ(d.stream, "metrics");
+    EXPECT_EQ(d.index, 2u);
+    EXPECT_EQ(d.lhs, "energy.cpu0.BROKEN-ENERGY total=3 split=2");
+    EXPECT_EQ(d.rhs, d.lhs);
+    EXPECT_EQ(d.lhs_leg, 0u);
+    EXPECT_EQ(d.rhs_leg, 0u);
+    EXPECT_EQ(d.to_string(),
+              "conservation invariant broke in metrics at record 2 on "
+              "procedural/skip\n  energy.cpu0.BROKEN-ENERGY total=3 split=2");
+
+    r.metrics = {"a=1"};
+    r.attribution = {"0 A #0 rel=0 end=9 exec=4",
+                     "10 A #1 rel=10 end=20 exec=5 BROKEN-INVARIANT sum=5"};
+    d = check(r);
+    ASSERT_TRUE(d.diverged);
+    EXPECT_EQ(d.stream, "attribution");
+    EXPECT_EQ(d.index, 1u);
+    EXPECT_EQ(d.lhs, "10 A #1 rel=10 end=20 exec=5 BROKEN-INVARIANT sum=5");
+    EXPECT_EQ(d.rhs, d.lhs);
+    EXPECT_EQ(d.lhs_leg, 0u);
+    EXPECT_EQ(d.rhs_leg, 0u);
+    EXPECT_EQ(d.to_string(),
+              "conservation invariant broke in attribution at record 1 on "
+              "procedural/skip\n  10 A #1 rel=10 end=20 exec=5 "
+              "BROKEN-INVARIANT sum=5");
+
+    // A match that only forms across a row boundary is no break.
+    r.attribution = {};
+    r.metrics = {"x=BRO", "KEN=1"};
+    EXPECT_FALSE(check(r).diverged);
+}
+
 TEST(FuzzRunner, DumpStreamsShowsEveryComparedStream) {
     const fuzz::RunResult a =
         fuzz::run_model(fuzz::generate(3), rtsc::rtos::EngineKind::procedure_calls);
     fuzz::RunResult b = a;
     ASSERT_FALSE(b.attribution.empty());
-    b.attribution.back() += " tampered";
+    const std::size_t last = a.attribution.size() - 1;
+    b.attribution = with_row(a.attribution, last, tampered(a.attribution, last));
     const std::string dump = fuzz::dump_streams(a, b);
     for (const char* name :
          {"states", "overheads", "comms", "markers", "metrics", "attribution"})
@@ -292,8 +462,9 @@ TEST(FuzzRunner, DumpStreamsShowsEveryComparedStream) {
          at = dump.find("\n---- ", at + 1))
         ++headers;
     EXPECT_EQ(headers, 6u);
-    EXPECT_NE(dump.find("\n! " + a.attribution.back()), std::string::npos);
-    EXPECT_EQ(dump.find("\n! " + a.states.front()), std::string::npos);
+    EXPECT_NE(dump.find("\n! " + std::string(a.attribution[last])),
+              std::string::npos);
+    EXPECT_EQ(dump.find("\n! " + std::string(a.states[0])), std::string::npos);
 }
 
 TEST(FuzzRunner, KernelActivationCountsAreEngineSpecific) {
@@ -336,7 +507,8 @@ TEST(FuzzRunner, MetricRowsRenderAsPrintfG17) {
     for (std::uint64_t seed = 1; seed <= 12; ++seed) {
         const fuzz::RunResult r = fuzz::run_model(
             fuzz::generate(seed), rtsc::rtos::EngineKind::procedure_calls);
-        for (const std::string& row : r.metrics) {
+        for (std::size_t i = 0; i < r.metrics.size(); ++i) {
+            const std::string row(r.metrics[i]);
             if (row.rfind("energy.", 0) == 0) continue;
             const std::string value = row.substr(row.rfind('=') + 1);
             char printed[40];

@@ -7,8 +7,16 @@
 // sweep. Add to it with:
 //   tools/fuzz_engines --print SEED > tests/fuzz/corpus/gen_seedSEED.model
 // or by copying the fuzz_divergence_<seed>.model a failed sweep wrote.
+// The same models, with generated ones, also check that fuzz::run_legs,
+// which hashes only leg 0 when the legs agree, reports run_model's digests.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <string>
+#include <utility>
+#include <vector>
+
+#include "fuzz/generate.hpp"
 #include "fuzz/runner.hpp"
 #include "fuzz/spec.hpp"
 
@@ -41,6 +49,33 @@ TEST(FuzzCorpus, EnginesAgreeOnEveryModel) {
             fuzz::diff_engines(fuzz::read_spec_file(path));
         EXPECT_FALSE(d.diverged) << d.to_string();
     }
+}
+
+TEST(FuzzLegs, EveryLegDigestIsRunModels) {
+    // run_legs hashes only leg 0 when the legs agree; each leg's digest must
+    // still be the one run_model computes for it. Seed 2867 diverges under
+    // its default schedule, so its legs are each hashed.
+    std::vector<std::pair<std::string, fuzz::ModelSpec>> specs;
+    for (const auto& path : fuzz::spec_files(RTSC_FUZZ_CORPUS_DIR))
+        specs.emplace_back(path.filename().string(), fuzz::read_spec_file(path));
+    for (std::uint64_t seed = 1; seed <= 60; ++seed)
+        specs.emplace_back("seed " + std::to_string(seed), fuzz::generate(seed));
+    specs.emplace_back("seed 2867", fuzz::generate(2867));
+    for (const auto& [name, spec] : specs) {
+        SCOPED_TRACE(name);
+        const fuzz::LegRuns runs = fuzz::run_legs(spec);
+        fuzz::RunResult alone[4];
+        for (std::size_t i = 0; i < 4; ++i) {
+            const fuzz::Leg& leg = fuzz::kLegs[i];
+            alone[i] = fuzz::run_model(spec, leg.kind, leg.skip_ahead);
+            EXPECT_EQ(runs.legs[i].digest, alone[i].digest) << leg.name;
+        }
+        EXPECT_EQ(runs.verdict.to_string(),
+                  fuzz::check_legs(alone).to_string());
+    }
+    const fuzz::LegRuns split = fuzz::run_legs(fuzz::generate(2867));
+    ASSERT_TRUE(split.verdict.diverged);
+    EXPECT_NE(split.legs[0].digest, split.legs[1].digest);
 }
 
 } // namespace

@@ -9,10 +9,15 @@
 #include <map>
 #include <random>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "kernel/simulator.hpp"
 #include "kernel/time.hpp"
+#include "obs/attribution.hpp"
+#include "obs/collector.hpp"
 #include "obs/metrics.hpp"
+#include "workload/mpeg2.hpp"
 
 namespace o = rtsc::obs;
 using o::Histogram;
@@ -374,6 +379,135 @@ TEST(RegistryTest, SnapshotOrderMatchesSortByName) {
     }
     ASSERT_EQ(snap.size(), want.size());
     for (const auto& s : snap) EXPECT_EQ(s.value, want.at(s.name)) << s.name;
+}
+
+namespace {
+
+/// The snapshot order derived independently of the registry: every
+/// sample's joined name, stably sorted, counters before gauges before
+/// histograms on equal names.
+std::vector<std::pair<std::string, double>> reference_samples(
+    const o::MetricsRegistry& reg) {
+    std::vector<std::pair<std::string, double>> out;
+    for (const auto& [n, c] : reg.counters())
+        out.emplace_back(n, static_cast<double>(c.value()));
+    for (const auto& [n, g] : reg.gauges()) {
+        out.emplace_back(n + ".last", g.last());
+        out.emplace_back(n + ".max", g.max());
+        out.emplace_back(n + ".mean", g.mean());
+        out.emplace_back(n + ".min", g.min());
+    }
+    for (const auto& [n, h] : reg.histograms()) {
+        out.emplace_back(n + ".count", static_cast<double>(h.count()));
+        out.emplace_back(n + ".max", static_cast<double>(h.max()));
+        out.emplace_back(n + ".p50", h.p50());
+        out.emplace_back(n + ".p90", h.p90());
+        out.emplace_back(n + ".p99", h.p99());
+    }
+    std::stable_sort(out.begin(), out.end(), [](const auto& a, const auto& b) {
+        return a.first < b.first;
+    });
+    return out;
+}
+
+/// The walk, joined: equal to snapshot() and to the reference order.
+void expect_walk_is_snapshot(const o::MetricsRegistry& reg) {
+    const std::vector<o::MetricSampleView> views = reg.sample_views();
+    const std::vector<o::MetricSample> snap = reg.snapshot();
+    std::vector<std::pair<std::string, double>> walked;
+    for (const o::MetricSampleView& v : views)
+        walked.emplace_back(std::string(v.name) + std::string(v.suffix), v.value);
+    ASSERT_EQ(walked.size(), snap.size());
+    for (std::size_t i = 0; i < snap.size(); ++i) {
+        EXPECT_EQ(walked[i].first, snap[i].name) << i;
+        EXPECT_EQ(walked[i].second, snap[i].value) << snap[i].name;
+    }
+    EXPECT_EQ(walked, reference_samples(reg));
+}
+
+} // namespace
+
+TEST(RegistryTest, SampleViewsWalkInSnapshotOrder) {
+    o::MetricsRegistry reg;
+    reg.gauge("a").set(1.0);
+    reg.gauge("a-b").set(2.0);
+    {
+        SCOPED_TRACE("gauges a and a-b");
+        expect_walk_is_snapshot(reg);
+        std::vector<std::string> names;
+        for (const o::MetricSampleView& v : reg.sample_views())
+            names.push_back(std::string(v.name) + std::string(v.suffix));
+        EXPECT_EQ(names, (std::vector<std::string>{
+                             "a-b.last", "a-b.max", "a-b.mean", "a-b.min",
+                             "a.last", "a.max", "a.mean", "a.min"}));
+    }
+    reg.counter("a.max").inc(5);
+    {
+        SCOPED_TRACE("counter a.max beside gauge a");
+        expect_walk_is_snapshot(reg);
+        const std::vector<o::MetricSampleView> views = reg.sample_views();
+        const auto at = std::find_if(views.begin(), views.end(), [](auto& v) {
+            return v.name == "a.max";
+        });
+        ASSERT_NE(at, views.end());
+        ASSERT_NE(at + 1, views.end());
+        EXPECT_EQ(at->suffix, "");
+        EXPECT_EQ(at->value, 5.0);
+        EXPECT_EQ((at + 1)->name, "a");
+        EXPECT_EQ((at + 1)->suffix, ".max");
+    }
+    (void)reg.histogram("a");
+    {
+        SCOPED_TRACE("empty histogram");
+        expect_walk_is_snapshot(reg);
+        const std::vector<o::MetricSampleView> views = reg.sample_views();
+        EXPECT_EQ(views.size(), 1u + 2 * 4 + 5);
+        const auto count = std::find_if(views.begin(), views.end(), [](auto& v) {
+            return v.name == "a" && v.suffix == ".count";
+        });
+        ASSERT_NE(count, views.end());
+        EXPECT_EQ(count->value, 0.0);
+    }
+    EXPECT_TRUE(o::MetricsRegistry{}.sample_views().empty());
+}
+
+TEST(RegistryTest, SampleViewsWalkAnMpeg2CollectorsRegistry) {
+    // 120 frames of the MPEG-2 SoC under a collector with attribution, on
+    // each engine: the walk is the snapshot, and the snapshot keeps its
+    // bytes (count and FNV-1a of its "name=value;" rows).
+    namespace k = rtsc::kernel;
+    namespace r = rtsc::rtos;
+    namespace w = rtsc::workload;
+    for (const r::EngineKind kind :
+         {r::EngineKind::procedure_calls, r::EngineKind::rtos_thread}) {
+        SCOPED_TRACE(static_cast<int>(kind));
+        k::Simulator sim;
+        w::Mpeg2Config cfg;
+        cfg.frames = 120;
+        cfg.engine = kind;
+        w::Mpeg2System soc(cfg);
+        o::MetricsRegistry reg;
+        o::MetricsCollector collector(reg);
+        o::Attribution attribution;
+        collector.set_attribution(&attribution);
+        for (r::Processor* cpu : soc.sw_processors()) collector.attach(*cpu);
+        sim.run_until(cfg.frame_period * cfg.frames + k::Time::ms(5));
+
+        expect_walk_is_snapshot(reg);
+        std::uint64_t h = 0xcbf29ce484222325ull;
+        const std::vector<o::MetricSample> snap = reg.snapshot();
+        for (const o::MetricSample& sample : snap) {
+            std::string row = sample.name + "=";
+            o::append_g17(row, sample.value);
+            row += ';';
+            for (const char c : row) {
+                h ^= static_cast<unsigned char>(c);
+                h *= 0x100000001b3ull;
+            }
+        }
+        EXPECT_EQ(snap.size(), 412u);
+        EXPECT_EQ(h, 0xb5930262cb6c01d6ull);
+    }
 }
 
 TEST(MergeTest, HistogramMergeIsExact) {
