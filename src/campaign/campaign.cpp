@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <condition_variable>
 #include <cstdlib>
 #include <exception>
 #include <map>
@@ -169,109 +168,48 @@ std::string CampaignReport::to_csv() const {
     return os.str();
 }
 
-// Shared between the handle and the worker threads. The handle owns the
-// scenario copies so start() callers need not keep their list alive.
-struct CampaignHandle::State {
-    std::vector<ScenarioSpec> scenarios;
-    CampaignRunner::Options opt;
-    clock::time_point t0;
+CampaignReport CampaignRunner::run(const std::vector<ScenarioSpec>& scenarios) const {
+    const clock::time_point t0 = clock::now();
     CampaignReport report;
-    std::vector<std::thread> pool;
-
-    std::atomic<std::size_t> next{0};
-    mutable std::mutex mu; ///< guards completed/finished + progress callback
-    mutable std::condition_variable cv;
-    std::size_t completed = 0;
-    bool finished = false;
-
-    void worker_loop() {
-        for (;;) {
-            const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
-            if (i >= scenarios.size()) return;
-
-            report.results[i] = run_scenario(scenarios[i], i, opt.seed);
-
-            std::lock_guard<std::mutex> lk(mu);
-            ++completed;
-            if (opt.on_progress)
-                opt.on_progress(
-                    Progress{completed, scenarios.size(), report.results[i]});
-            if (completed == scenarios.size()) {
-                report.wall_ms = elapsed_ms(t0);
-                finished = true;
-                cv.notify_all();
-            }
-        }
-    }
-};
-
-CampaignHandle::CampaignHandle(std::shared_ptr<State> state)
-    : state_(std::move(state)) {}
-
-CampaignHandle::~CampaignHandle() {
-    if (state_ == nullptr) return;
-    for (std::thread& t : state_->pool)
-        if (t.joinable()) t.join();
-}
-
-bool CampaignHandle::done() const {
-    std::lock_guard<std::mutex> lk(state_->mu);
-    return state_->finished;
-}
-
-std::size_t CampaignHandle::completed() const {
-    std::lock_guard<std::mutex> lk(state_->mu);
-    return state_->completed;
-}
-
-void CampaignHandle::wait() const {
-    std::unique_lock<std::mutex> lk(state_->mu);
-    state_->cv.wait(lk, [&] { return state_->finished; });
-}
-
-bool CampaignHandle::wait_for(std::chrono::milliseconds timeout) const {
-    std::unique_lock<std::mutex> lk(state_->mu);
-    return state_->cv.wait_for(lk, timeout, [&] { return state_->finished; });
-}
-
-CampaignReport CampaignHandle::take() {
-    wait();
-    for (std::thread& t : state_->pool)
-        if (t.joinable()) t.join();
-    CampaignReport report = std::move(state_->report);
-    state_.reset();
-    return report;
-}
-
-CampaignHandle CampaignRunner::start(std::vector<ScenarioSpec> scenarios) const {
-    auto state = std::make_shared<CampaignHandle::State>();
-    state->scenarios = std::move(scenarios);
-    state->opt = opt_;
-    state->t0 = clock::now();
-    state->report.seed = opt_.seed;
-    state->report.results.resize(state->scenarios.size());
+    report.seed = opt_.seed;
+    report.results.resize(scenarios.size());
 
     unsigned workers = opt_.workers;
     if (workers == 0) workers = std::thread::hardware_concurrency();
     if (workers == 0) workers = 1;
-    if (workers > state->scenarios.size() && !state->scenarios.empty())
-        workers = static_cast<unsigned>(state->scenarios.size());
-    state->report.workers = workers;
+    if (workers > scenarios.size() && !scenarios.empty())
+        workers = static_cast<unsigned>(scenarios.size());
+    report.workers = workers;
 
-    if (state->scenarios.empty()) {
-        std::lock_guard<std::mutex> lk(state->mu);
-        state->report.wall_ms = elapsed_ms(state->t0);
-        state->finished = true;
-    } else {
-        state->pool.reserve(workers);
-        for (unsigned w = 0; w < workers; ++w)
-            state->pool.emplace_back([s = state.get()] { s->worker_loop(); });
+    std::atomic<std::size_t> next{0};
+    std::mutex mu; ///< guards `completed` and serializes the progress callback
+    std::size_t completed = 0;
+    const auto worker_loop = [&] {
+        for (;;) {
+            const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
+            if (i >= scenarios.size()) return;
+
+            report.results[i] = run_scenario(scenarios[i], i, opt_.seed);
+
+            std::lock_guard<std::mutex> lk(mu);
+            ++completed;
+            if (opt_.on_progress)
+                opt_.on_progress(
+                    Progress{completed, scenarios.size(), report.results[i]});
+        }
+    };
+    {
+        // Even a single worker runs off the calling thread: per-thread caches
+        // the scenarios fill, such as the kernel's coroutine stack pool, are
+        // released when the worker exits instead of staying with the caller.
+        // The threads are joined when the scope ends, on a throw as well.
+        std::vector<std::jthread> pool;
+        pool.reserve(workers);
+        if (!scenarios.empty())
+            for (unsigned w = 0; w < workers; ++w) pool.emplace_back(worker_loop);
     }
-    return CampaignHandle(std::move(state));
-}
-
-CampaignReport CampaignRunner::run(const std::vector<ScenarioSpec>& scenarios) const {
-    return start(scenarios).take();
+    report.wall_ms = elapsed_ms(t0);
+    return report;
 }
 
 } // namespace rtsc::campaign

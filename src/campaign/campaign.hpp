@@ -23,10 +23,8 @@
 //     Build the Simulator and the whole model inside the body, on the
 //     worker's stack; return data via ScenarioContext metrics/notes.
 
-#include <chrono>
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
@@ -173,40 +171,6 @@ struct Progress {
     const ScenarioResult& last; ///< the scenario that just finished
 };
 
-/// Handle to a campaign started asynchronously (CampaignRunner::start).
-/// Every wait has a timeout overload — nothing in the campaign layer blocks
-/// without a deadline escape hatch, and no signal (SIGALRM or otherwise) is
-/// ever involved: waits are condition-variable based, hang detection is the
-/// sharded coordinator's job (host-side wall-clock timeouts + SIGKILL).
-class CampaignHandle {
-public:
-    CampaignHandle() = default;
-    CampaignHandle(CampaignHandle&&) noexcept = default;
-    CampaignHandle& operator=(CampaignHandle&&) noexcept = default;
-    CampaignHandle(const CampaignHandle&) = delete;
-    CampaignHandle& operator=(const CampaignHandle&) = delete;
-    ~CampaignHandle(); ///< joins (waits for completion) if still running
-
-    /// True once every scenario has finished (report ready to take()).
-    [[nodiscard]] bool done() const;
-    /// Scenarios finished so far (monotonic, completion order).
-    [[nodiscard]] std::size_t completed() const;
-    /// Block until the campaign finished.
-    void wait() const;
-    /// Block until the campaign finished or `timeout` elapsed; true = done.
-    /// The campaign keeps running when this times out — call again or take().
-    [[nodiscard]] bool wait_for(std::chrono::milliseconds timeout) const;
-    /// Wait for completion, join the workers and return the report.
-    /// Call at most once; the handle is empty afterwards.
-    [[nodiscard]] CampaignReport take();
-
-private:
-    friend class CampaignRunner;
-    struct State;
-    explicit CampaignHandle(std::shared_ptr<State> state);
-    std::shared_ptr<State> state_;
-};
-
 class CampaignRunner {
 public:
     struct Options {
@@ -222,15 +186,11 @@ public:
     CampaignRunner() = default;
     explicit CampaignRunner(Options opt) : opt_(std::move(opt)) {}
 
-    /// Run all scenarios and aggregate their results. Blocks until the last
-    /// scenario finished; scenario failures are contained in the report, a
-    /// worker is never torn down by a throwing scenario.
+    /// Run all scenarios on worker threads and aggregate their results.
+    /// Blocks until the last scenario finished; scenario failures are
+    /// contained in the report, a worker is never torn down by a throwing
+    /// scenario.
     [[nodiscard]] CampaignReport run(const std::vector<ScenarioSpec>& scenarios) const;
-
-    /// Start the campaign asynchronously and return immediately. The handle
-    /// owns a copy of the scenario list; poll or wait on it (with or without
-    /// a timeout) and take() the report. run() is start() + take().
-    [[nodiscard]] CampaignHandle start(std::vector<ScenarioSpec> scenarios) const;
 
 private:
     Options opt_;

@@ -48,7 +48,6 @@ ExploreResult Explorer::run() {
         const RunOutcome outcome = check_(trace);
         ++executed;
         ++schedules_total_;
-        if (bounds_.collect_digests) result.digests.push_back(outcome.digest);
         if (outcome.violation && !result.violation) {
             result.violation = true;
             result.counterexample = trace;

@@ -8,8 +8,7 @@
 // runner plus conservation/decision invariants) and hand-built scenarios
 // (the rotation-equivalence suite runs its nine pinned schedules through
 // it). A RunCheck executes the model once under the given DecisionTrace and
-// returns what it observed: the full decision log, a violation verdict and
-// a digest of the schedule.
+// returns what it observed: the full decision log and a violation verdict.
 //
 // Enumeration (stateless DFS by replay): pop a trace, run it; every *free*
 // decision (past the prescribed per-CPU prefix) with more than one slot
@@ -32,7 +31,6 @@
 #include <functional>
 #include <iosfwd>
 #include <string>
-#include <vector>
 
 #include "explore/decision.hpp"
 
@@ -43,7 +41,6 @@ struct RunOutcome {
     DecisionLog log;         ///< every tie-break the run consumed
     bool violation = false;  ///< an invariant broke under this schedule
     std::string diagnosis;   ///< first failure description when violation
-    std::uint64_t digest = 0; ///< schedule identity (uniqueness checks)
     std::string error;       ///< run failure text (empty = ran to completion)
 };
 
@@ -55,7 +52,6 @@ struct Bounds {
     std::size_t max_decisions = 4096; ///< branch only on the first N decisions
     std::size_t max_group = 16;       ///< widest window branched on (slots-1)
     bool stop_at_violation = true;    ///< abort the DFS on the first finding
-    bool collect_digests = false;     ///< keep every schedule digest
 };
 
 struct ExploreResult {
@@ -65,7 +61,6 @@ struct ExploreResult {
     bool violation = false;
     DecisionTrace counterexample; ///< trace of the violating schedule
     std::string diagnosis;
-    std::vector<std::uint64_t> digests; ///< when Bounds::collect_digests
 };
 
 class Explorer {

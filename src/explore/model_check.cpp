@@ -25,7 +25,6 @@ RunOutcome check_model_once(const fuzz::ModelSpec& spec,
         }
     }
     out.log = oracles[0].take_log();
-    out.digest = fuzz::fnv1a(runs.legs[0].digest, to_text(trace));
     out.error = runs.legs[0].error;
 
     if (out.violation) return out;

@@ -716,10 +716,6 @@ LegRuns run_legs(const ModelSpec& spec,
         out.legs[i] = run_unhashed(spec, kLegs[i].kind, kLegs[i].skip_ahead,
                                    oracles[i]);
     out.verdict = check_legs(out.legs);
-    for (std::size_t i = 0; i < 4; ++i)
-        out.legs[i].digest = i == 0 || out.verdict.diverged
-                                 ? digest_of(out.legs[i])
-                                 : out.legs[0].digest;
     return out;
 }
 

@@ -76,7 +76,8 @@ struct RunResult {
     RowTable attribution;
     /// Simulated end time (ps).
     std::uint64_t end_ps = 0;
-    /// FNV-1a digest over every compared row (streams + metrics + end time).
+    /// FNV-1a digest over every compared row (streams + metrics + end time)
+    /// and the error. Set by run_model only; run_legs leaves it 0.
     std::uint64_t digest = 0;
     /// Engine-dependent info, excluded from digest/comparison.
     std::uint64_t kernel_activations = 0;
@@ -144,9 +145,8 @@ struct LegRuns {
 };
 
 /// Run the spec on every leg of kLegs, the one four-leg loop; `oracles[i]`,
-/// when non-null, is leg i's `oracle` (see run_model). Each leg's digest is
-/// the one run_model computes, but only leg 0 is hashed when the verdict is
-/// clean: the legs then agree on everything the digest covers.
+/// when non-null, is leg i's `oracle` (see run_model). No leg is hashed:
+/// the verdict compares every row, the end time and the error.
 [[nodiscard]] LegRuns run_legs(const ModelSpec& spec,
                                const std::array<rtos::ScheduleOracle*, 4>&
                                    oracles = {});

@@ -1,6 +1,6 @@
 #pragma once
-// Module base class: a named container for processes and channels, in the
-// spirit of sc_module (without macros). Hardware blocks and the RTOS layer's
+// Module base class: a named container for processes, in the spirit of
+// sc_module (without macros). Hardware blocks and the RTOS layer's
 // Processor derive from it.
 
 #include <functional>

@@ -27,15 +27,10 @@ public:
     /// kill wake turns into a ProcessKilled throw before wait() returns.
     enum class WakeReason : std::uint8_t { none, event, timeout, killed };
 
-    /// SC_THREAD-like (own stack, suspends via wait) or SC_METHOD-like
-    /// (plain callback re-armed by its sensitivity / next_trigger).
-    enum class Kind : std::uint8_t { thread, method };
-
     Process(const Process&) = delete;
     Process& operator=(const Process&) = delete;
 
     [[nodiscard]] const std::string& name() const noexcept { return name_; }
-    [[nodiscard]] Kind kind() const noexcept { return kind_; }
     [[nodiscard]] bool terminated() const noexcept { return terminated_; }
     /// Notified (delta) when the process body returns; usable for joins.
     [[nodiscard]] Event& done_event() noexcept { return *done_event_; }
@@ -71,17 +66,11 @@ private:
     friend class Simulator;
 
     Process(Simulator& sim, std::string name, std::function<void()> body,
-            std::size_t stack_bytes);                    // thread
-    Process(Simulator& sim, std::string name, std::function<void()> callback,
-            std::vector<Event*> sensitivity);            // method
+            std::size_t stack_bytes);
 
     Simulator& sim_;
     std::string name_;
-    Kind kind_ = Kind::thread;
-    std::unique_ptr<Coroutine> coro_;                    // threads only
-    std::function<void()> method_callback_;              // methods only
-    std::vector<Event*> static_sensitivity_;             // methods only
-    bool next_trigger_armed_ = false;                    // dynamic override
+    std::unique_ptr<Coroutine> coro_;
     std::unique_ptr<Event> done_event_;
     bool terminated_ = false;
     bool runnable_ = false;              ///< already queued for execution

@@ -1,6 +1,5 @@
 #include "kernel/simulator.hpp"
 
-#include <algorithm>
 #include <chrono>
 #include <type_traits>
 #include <utility>
@@ -17,17 +16,7 @@ Process::Process(Simulator& sim, std::string name, std::function<void()> body,
                  std::size_t stack_bytes)
     : sim_(sim),
       name_(std::move(name)),
-      kind_(Kind::thread),
       coro_(std::make_unique<Coroutine>(std::move(body), stack_bytes)),
-      done_event_(std::make_unique<Event>(name_ + ".done")) {}
-
-Process::Process(Simulator& sim, std::string name,
-                 std::function<void()> callback, std::vector<Event*> sensitivity)
-    : sim_(sim),
-      name_(std::move(name)),
-      kind_(Kind::method),
-      method_callback_(std::move(callback)),
-      static_sensitivity_(std::move(sensitivity)),
       done_event_(std::make_unique<Event>(name_ + ".done")) {}
 
 // ------------------------------------------------------------------ Event
@@ -97,43 +86,7 @@ Process& Simulator::spawn(std::string name, std::function<void()> body,
 Process& Simulator::require_process(const char* what) const {
     if (!current_process_)
         throw SimulationError(std::string(what) + " called outside of a process");
-    if (current_process_->kind_ == Process::Kind::method)
-        throw SimulationError(std::string(what) +
-                              " called inside a method process (methods must "
-                              "use next_trigger, not wait)");
     return *current_process_;
-}
-
-Process& Simulator::spawn_method(std::string name,
-                                 std::function<void()> callback,
-                                 std::vector<Event*> sensitivity) {
-    auto proc = std::unique_ptr<Process>(
-        new Process(*this, std::move(name), std::move(callback),
-                    std::move(sensitivity)));
-    Process& p = *proc;
-    processes_.push_back(std::move(proc));
-    p.runnable_ = true;
-    runnable_.push_back(&p);
-    return p;
-}
-
-void Simulator::next_trigger(Time delay) {
-    if (!current_process_ || current_process_->kind_ != Process::Kind::method)
-        throw SimulationError("next_trigger outside of a method process");
-    Process& p = *current_process_;
-    clear_wait_state(p);
-    arm_timeout(p, delay);
-    p.next_trigger_armed_ = true;
-}
-
-void Simulator::next_trigger(Event& e) {
-    if (!current_process_ || current_process_->kind_ != Process::Kind::method)
-        throw SimulationError("next_trigger outside of a method process");
-    Process& p = *current_process_;
-    clear_wait_state(p);
-    e.waiters_.push_back(&p);
-    p.waiting_on_.push_back(&e);
-    p.next_trigger_armed_ = true;
 }
 
 // ---- event machinery ----
@@ -285,8 +238,7 @@ void Simulator::kill_process(Process& p) {
         p.kill_requested_ = false;
         throw ProcessKilled(p.name_);
     }
-    if (p.kind_ == Process::Kind::method ||
-        (p.kind_ == Process::Kind::thread && !p.coro_->started())) {
+    if (!p.coro_->started()) {
         // No live stack to unwind: retire the process in place.
         p.terminated_ = true;
         clear_wait_state(p);
@@ -302,10 +254,10 @@ void Simulator::kill_process(Process& p) {
 // ---- inline wake ----
 //
 // With skip-ahead on, a wait whose wake is provably the run loop's next step
-// completes in place: nothing else is queued in this sweep, and the update
-// and delta-notification phases would be empty, so the loop would end the
-// sweep, count one delta cycle, and (for a timeout) take advance_time's fast
-// path straight back to this process. The caller applies exactly that
+// completes in place: nothing else is queued in this sweep, and the
+// delta-notification phase would be empty, so the loop would end the sweep,
+// count one delta cycle, and (for a timeout) take advance_time's fast path
+// straight back to this process. The caller applies exactly that
 // bookkeeping and keeps running; only the switch counters differ. The
 // skip-ahead-off path stays the reference the differential legs compare to.
 
@@ -314,8 +266,7 @@ bool Simulator::sweep_ends_idle() const noexcept {
     // counts as pending: the exact path runs delta_notify_phase() for it,
     // with its per-instant limit check.
     return skip_ahead_ && !stop_requested_ && sweep_ == runnable_.size() &&
-           update_requests_.empty() && delta_pending_.empty() &&
-           zero_waiters_.empty();
+           delta_pending_.empty() && zero_waiters_.empty();
 }
 
 bool Simulator::wake_inline(Process& p) {
@@ -424,12 +375,6 @@ Event* Simulator::wait_any(Time timeout, const std::vector<Event*>& events) {
     return p.wake_reason_ == Process::WakeReason::event ? p.waking_event_ : nullptr;
 }
 
-void Simulator::request_update(UpdateHook& hook) {
-    if (std::find(update_requests_.begin(), update_requests_.end(), &hook) ==
-        update_requests_.end())
-        update_requests_.push_back(&hook);
-}
-
 // ---- the scheduling loop ----
 
 bool Simulator::advance_time(Time limit) {
@@ -495,27 +440,9 @@ void Simulator::evaluate_phase() {
         current_process_ = p;
         ++activations_;
         ++p->activations_;
-        if (p->kind_ == Process::Kind::method) {
-            p->next_trigger_armed_ = false;
-            try {
-                p->method_callback_();
-            } catch (...) {
-                current_process_ = nullptr;
-                throw;
-            }
-            // Re-arm: dynamic next_trigger wins; otherwise the static
-            // sensitivity; with neither, the method stays dormant.
-            if (!p->next_trigger_armed_) {
-                for (Event* e : p->static_sensitivity_) {
-                    e->waiters_.push_back(p);
-                    p->waiting_on_.push_back(e);
-                }
-            }
-        } else {
-            p->coro_->resume();
-        }
+        p->coro_->resume();
         current_process_ = nullptr;
-        if (p->kind_ == Process::Kind::thread && p->coro_->finished()) {
+        if (p->coro_->finished()) {
             p->terminated_ = true;
             clear_wait_state(*p);
             p->done_event_->notify_delta();
@@ -526,13 +453,6 @@ void Simulator::evaluate_phase() {
         throw;
     }
     runnable_.clear();
-}
-
-void Simulator::update_phase() {
-    if (update_requests_.empty()) return;
-    update_scratch_.clear();
-    update_scratch_.swap(update_requests_);
-    for (UpdateHook* h : update_scratch_) h->update();
 }
 
 void Simulator::delta_notify_phase() {
@@ -609,10 +529,9 @@ void Simulator::run_loop(Time limit) {
                     break;
             }
             timed([&] { evaluate_phase(); }, host_profile_.evaluate_ns);
-            if (skip_ahead_ && update_requests_.empty() &&
-                delta_pending_.empty() && zero_waiters_.empty()) {
-                // Skip-ahead: the update and delta-notification phases have
-                // nothing to do; count the empty delta cycle exactly as
+            if (skip_ahead_ && delta_pending_.empty() && zero_waiters_.empty()) {
+                // Skip-ahead: the delta-notification phase has nothing to
+                // do; count the empty delta cycle exactly as
                 // delta_notify_phase() would and return to the timed queue.
                 // The per-instant delta guard is not needed here: with no
                 // pending delta activity, time strictly advances (or the run
@@ -621,7 +540,6 @@ void Simulator::run_loop(Time limit) {
                 ++deltas_this_instant_;
                 continue;
             }
-            timed([&] { update_phase(); }, host_profile_.update_ns);
             timed([&] { delta_notify_phase(); }, host_profile_.delta_notify_ns);
         }
     } catch (...) {
@@ -636,8 +554,7 @@ void Simulator::check_for_stall() {
     stall_report_.at = now_;
     for (const auto& up : processes_) {
         const Process& p = *up;
-        if (p.terminated_ || p.runnable_ || p.daemon_ ||
-            p.kind_ != Process::Kind::thread || !p.coro_->started())
+        if (p.terminated_ || p.runnable_ || p.daemon_ || !p.coro_->started())
             continue;
         BlockedProcess b;
         b.process = p.name_;

@@ -1,15 +1,15 @@
 #pragma once
 // The discrete-event simulation kernel.
 //
-// Implements the SystemC 2.0 scheduling algorithm the paper's RTOS model
-// relies on: an evaluate phase running all runnable processes, an update
-// phase committing primitive-channel writes, and a delta-notification phase,
-// with simulated time advancing to the next timed notification when a delta
-// cycle produces no runnable process.
+// Implements the part of the SystemC 2.0 scheduling algorithm the paper's
+// RTOS model relies on: thread processes, events, wait and time. A delta
+// cycle is an evaluate phase running all runnable processes followed by a
+// delta-notification phase, with simulated time advancing to the next timed
+// notification when a delta cycle produces no runnable process.
 //
 // One Simulator is active per thread at a time (Simulator::current()); all
-// Events, Processes and channels bind to it on construction, so sequential
-// tests can each build an isolated simulation.
+// Events and Processes bind to it on construction, so sequential tests can
+// each build an isolated simulation.
 
 #include <cstdint>
 #include <functional>
@@ -25,14 +25,6 @@
 #include "kernel/timing_wheel.hpp"
 
 namespace rtsc::kernel {
-
-/// Primitive channels register an UpdateHook to participate in the update
-/// phase (Signal<T> uses this to commit writes between delta cycles).
-class UpdateHook {
-public:
-    virtual ~UpdateHook() = default;
-    virtual void update() = 0;
-};
 
 class Simulator {
 public:
@@ -53,24 +45,12 @@ public:
     Process& spawn(std::string name, std::function<void()> body,
                    std::size_t stack_bytes = Coroutine::default_stack_bytes);
 
-    /// Create a method process (SC_METHOD-like): `callback` runs to
-    /// completion on every trigger — once at start, then whenever an event
-    /// in its static sensitivity fires, unless the callback re-armed itself
-    /// with next_trigger(). Methods must not call wait().
-    Process& spawn_method(std::string name, std::function<void()> callback,
-                          std::vector<Event*> sensitivity);
-
-    /// From inside a method callback: override the static sensitivity for
-    /// the next activation only.
-    void next_trigger(Time delay);
-    void next_trigger(Event& e);
-
     /// Terminate a process asynchronously. A suspended thread process is made
     /// runnable and a ProcessKilled exception is raised at its suspension
     /// point so its stack unwinds (RAII cleanup runs); killing the currently
-    /// executing process throws ProcessKilled directly; a method process or a
-    /// never-started thread is terminated in place. Idempotent on terminated
-    /// processes. The done_event fires as for a normal termination.
+    /// executing process throws ProcessKilled directly; a never-started
+    /// process is terminated in place. Idempotent on terminated processes.
+    /// The done_event fires as for a normal termination.
     void kill_process(Process& p);
 
     [[nodiscard]] Time now() const noexcept { return now_; }
@@ -90,8 +70,8 @@ public:
     /// wait(Time, Event&) and wait_any(Time, ...)) or a zero-delay wait
     /// returns without a context switch when the run loop's very next step
     /// would be to resume this caller: nothing else is queued in the
-    /// current evaluate sweep, no update, delta notification or zero-delay
-    /// wait is pending, stop() was not requested, and -- for a timeout --
+    /// current evaluate sweep, no delta notification or zero-delay wait is
+    /// pending, stop() was not requested, and -- for a timeout --
     /// it lies strictly before every other timed entry and within the run's
     /// horizon. Time, delta counters and the wake reason advance exactly as
     /// the suspension would have advanced them; only the switch counters
@@ -122,9 +102,6 @@ public:
 
     /// The process currently executing, or nullptr in scheduler context.
     [[nodiscard]] Process* current_process() const noexcept { return current_process_; }
-
-    /// Schedule an update-phase callback for the end of this delta cycle.
-    void request_update(UpdateHook& hook);
 
     // ---- introspection / statistics ----
     [[nodiscard]] std::uint64_t delta_count() const noexcept { return delta_count_; }
@@ -169,7 +146,9 @@ public:
     /// phase — because wall-clock readings are inherently nondeterministic.
     struct HostProfile {
         std::uint64_t evaluate_ns = 0;     ///< evaluate phases
-        std::uint64_t update_ns = 0;       ///< update phases
+        /// Always 0: the kernel has no update phase. Kept only because the
+        /// repository benchmark (perfbench/src/ring.cpp) reads it.
+        std::uint64_t update_ns = 0;
         std::uint64_t delta_notify_ns = 0; ///< delta-notification phases
         std::uint64_t advance_ns = 0;      ///< timed-queue advances
     };
@@ -182,12 +161,12 @@ public:
     // ---- skip-ahead fast path ----
 
     /// Toggle the skip-ahead fast path for this simulator (a new simulator
-    /// starts with it on): empty update/delta-notification phases are
-    /// elided (their counters still advance identically), the newest armed
-    /// process timeout is staged in a
-    /// one-slot hot buffer that can fire without touching the wheel, and a
-    /// wait whose own wake comes next completes inline, without a context
-    /// switch (see wait(Time)). Purely an execution-speed toggle -- every
+    /// starts with it on): empty delta-notification phases are elided
+    /// (their counters still advance identically), the newest armed
+    /// process timeout is staged in a one-slot hot buffer that can fire
+    /// without touching the wheel, and a wait whose own wake comes next
+    /// completes inline, without a context switch (see wait(Time)).
+    /// Purely an execution-speed toggle -- every
     /// observable (trace, digests, delta_count, wheel statistics,
     /// attribution) is bit-identical either way except the switch counters
     /// process_activations() and Process::activations(), which count fewer
@@ -242,8 +221,8 @@ private:
     void fire_hot() noexcept;               ///< advance to the staged timeout, disarm it
     void suspend_current();                 ///< yield back to scheduler
     /// Inline wake (see wait(Time)): true when, were the caller to suspend
-    /// now, the sweep would end with nothing else queued, the update and
-    /// delta-notification phases would be empty, and the loop would go on.
+    /// now, the sweep would end with nothing else queued, the
+    /// delta-notification phase would be empty, and the loop would go on.
     [[nodiscard]] bool sweep_ends_idle() const noexcept;
     [[nodiscard]] bool wake_inline(Process& p); ///< timed wait: true if woken in place
     void resume_in_place(Process& p, Process::WakeReason reason);
@@ -252,7 +231,6 @@ private:
     bool advance_time(Time limit);          ///< pop next time's entries; false if none <= limit
     void check_for_stall();                 ///< fills stall_report_ after a dry run()
     void evaluate_phase();
-    void update_phase();
     void delta_notify_phase();
     void run_loop(Time limit);
 
@@ -304,12 +282,10 @@ private:
         std::uint64_t seq;
     };
     std::vector<ZeroWaiter> zero_waiters_; ///< processes in wait(Time::zero())
-    std::vector<UpdateHook*> update_requests_;
     // Reused double buffers: the phases and trigger() iterate a moved-out
     // snapshot; recycling the vectors keeps the hot loop allocation-free.
     std::vector<Event*> delta_scratch_;
     std::vector<ZeroWaiter> zero_scratch_;
-    std::vector<UpdateHook*> update_scratch_;
     std::vector<Process*> trigger_scratch_;
     Process* current_process_ = nullptr;
     Reporter reporter_;

@@ -6,7 +6,9 @@
 // Strict where it matters for trace files: rejects trailing garbage,
 // unterminated strings/escapes, bad numbers and unbalanced containers.
 // Numbers are parsed as double (all trace-event fields fit), object keys
-// keep insertion order irrelevant — lookup is by exact name.
+// keep insertion order irrelevant — lookup is by exact name. Containers nest
+// at most Parser::kMaxDepth levels, so hostile input cannot exhaust the
+// stack of the recursive parser or of the Value destructor.
 
 #include <cctype>
 #include <cstdlib>
@@ -53,6 +55,10 @@ public:
 
 class Parser {
 public:
+    /// Deepest container nesting accepted; the exports nest fewer than 10
+    /// levels.
+    static constexpr std::size_t kMaxDepth = 256;
+
     explicit Parser(std::string_view text) : s_(text) {}
 
     [[nodiscard]] ValuePtr parse() {
@@ -84,8 +90,17 @@ private:
     [[nodiscard]] ValuePtr value() {
         skip_ws();
         switch (peek()) {
-            case '{': return object();
-            case '[': return array();
+            case '{':
+            case '[': {
+                if (depth_ == kMaxDepth)
+                    throw ParseError("nesting deeper than " +
+                                         std::to_string(kMaxDepth) + " levels",
+                                     pos_);
+                ++depth_;
+                ValuePtr v = s_[pos_] == '{' ? object() : array();
+                --depth_;
+                return v;
+            }
             case '"': return string_value();
             case 't':
             case 'f': return boolean();
@@ -243,6 +258,7 @@ private:
 
     std::string_view s_;
     std::size_t pos_ = 0;
+    std::size_t depth_ = 0; ///< containers open around the current value
 };
 
 /// Parse or throw ParseError.

@@ -22,7 +22,7 @@ std::string json_escape(std::string_view s) {
 void write_perfetto_json(std::ostream& os, const trace::Recorder& rec,
                          const PerfettoOptions& opts) {
     // Events render in place into a 64 KiB window that spills to `os`.
-    pfmt::EventArray ev(os, 64 * 1024, opts.one_event_per_line);
+    pfmt::EventArray ev(os, 64 * 1024);
     ev.open();
 
     const auto& cpus = rec.processors();
@@ -31,8 +31,7 @@ void write_perfetto_json(std::ostream& os, const trace::Recorder& rec,
 
     // --- metadata: stable pid/tid assignment (obs/perfetto_format.hpp) ----
     pfmt::emit_layout(ev, cpus, rels, opts.attribution != nullptr,
-                      opts.include_comms,
-                      opts.include_markers && !rec.markers().empty());
+                      !rec.markers().empty());
 
     // --- task state slices ------------------------------------------------
     // Segments from one task never overlap (they partition the trace), so
@@ -73,25 +72,21 @@ void write_perfetto_json(std::ostream& os, const trace::Recorder& rec,
                                opts.misses);
 
     // --- communication accesses as thread instants ------------------------
-    if (opts.include_comms) {
-        for (const auto& c : rec.comms()) {
-            const std::string* track = tracks.relation_track(*c.relation);
-            if (track == nullptr) continue;
-            const pfmt::TaskTrack* task =
-                c.task != nullptr ? &tracks.task(*c.task) : nullptr;
-            ev.emit([&](pfmt::Buffer& out) {
-                pfmt::access(out, *track, c.at, task, c.kind, c.blocked);
-            });
-        }
+    for (const auto& c : rec.comms()) {
+        const std::string* track = tracks.relation_track(*c.relation);
+        if (track == nullptr) continue;
+        const pfmt::TaskTrack* task =
+            c.task != nullptr ? &tracks.task(*c.task) : nullptr;
+        ev.emit([&](pfmt::Buffer& out) {
+            pfmt::access(out, *track, c.at, task, c.kind, c.blocked);
+        });
     }
 
     // --- fault / watchdog / deadline markers as global instants -----------
-    if (opts.include_markers) {
-        for (const auto& m : rec.markers())
-            ev.emit([&](pfmt::Buffer& out) {
-                pfmt::instant(out, marker_pid, 1, m.at, 'g', m.category, m.name);
-            });
-    }
+    for (const auto& m : rec.markers())
+        ev.emit([&](pfmt::Buffer& out) {
+            pfmt::instant(out, marker_pid, 1, m.at, 'g', m.category, m.name);
+        });
 
     ev.close();
 }

@@ -49,10 +49,6 @@
 namespace rtsc::obs {
 
 struct PerfettoOptions {
-    bool include_comms = true;
-    bool include_markers = true;
-    /// Pretty-print one event per line (slightly larger, diff-friendly).
-    bool one_event_per_line = true;
     /// When set, per-job blame slices, blocking-chain instants and
     /// culprit->victim flow events are emitted (see header comment). The
     /// analyzer must have observed the same processors as the recorder.

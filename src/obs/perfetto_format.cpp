@@ -308,14 +308,13 @@ void append_escaped(Buffer& out, std::string_view s) { escape_into(out, s); }
 
 // ---- EventArray ----
 
-EventArray::EventArray(std::ostream& os, std::size_t window_bytes,
-                       bool one_per_line)
-    : os_(os), limit_(window_bytes), sep_(one_per_line ? ",\n" : ",") {}
+EventArray::EventArray(std::ostream& os, std::size_t window_bytes)
+    : os_(os), limit_(window_bytes) {}
 
 EventArray::~EventArray() { stop_writer(); }
 
 void EventArray::open() {
-    os_ << "{\"traceEvents\": [" << sep_.substr(1); // the newline, if any
+    os_ << "{\"traceEvents\": [\n";
 }
 
 void EventArray::spill() {
@@ -380,7 +379,7 @@ void EventArray::close() {
         window_.clear();
         stats_.window_bytes = 0;
     }
-    os_ << sep_.substr(1) << "]}\n";
+    os_ << "\n]}\n";
 }
 
 // ---- templates ----
@@ -513,7 +512,7 @@ void access(Buffer& out, const std::string& relation_track, k::Time at,
 
 void emit_layout(EventArray& events, const std::vector<rtos::Processor*>& cpus,
                  const std::vector<mcse::Relation*>& relations, bool jobs,
-                 bool comms, bool markers) {
+                 bool markers) {
     // A thread named `<name><suffix>`.
     const auto thread = [&events](int pid, int tid, std::string_view name,
                                   std::string_view suffix) {
@@ -537,7 +536,7 @@ void emit_layout(EventArray& events, const std::vector<rtos::Processor*>& cpus,
                        tasks[ti]->name(), ".jobs");
     }
     const int comm_pid = static_cast<int>(cpus.size()) + 1;
-    if (comms && !relations.empty()) {
+    if (!relations.empty()) {
         events.emit([&](Buffer& out) { meta_process(out, comm_pid, "comm"); });
         for (std::size_t ri = 0; ri < relations.size(); ++ri)
             events.emit([&](Buffer& out) {

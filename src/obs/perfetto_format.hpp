@@ -113,9 +113,8 @@ public:
         std::size_t spooled_bytes = 0;     ///< event bytes spilled so far
     };
 
-    /// With `one_per_line` every event sits on its own line.
-    EventArray(std::ostream& os, std::size_t window_bytes,
-               bool one_per_line = true);
+    /// Every event sits on its own line.
+    EventArray(std::ostream& os, std::size_t window_bytes);
     /// Joins the I/O thread after its current write; an unclosed document
     /// stays unfinished.
     ~EventArray();
@@ -131,7 +130,7 @@ public:
             char* p = window_.room(2);
             p[0] = ',';
             p[1] = '\n';
-            window_.commit(p + sep_.size());
+            window_.commit(p + 2);
         }
         render(window_);
         ++stats_.events;
@@ -153,7 +152,6 @@ private:
 
     std::ostream& os_;
     std::size_t limit_;
-    std::string_view sep_;
     Buffer window_;   ///< being rendered into
     Buffer spooling_; ///< handed to the I/O thread
     Stats stats_;
@@ -260,11 +258,11 @@ template <class T>
 }
 
 /// Process and thread names of the layout: every processor with its RTOS,
-/// task and (with `jobs`) jobs threads; the comm process when `comms` and
-/// a relation is attached; the events process when `markers`.
+/// task and (with `jobs`) jobs threads; the comm process when a relation is
+/// attached; the events process when `markers`.
 void emit_layout(EventArray& events, const std::vector<rtos::Processor*>& cpus,
                  const std::vector<mcse::Relation*>& relations, bool jobs,
-                 bool comms, bool markers);
+                 bool markers);
 
 /// Where a task's slices live: its processor's pid, its state track and
 /// (with attribution) its jobs track. Keyed by task name — Attribution

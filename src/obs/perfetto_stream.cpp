@@ -43,8 +43,8 @@ PerfettoStreamWriter::Spool::~Spool() {
 }
 
 PerfettoStreamWriter::PerfettoStreamWriter(std::string path, Options opts)
-    : path_(std::move(path)), opts_(opts), spool_{unique_spool_path(path_), {}},
-      events_(spool_.os, opts_.window_bytes) {
+    : path_(std::move(path)), spool_{unique_spool_path(path_), {}},
+      events_(spool_.os, opts.window_bytes) {
     spool_.os.open(spool_.path, std::ios::trunc);
     if (!spool_.os)
         throw k::SimulationError("cannot open perfetto spool file: " +
@@ -112,7 +112,6 @@ void PerfettoStreamWriter::on_access(const mcse::Relation& rel,
                            ? task->processor().simulator().now()
                            : k::Simulator::current().now();
     note_time(at);
-    if (!opts_.include_comms) return;
     const std::string* track = tracks_.relation_track(rel);
     if (track == nullptr) return;
     const pfmt::TaskTrack* task_track =
@@ -126,7 +125,6 @@ void PerfettoStreamWriter::on_marker(const std::string& category,
                                      const std::string& name) {
     const k::Time at = k::Simulator::current().now();
     note_time(at);
-    if (!opts_.include_markers) return;
     any_marker_ = true;
     events_.emit([&](pfmt::Buffer& out) {
         pfmt::instant(out, marker_pid(), 1, at, 'g', category, name);
@@ -208,7 +206,7 @@ void PerfettoStreamWriter::finish(
     // not care about position, and emitting here lets tid numbering for the
     // jobs tracks use the final task count, as the batch layout does.
     pfmt::emit_layout(events_, processors_, relations_, attribution != nullptr,
-                      opts_.include_comms, opts_.include_markers && any_marker_);
+                      any_marker_);
     for (std::size_t ci = 0; ci < counter_procs_.size(); ++ci)
         events_.emit([&](pfmt::Buffer& out) {
             pfmt::meta_process(out, marker_pid() + 1 + static_cast<int>(ci),

@@ -68,8 +68,6 @@ public:
         /// Hand the in-memory window to the spool once it reaches this many
         /// bytes. Peak residency stays below two windows plus one event.
         std::size_t window_bytes = 64 * 1024;
-        bool include_comms = true;
-        bool include_markers = true;
     };
 
     /// Events emitted, window occupancy and its high-water mark, windows
@@ -186,7 +184,6 @@ private:
     [[nodiscard]] CounterHandle counter_track_at(int pid, std::string_view name);
 
     std::string path_;
-    Options opts_;
     std::vector<rtos::Processor*> processors_;
     std::vector<mcse::Relation*> relations_;
     pfmt::Tracks tracks_{processors_, relations_};

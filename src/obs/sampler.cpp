@@ -17,7 +17,6 @@ void MetricsSampler::attach(rtos::Processor& cpu) {
 }
 
 void MetricsSampler::start(kernel::Simulator& sim) {
-    if (opts_.include_host) sim.set_host_profiling(true);
     k::Process& p = sim.spawn("metrics_sampler", [this, &sim] {
         for (;;) {
             sample(sim);
@@ -84,18 +83,6 @@ void MetricsSampler::sample(kernel::Simulator& sim) {
            static_cast<double>(sim.timed_tombstones()));
     record(nullptr, kt.timed_compactions, "timed_compactions", at,
            static_cast<double>(sim.timed_compactions()));
-
-    if (opts_.include_host) {
-        const auto& hp = sim.host_profile();
-        record(nullptr, kt.evaluate, "host.evaluate_ms", at,
-               static_cast<double>(hp.evaluate_ns) * 1e-6);
-        record(nullptr, kt.update, "host.update_ms", at,
-               static_cast<double>(hp.update_ns) * 1e-6);
-        record(nullptr, kt.delta_notify, "host.delta_notify_ms", at,
-               static_cast<double>(hp.delta_notify_ns) * 1e-6);
-        record(nullptr, kt.advance, "host.advance_ms", at,
-               static_cast<double>(hp.advance_ns) * 1e-6);
-    }
     ++samples_;
 }
 

@@ -22,13 +22,6 @@
 //   whose inline wakes need none: 4,808 vs 6,567 with it on, 10,591 vs
 //   10,778 with it off.
 //
-// With Options::include_host (off by default — wall-clock readings are
-// nondeterministic, so equivalence tests must not enable it) the kernel's
-// host-side phase profile (Simulator::host_profile) is emitted as
-//   host.evaluate_ms, host.update_ms, host.delta_notify_ms, host.advance_ms
-// letting a trace explain where the simulator itself spent wall time.
-// start() enables Simulator::set_host_profiling automatically in that case.
-//
 // The same readings are optionally mirrored into a MetricsRegistry
 // (set_registry) as gauges named "<cpu>.<metric>" / "kernel.<metric>" so
 // campaign aggregation sees them too.
@@ -57,9 +50,6 @@ public:
     struct Options {
         /// Simulated-time distance between samples (first sample at t=0).
         kernel::Time period = kernel::Time::ms(1);
-        /// Emit host wall-clock phase counters too. Nondeterministic by
-        /// nature; keep off for anything that compares traces.
-        bool include_host = false;
     };
 
     explicit MetricsSampler(PerfettoStreamWriter& out)
@@ -92,7 +82,7 @@ private:
     /// Counter tracks on the "kernel" process.
     struct KernelTracks {
         Handle delta_cycles, activations, timed_live, timed_tombstones,
-            timed_compactions, evaluate, update, delta_notify, advance;
+            timed_compactions;
     };
 
     void sample(kernel::Simulator& sim);

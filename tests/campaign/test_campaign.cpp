@@ -2,10 +2,7 @@
 // contract — bit-identical aggregate reports for every worker count.
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <chrono>
 #include <stdexcept>
-#include <thread>
 #include <vector>
 
 #include <fstream>
@@ -105,49 +102,6 @@ TEST(CampaignRunner, ScenarioFailureIsIsolated) {
     ASSERT_NE(report.find("good2"), nullptr);
     EXPECT_EQ(report.find("good2")->metrics[0].second, 2.0);
     EXPECT_EQ(report.find("nope"), nullptr);
-}
-
-TEST(CampaignHandle, StartWaitForAndTakeMatchBlockingRun) {
-    const auto scenarios = taskset_campaign(6);
-    const auto blocking =
-        c::CampaignRunner({.workers = 2, .seed = 31}).run(scenarios);
-
-    auto handle = c::CampaignRunner({.workers = 2, .seed = 31}).start(scenarios);
-    // wait_for with a timeout never blocks forever; repeated calls are safe
-    // and the campaign keeps running across a timed-out wait.
-    while (!handle.wait_for(std::chrono::milliseconds(5))) {
-        EXPECT_LE(handle.completed(), scenarios.size());
-    }
-    EXPECT_TRUE(handle.done());
-    EXPECT_EQ(handle.completed(), scenarios.size());
-    const auto report = handle.take();
-    EXPECT_EQ(report.digest(), blocking.digest());
-    EXPECT_EQ(report.results.size(), scenarios.size());
-}
-
-TEST(CampaignHandle, WaitForTimesOutWhileScenariosRun) {
-    std::atomic<bool> release{false};
-    std::vector<c::ScenarioSpec> scenarios = {
-        {"gate", [&release](c::ScenarioContext&) {
-             while (!release.load()) std::this_thread::yield();
-         }}};
-    auto handle = c::CampaignRunner({.workers = 1}).start(scenarios);
-    EXPECT_FALSE(handle.wait_for(std::chrono::milliseconds(20)));
-    EXPECT_FALSE(handle.done());
-    release.store(true);
-    handle.wait();
-    EXPECT_TRUE(handle.done());
-    EXPECT_EQ(handle.take().results.size(), 1u);
-}
-
-TEST(CampaignHandle, DestructorJoinsWithoutTake) {
-    std::vector<c::ScenarioSpec> scenarios;
-    for (int i = 0; i < 4; ++i)
-        scenarios.push_back({"s" + std::to_string(i), [](c::ScenarioContext&) {}});
-    {
-        auto handle = c::CampaignRunner({.workers = 2}).start(scenarios);
-        (void)handle; // dropped while possibly still running: must join clean
-    }
 }
 
 TEST(CampaignRunner, ProgressReportsEveryCompletion) {

@@ -44,16 +44,18 @@ struct Point {
 
 /// A deterministic RunCheck over a fixed decision structure. Prescribed
 /// slots replay per-CPU in observation order, free decisions take slot 0.
-/// The digest folds every decision's choice.
+/// When `ran` is set, each run appends the to_text of the full trace it
+/// ran (every decision's chosen slot): the schedule's identity.
 ex::RunCheck synthetic(std::vector<Point> points,
                        std::function<bool(const std::vector<std::uint32_t>&)>
-                           violates = nullptr) {
-    return [points = std::move(points),
-            violates = std::move(violates)](const ex::DecisionTrace& trace) {
+                           violates = nullptr,
+                       std::vector<std::string>* ran = nullptr) {
+    return [points = std::move(points), violates = std::move(violates),
+            ran](const ex::DecisionTrace& trace) {
         ex::RunOutcome out;
         std::map<std::string, std::size_t> cursor;
         std::vector<std::uint32_t> chosen;
-        std::uint64_t digest = 1469598103934665603ull;
+        ex::DecisionTrace schedule;
         for (const auto& p : points) {
             ex::Decision d;
             d.cpu = p.cpu;
@@ -67,10 +69,10 @@ ex::RunCheck synthetic(std::vector<Point> points,
             }
             ++cur;
             chosen.push_back(d.chosen);
-            digest = (digest ^ (d.chosen + 1)) * 1099511628211ull;
+            schedule[p.cpu].push_back(d.chosen);
             out.log.push_back(std::move(d));
         }
-        out.digest = digest;
+        if (ran != nullptr) ran->push_back(ex::to_text(schedule));
         if (violates != nullptr && violates(chosen)) {
             out.violation = true;
             out.diagnosis = "synthetic violation";
@@ -83,26 +85,28 @@ ex::RunCheck synthetic(std::vector<Point> points,
 
 TEST(Explorer, EnumeratesFullProductOnOneCpu) {
     // Two decision points with 2 and 3 slots: 6 distinct schedules.
-    ex::Bounds b;
-    b.collect_digests = true;
-    ex::Explorer e(synthetic({{"cpu0", 2}, {"cpu0", 3}}), b);
+    std::vector<std::string> ran;
+    ex::Explorer e(synthetic({{"cpu0", 2}, {"cpu0", 3}}, nullptr, &ran),
+                   ex::Bounds{});
     const ex::ExploreResult r = e.run();
     EXPECT_EQ(r.schedules, 6u);
     EXPECT_TRUE(r.complete);
     EXPECT_FALSE(r.violation);
     EXPECT_EQ(r.clipped_branches, 0u);
-    const std::set<std::uint64_t> uniq(r.digests.begin(), r.digests.end());
+    ASSERT_EQ(ran.size(), 6u);
+    const std::set<std::string> uniq(ran.begin(), ran.end());
     EXPECT_EQ(uniq.size(), 6u) << "each schedule must be visited exactly once";
 }
 
 TEST(Explorer, EnumeratesCrossCpuProduct) {
-    ex::Bounds b;
-    b.collect_digests = true;
-    ex::Explorer e(synthetic({{"cpu0", 2}, {"cpu1", 2}}), b);
+    std::vector<std::string> ran;
+    ex::Explorer e(synthetic({{"cpu0", 2}, {"cpu1", 2}}, nullptr, &ran),
+                   ex::Bounds{});
     const ex::ExploreResult r = e.run();
     EXPECT_EQ(r.schedules, 4u);
     EXPECT_TRUE(r.complete);
-    const std::set<std::uint64_t> uniq(r.digests.begin(), r.digests.end());
+    ASSERT_EQ(ran.size(), 4u);
+    const std::set<std::string> uniq(ran.begin(), ran.end());
     EXPECT_EQ(uniq.size(), 4u);
 }
 

@@ -89,10 +89,6 @@ ex::RunCheck scenario_check(const Scenario& s) {
                                 rtsc::fuzz::kLegs[i].name + " differs from " +
                                 rtsc::fuzz::kLegs[0].name;
             }
-        std::uint64_t digest = 1469598103934665603ull;
-        for (std::size_t n = 0; n < legs[0].states.size(); ++n)
-            digest = rtsc::fuzz::fnv1a(digest, legs[0].states[n]);
-        out.digest = rtsc::fuzz::fnv1a(digest, ex::to_text(trace));
         return out;
     };
 }
@@ -213,9 +209,7 @@ std::vector<Scenario> scenarios() {
 TEST(ExploreRotation, AllNineScenariosExhaustivelyEquivalent) {
     for (const auto& s : scenarios()) {
         SCOPED_TRACE(s.name);
-        ex::Bounds b;
-        b.collect_digests = true;
-        ex::Explorer e(scenario_check(s), b);
+        ex::Explorer e(scenario_check(s), ex::Bounds{});
         const ex::ExploreResult r = e.run();
         EXPECT_FALSE(r.violation)
             << r.diagnosis << "\ntrace: " << ex::to_text(r.counterexample);
@@ -237,12 +231,9 @@ TEST(ExploreRotation, CountsAreSkipAheadAndEngineStable) {
         for (const bool skip : {true, false}) {
             ex::RunCheck one = [&](const ex::DecisionTrace& trace) {
                 ex::TraceOracle oracle(&trace);
-                const auto log = run_leg(s, kind, skip, oracle);
+                (void)run_leg(s, kind, skip, oracle);
                 ex::RunOutcome out;
                 out.log = oracle.take_log();
-                std::uint64_t d = 1469598103934665603ull;
-                for (const auto& row : log) d = rtsc::fuzz::fnv1a(d, row);
-                out.digest = d;
                 return out;
             };
             ex::Explorer e(one, ex::Bounds{});

@@ -7,8 +7,8 @@
 // sweep. Add to it with:
 //   tools/fuzz_engines --print SEED > tests/fuzz/corpus/gen_seedSEED.model
 // or by copying the fuzz_divergence_<seed>.model a failed sweep wrote.
-// The same models, with generated ones, also check that fuzz::run_legs,
-// which hashes only leg 0 when the legs agree, reports run_model's digests.
+// The same models, with generated ones, also check that each leg
+// fuzz::run_legs reports equals run_model's run of that leg.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -52,9 +52,10 @@ TEST(FuzzCorpus, EnginesAgreeOnEveryModel) {
 }
 
 TEST(FuzzLegs, EveryLegDigestIsRunModels) {
-    // run_legs hashes only leg 0 when the legs agree; each leg's digest must
-    // still be the one run_model computes for it. Seed 2867 diverges under
-    // its default schedule, so its legs are each hashed.
+    // Each run_legs leg must equal the run run_model makes of that leg
+    // alone. compare() covers every stream, the end time and the error:
+    // everything run_model's digest covers. Seed 2867 diverges under its
+    // default schedule.
     std::vector<std::pair<std::string, fuzz::ModelSpec>> specs;
     for (const auto& path : fuzz::spec_files(RTSC_FUZZ_CORPUS_DIR))
         specs.emplace_back(path.filename().string(), fuzz::read_spec_file(path));
@@ -68,14 +69,16 @@ TEST(FuzzLegs, EveryLegDigestIsRunModels) {
         for (std::size_t i = 0; i < 4; ++i) {
             const fuzz::Leg& leg = fuzz::kLegs[i];
             alone[i] = fuzz::run_model(spec, leg.kind, leg.skip_ahead);
-            EXPECT_EQ(runs.legs[i].digest, alone[i].digest) << leg.name;
+            const fuzz::Divergence d = fuzz::compare(runs.legs[i], alone[i]);
+            EXPECT_FALSE(d.diverged) << leg.name << " differs in " << d.stream
+                                     << " at record " << d.index;
         }
         EXPECT_EQ(runs.verdict.to_string(),
                   fuzz::check_legs(alone).to_string());
     }
     const fuzz::LegRuns split = fuzz::run_legs(fuzz::generate(2867));
     ASSERT_TRUE(split.verdict.diverged);
-    EXPECT_NE(split.legs[0].digest, split.legs[1].digest);
+    EXPECT_TRUE(fuzz::compare(split.legs[0], split.legs[1]).diverged);
 }
 
 } // namespace

@@ -2,9 +2,10 @@
 // building hierarchical hardware blocks out of it.
 #include <gtest/gtest.h>
 
+#include <deque>
+#include <string>
 #include <vector>
 
-#include "kernel/channels.hpp"
 #include "kernel/module.hpp"
 #include "kernel/simulator.hpp"
 
@@ -15,41 +16,68 @@ using namespace rtsc::kernel::time_literals;
 
 namespace {
 
-/// A small hardware block: doubles every input token after a fixed delay.
-class Doubler final : public k::Module {
+/// Unbounded token queue between processes: read() blocks until a token
+/// has been written.
+class Queue {
 public:
-    Doubler(std::string name, k::Fifo<int>& in, k::Fifo<int>& out, Time delay)
-        : Module(std::move(name)), in_(in), out_(out), delay_(delay) {
-        spawn_thread("main", [this] {
-            for (;;) {
-                const int v = in_.read();
-                k::wait(delay_);
-                out_.write(2 * v);
-            }
-        });
+    explicit Queue(const std::string& name) : written_(name + ".written") {}
+
+    void write(int v) {
+        tokens_.push_back(v);
+        written_.notify_delta();
+    }
+
+    [[nodiscard]] int read() {
+        while (tokens_.empty()) k::wait(written_);
+        const int v = tokens_.front();
+        tokens_.pop_front();
+        return v;
     }
 
 private:
-    k::Fifo<int>& in_;
-    k::Fifo<int>& out_;
+    std::deque<int> tokens_;
+    k::Event written_;
+};
+
+/// A small hardware block: doubles every input token after a fixed delay.
+class Doubler final : public k::Module {
+public:
+    Doubler(std::string name, Queue& in, Queue& out, Time delay)
+        : Module(std::move(name)), in_(in), out_(out), delay_(delay),
+          main_(spawn_thread("main", [this] {
+              for (;;) {
+                  const int v = in_.read();
+                  k::wait(delay_);
+                  out_.write(2 * v);
+              }
+          })) {}
+
+    [[nodiscard]] const k::Process& main_process() const { return main_; }
+
+private:
+    Queue& in_;
+    Queue& out_;
     Time delay_;
+    k::Process& main_;
 };
 
 } // namespace
 
 TEST(ModuleTest, NamesAndSimulatorBinding) {
     Simulator sim;
-    k::Fifo<int> in("in", 4), out("out", 4);
+    Queue in("in"), out("out");
     Doubler d("doubler", in, out, 5_us);
     EXPECT_EQ(d.name(), "doubler");
     EXPECT_EQ(&d.simulator(), &sim);
     // The spawned process carries the hierarchical name.
     EXPECT_EQ(sim.process_count(), 1u);
+    EXPECT_EQ(d.main_process().name(), "doubler.main");
+    EXPECT_EQ(&d.main_process().simulator(), &sim);
 }
 
 TEST(ModuleTest, PipelineOfModules) {
     Simulator sim;
-    k::Fifo<int> a("a", 4), b("b", 4), c("c", 4);
+    Queue a("a"), b("b"), c("c");
     Doubler first("first", a, b, 3_us);
     Doubler second("second", b, c, 3_us);
     std::vector<int> results;
@@ -70,36 +98,4 @@ TEST(ModuleTest, PipelineOfModules) {
     // Steady state: one token per 3us (pipelined).
     EXPECT_EQ(at[1], 9_us);
     EXPECT_EQ(at[2], 12_us);
-}
-
-TEST(ModuleTest, MethodAndThreadMixInsideModule) {
-    // A module may combine a clocked method (edge detector) with a worker
-    // thread, the common SystemC structuring idiom.
-    Simulator sim;
-
-    class EdgeCounter final : public k::Module {
-    public:
-        explicit EdgeCounter(k::Signal<bool>& sig)
-            : Module("edges"), sig_(sig) {
-            simulator().spawn_method(
-                name() + ".watch", [this] { ++activations_; },
-                {&sig_.value_changed_event()});
-        }
-        int activations() const { return activations_; }
-
-    private:
-        k::Signal<bool>& sig_;
-        int activations_ = 0;
-    };
-
-    k::Signal<bool> sig("sig", false);
-    EdgeCounter counter(sig);
-    sim.spawn("driver", [&] {
-        for (int i = 0; i < 4; ++i) {
-            k::wait(10_us);
-            sig.write(!sig.read());
-        }
-    });
-    sim.run();
-    EXPECT_EQ(counter.activations(), 1 + 4); // init run + 4 edges
 }

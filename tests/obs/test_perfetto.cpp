@@ -258,6 +258,13 @@ TEST(JsonParserTest, RejectsMalformedInput) {
     EXPECT_THROW((void)parse("\"abc"), ParseError);
     EXPECT_THROW((void)parse("01a"), ParseError);
     EXPECT_THROW((void)parse("{\"a\": \"\x01\"}"), ParseError);
+    // Nesting past the cap throws instead of overflowing the stack.
+    EXPECT_THROW((void)parse("{\"traceEvents\": " + std::string(200000, '[')),
+                 ParseError);
+    constexpr std::size_t kMax = o::json::Parser::kMaxDepth;
+    EXPECT_NO_THROW((void)parse(std::string(kMax, '[') + std::string(kMax, ']')));
+    EXPECT_THROW((void)parse(std::string(kMax + 1, '[') + std::string(kMax + 1, ']')),
+                 ParseError);
     const auto v = parse(R"({"a": [1, 2.5, -3e2], "b": {"c": null}, "d": true})");
     ASSERT_TRUE(v->is_object());
     EXPECT_DOUBLE_EQ(v->get("a")->arr[2]->num, -300.0);
