@@ -604,7 +604,7 @@ RunResult run_unhashed(const ModelSpec& spec, r::EngineKind kind,
                 << " ee=" << Fj{j.energy_exec} << " eo=" << Fj{j.energy_overhead}
                 << " resid=" << j.residual << " intr=" << j.interrupt << " pre[";
             for (const auto& [who, t] : v.preempted_by)
-                rows << who << ':' << t << ' ';
+                rows << who->name() << ':' << t << ' ';
             rows << "] blk[";
             for (const auto& [what, t] : v.blocked_on)
                 rows << what << ':' << t << ' ';

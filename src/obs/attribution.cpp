@@ -144,9 +144,8 @@ void Attribution::close_segment_with(TaskCtx& c, k::Time now, const OvMark& m,
         c.ov[i] += d;
         ov_total += d;
     }
-    const k::Time rest = dur - ov_total;
     if (c.seg == SliceKind::exec) {
-        c.exec += rest;
+        c.exec += dur - ov_total;
         return;
     }
     // Ready: walk the runner edges appended inside the window, charging each
@@ -158,14 +157,12 @@ void Attribution::close_segment_with(TaskCtx& c, k::Time now, const OvMark& m,
     const CpuCtx& cpu = *c.cpu;
     if (c.pre.size() < cpu.slot_tasks.size())
         c.pre.resize(cpu.slot_tasks.size());
-    k::Time attributed{};
-    const auto charge = [&c, &attributed](int slot, k::Time d) {
+    const auto charge = [&c](int slot, k::Time d) {
         if (d.is_zero()) return;
         const auto s = static_cast<std::size_t>(slot);
         if (c.pre[s].is_zero())
             c.pre_touched.push_back(static_cast<std::uint32_t>(slot));
         c.pre[s] += d;
-        attributed += d;
     };
     k::Time x = c.seg_start;
     k::Time ov_x = c.seg_ov_total;
@@ -178,7 +175,6 @@ void Attribution::close_segment_with(TaskCtx& c, k::Time now, const OvMark& m,
         rs = e.slot;
     }
     if (rs >= 0) charge(rs, (now - x) - (total_now - ov_x));
-    c.residual += rest - attributed;
 }
 
 void Attribution::begin_segment(TaskCtx& c, SliceKind kind, k::Time now) {
@@ -210,7 +206,7 @@ void Attribution::open_job(TaskCtx& c, k::Time now) {
     c.open = true;
     c.index = c.next_index++;
     c.release = now;
-    c.exec = c.residual = k::Time::zero();
+    c.exec = k::Time::zero();
     for (auto& o : c.ov) o = k::Time::zero();
     // c.pre needs no clearing: finish_job re-zeroed exactly the touched
     // slots, everything else is still zero.
@@ -224,16 +220,15 @@ void Attribution::finish_job(TaskCtx& c, k::Time now, bool aborted) {
     if (c.episode != SIZE_MAX) end_episode(c, now);
     c.open = false;
 
-    // Append the compact core only — no strings, no per-job vectors. The
-    // public JobRecord is materialized lazily in jobs(); the job rate was
-    // the analyzer's highest-frequency allocation site.
+    // Append the compact core and its arena entries only — no strings, and
+    // JobBlame's sums are left to job_view(); the job rate is the analyzer's
+    // highest-frequency site.
     if (cores_.size() == cores_.capacity()) {
         cores_.reserve(cores_.empty() ? 256 : cores_.capacity() * 4);
         skel_pool_.reserve(cores_.capacity() * 4);
         pre_pool_.reserve(cores_.capacity());
     }
-    cores_.emplace_back();
-    JobCore& j = cores_.back();
+    JobCore& j = cores_.emplace_back();
     j.task = c.task;
     j.index = c.index;
     j.release = c.release;
@@ -248,28 +243,40 @@ void Attribution::finish_job(TaskCtx& c, k::Time now, bool aborted) {
     // excluded by design — conservation is checked at task level).
     j.energy_exec = c.task->job_energy_exec();
     j.energy_ov = c.task->job_energy_overhead();
-    // Pack the non-zero per-slot ready shares (exactly the touched slots,
-    // re-zeroed here for the task's next job); ISR slots feed the interrupt
-    // component, the rest the preemption component.
+    // The touched per-slot ready shares (re-zeroed here for the task's next
+    // job): ISR slots feed the interrupt component, the rest the
+    // name-merged preempted_by list.
     const CpuCtx& cpu = *c.cpu;
-    k::Time preemption{}, interrupt{}, blocking{};
     j.pre_first = static_cast<std::uint32_t>(pre_pool_.size());
     for (const std::uint32_t s : c.pre_touched) {
         const k::Time share = c.pre[s];
         c.pre[s] = k::Time{};
-        if (cpu.slot_tasks[s]->isr_task())
-            interrupt += share;
+        const r::Task* by = cpu.slot_tasks[s];
+        if (by->isr_task())
+            j.interrupt += share;
         else
-            preemption += share;
-        pre_pool_.emplace_back(cpu.slot_tasks[s], share);
+            pre_pool_.emplace_back(by, share);
     }
     c.pre_touched.clear();
-    j.pre_count = static_cast<std::uint32_t>(pre_pool_.size()) - j.pre_first;
-    j.blk_first = static_cast<std::uint32_t>(blk_pool_.size());
-    for (const auto& [name, t] : c.blocked_on) {
-        blocking += t;
-        blk_pool_.emplace_back(name, t);
+    const auto pre = pre_pool_.begin() + j.pre_first;
+    if (pre_pool_.end() - pre > 1) {
+        std::sort(pre, pre_pool_.end(), [](const auto& x, const auto& y) {
+            return x.first->name() < y.first->name();
+        });
+        // Merge the shares of same-named preemptors in place.
+        auto last = pre;
+        for (auto it = pre + 1; it != pre_pool_.end(); ++it) {
+            if (it->first->name() == last->first->name())
+                last->second += it->second;
+            else
+                *++last = *it;
+        }
+        pre_pool_.erase(last + 1, pre_pool_.end());
     }
+    j.pre_count = static_cast<std::uint32_t>(pre_pool_.size()) - j.pre_first;
+    // blocked_on is a std::map: name-merged and name-sorted already.
+    j.blk_first = static_cast<std::uint32_t>(blk_pool_.size());
+    blk_pool_.insert(blk_pool_.end(), c.blocked_on.begin(), c.blocked_on.end());
     j.blk_count = static_cast<std::uint32_t>(blk_pool_.size()) - j.blk_first;
 
     j.cpu = c.cpu;
@@ -288,33 +295,16 @@ void Attribution::finish_job(TaskCtx& c, k::Time now, bool aborted) {
     }
     c.skel.clear(); // capacity survives for the task's next job
 
-    if (on_complete_lite_) {
-        CompletionView v;
-        v.task = c.task;
-        v.index = j.index;
-        v.release = j.release;
-        v.end = now;
-        v.aborted = aborted;
-        v.exec = j.exec;
-        v.preemption = preemption;
-        v.blocking = blocking;
-        v.overhead = (j.end - j.release) - j.exec - preemption - blocking -
-                     interrupt;
-        v.interrupt = interrupt;
-        v.energy_exec = j.energy_exec;
-        v.energy_overhead = j.energy_ov;
-        v.preemptors = pre_pool_.data() + j.pre_first;
-        v.preemptor_count = j.pre_count;
-        v.blockers = blk_pool_.data() + j.blk_first;
-        v.blocker_count = j.blk_count;
-        on_complete_lite_(v);
-    }
+    if (on_complete_) on_complete_(job_view(cores_.size() - 1));
 }
 
 Attribution::JobView Attribution::job_view(std::size_t i) const {
     const JobCore& core = cores_[i];
     JobView v;
     v.task = core.task;
+    v.ordinal = i;
+    v.preempted_by = {pre_pool_.data() + core.pre_first, core.pre_count};
+    v.blocked_on = {blk_pool_.data() + core.blk_first, core.blk_count};
     JobBlame& j = v.blame;
     j.index = core.index;
     j.release = core.release;
@@ -327,59 +317,22 @@ Attribution::JobView Attribution::job_view(std::size_t i) const {
     j.ov_save = core.ov[static_cast<std::size_t>(r::OverheadKind::context_save)];
     j.ov_switch =
         core.ov[static_cast<std::size_t>(r::OverheadKind::frequency_switch)];
+    j.interrupt = core.interrupt;
     j.energy_exec = core.energy_exec;
     j.energy_overhead = core.energy_ov;
-    // The derived sums are recomputed here instead of being carried in
-    // JobCore: preemption/interrupt split the per-preemptor shares on
-    // isr_task(), blocking sums the per-resource shares, and residual falls
-    // out of the conservation identity (response = exec + preemption +
-    // interrupt + blocking + overheads + residual), which holds exactly by
-    // construction of the charging scheme.
-    auto& pre_pairs = preempted_scratch_;
-    pre_pairs.clear();
-    const auto* pre = pre_pool_.data() + core.pre_first;
-    for (std::uint32_t n = 0; n < core.pre_count; ++n) {
-        if (pre[n].first->isr_task()) {
-            j.interrupt += pre[n].second;
-            continue;
-        }
-        j.preemption += pre[n].second;
-        pre_pairs.emplace_back(pre[n].first->name(), pre[n].second);
-    }
-    if (pre_pairs.size() > 1)
-        std::sort(pre_pairs.begin(), pre_pairs.end(),
-                  [](const auto& a, const auto& b) { return a.first < b.first; });
-    // Merge the shares of same-named preemptors in place.
-    std::size_t merged = 0;
-    for (std::size_t n = 0; n < pre_pairs.size(); ++n) {
-        if (merged != 0 && pre_pairs[merged - 1].first == pre_pairs[n].first)
-            pre_pairs[merged - 1].second += pre_pairs[n].second;
-        else
-            pre_pairs[merged++] = pre_pairs[n];
-    }
-    pre_pairs.resize(merged);
-    v.preempted_by = pre_pairs;
-    v.blocked_on = {blk_pool_.data() + core.blk_first, core.blk_count};
+    // The sums are derived here only: preemption and blocking sum the
+    // per-culprit shares, and residual falls out of the conservation
+    // identity (response = exec + preemption + interrupt + blocking +
+    // overheads + residual), which holds exactly by construction of the
+    // charging scheme.
+    for (const auto& p : v.preempted_by) j.preemption += p.second;
     for (const auto& b : v.blocked_on) j.blocking += b.second;
-    j.residual = (core.end - core.release) - core.exec - j.preemption -
-                 j.interrupt - j.blocking - j.ov_scheduling - j.ov_load -
-                 j.ov_save - j.ov_switch;
+    j.residual = j.response() - j.exec - j.preemption - j.interrupt -
+                 j.blocking - j.ov_scheduling - j.ov_load - j.ov_save -
+                 j.ov_switch;
     j.overhead =
         j.ov_scheduling + j.ov_load + j.ov_save + j.ov_switch + j.residual;
     return v;
-}
-
-void Attribution::materialize() const {
-    if (jobs_.size() == cores_.size()) return;
-    jobs_.reserve(cores_.capacity());
-    for (std::size_t n = jobs_.size(); n < cores_.size(); ++n) {
-        const JobView v = job_view(n);
-        JobRecord& j = jobs_.emplace_back();
-        static_cast<JobBlame&>(j) = v.blame;
-        j.task = v.task->name();
-        j.preempted_by.assign(v.preempted_by.begin(), v.preempted_by.end());
-        j.blocked_on.assign(v.blocked_on.begin(), v.blocked_on.end());
-    }
 }
 
 // ---------------------------------------------------------- blocking chains
@@ -493,25 +446,28 @@ void Attribution::on_task_state(const r::Task& task, r::TaskState from,
     }
 
     // 2. The task's own job transitions.
-
-    // Release: leaving a synchronization wait (or creation) for Ready opens
-    // a job — same rule as MetricsCollector / ConstraintMonitor.
-    if (to == r::TaskState::ready &&
-        (from == r::TaskState::waiting || from == r::TaskState::created)) {
-        if (c.open) {
-            // Defensive: an episode convention violation would leak a job;
-            // close it as aborted rather than corrupt the tiling.
-            finish_job(c, now, /*aborted=*/true);
-        }
-        open_job(c, now);
-        return;
+    switch (const r::JobEdge edge = r::job_edge(task, from, to)) {
+        case r::JobEdge::release:
+            if (c.open) {
+                // Defensive: an episode convention violation would leak a
+                // job; close it as aborted rather than corrupt the tiling.
+                finish_job(c, now, /*aborted=*/true);
+            }
+            open_job(c, now);
+            return;
+        case r::JobEdge::completion:
+        case r::JobEdge::abort:
+            if (c.open) finish_job(c, now, edge == r::JobEdge::abort);
+            c.blocked_rel = nullptr;
+            return;
+        case r::JobEdge::none:
+            break;
     }
     if (!c.open) {
         if (c.blocked_rel != nullptr && to != r::TaskState::waiting_resource)
             c.blocked_rel = nullptr;
         return;
     }
-
     switch (to) {
         case r::TaskState::running:
             switch_segment(c, SliceKind::exec, now);
@@ -532,19 +488,10 @@ void Attribution::on_task_state(const r::Task& task, r::TaskState from,
             switch_segment(c, SliceKind::blocked, now);
             start_episode(c, now);
             return;
-        case r::TaskState::waiting:
-            // Completion: the episode convention ends a job when the task
-            // blocks on synchronization again.
-            finish_job(c, now, /*aborted=*/false);
-            c.blocked_rel = nullptr;
-            return;
-        case r::TaskState::terminated:
-            finish_job(c, now,
-                       /*aborted=*/task.killed() || task.crashed());
-            c.blocked_rel = nullptr;
-            return;
         case r::TaskState::created:
-            return; // restart bookkeeping, not a job edge
+        case r::TaskState::waiting:
+        case r::TaskState::terminated:
+            return; // restart bookkeeping; the job edges are handled above
     }
 }
 
@@ -557,21 +504,21 @@ std::vector<const Attribution::BlockEpisode*> Attribution::inversions() const {
     return out;
 }
 
-std::vector<const Attribution::JobRecord*> Attribution::jobs_for(
+std::vector<Attribution::JobView> Attribution::jobs_for(
     const std::string& task) const {
-    materialize();
-    std::vector<const JobRecord*> out;
-    for (const auto& j : jobs_)
-        if (j.task == task) out.push_back(&j);
+    std::vector<JobView> out;
+    for (std::size_t i = 0; i < cores_.size(); ++i)
+        if (cores_[i].task->name() == task) out.push_back(job_view(i));
     return out;
 }
 
 std::vector<Attribution::Slice> Attribution::slices_for(
-    const JobRecord& j) const {
+    const JobView& j) const {
     std::vector<Slice> out;
-    const auto idx = static_cast<std::size_t>(&j - jobs_.data());
-    if (idx >= cores_.size()) return out;
-    const JobCore& core = cores_[idx];
+    if (j.ordinal >= cores_.size()) return out;
+    const JobCore& core = cores_[j.ordinal];
+    const k::Time release = core.release;
+    const k::Time job_end = core.end;
     const auto& log = core.cpu->log;
     // Jobs that never blocked store no skeleton (finish_job elides the
     // copy); their ready/exec tiling is reconstructed from the runner log.
@@ -584,12 +531,11 @@ std::vector<Attribution::Slice> Attribution::slices_for(
     const SkelSeg* skel;
     std::size_t nseg;
     if (core.skel_count == 0) {
-        synth.push_back(
-            {core.release, core.ov_at_release, SliceKind::ready, nullptr});
+        synth.push_back({release, core.ov_at_release, SliceKind::ready, nullptr});
         auto it = std::lower_bound(
-            log.begin(), log.end(), core.release,
+            log.begin(), log.end(), release,
             [](const CpuCtx::RunnerEdge& e, k::Time t) { return e.at < t; });
-        for (; it != log.end() && it->at < core.end; ++it) {
+        for (; it != log.end() && it->at < job_end; ++it) {
             if (synth.back().kind == SliceKind::ready) {
                 if (it->runner == core.task)
                     synth.push_back(
@@ -607,7 +553,7 @@ std::vector<Attribution::Slice> Attribution::slices_for(
     }
     for (std::size_t i = 0; i < nseg; ++i) {
         const SkelSeg& s = skel[i];
-        const k::Time end = i + 1 < nseg ? skel[i + 1].start : j.end;
+        const k::Time end = i + 1 < nseg ? skel[i + 1].start : job_end;
         const k::Time ov_end =
             i + 1 < nseg ? skel[i + 1].ov_at_start : core.ov_at_end;
         if (s.kind == SliceKind::blocked) {
@@ -669,7 +615,6 @@ std::vector<Attribution::Slice> Attribution::slices_for(
 
 std::vector<Attribution::DeadlineMissReport> Attribution::miss_reports(
     const trace::ConstraintMonitor& monitor) const {
-    materialize();
     std::vector<DeadlineMissReport> out;
     for (const auto& v : monitor.violations()) {
         if (v.task == nullptr) continue; // latency rules have no job
@@ -681,14 +626,15 @@ std::vector<Attribution::DeadlineMissReport> Attribution::miss_reports(
         r.bound = v.bound;
         // A response violation fires at the completion instant with the
         // job's response time: match on (task, end).
-        for (const auto& j : jobs_) {
-            if (j.task == r.task && j.end == v.at &&
-                j.response() == v.measured) {
-                r.job = &j;
+        for (std::size_t i = 0; i < cores_.size(); ++i) {
+            const JobCore& j = cores_[i];
+            if (j.task == v.task && j.end == v.at &&
+                j.end - j.release == v.measured) {
+                r.job = job_view(i);
                 break;
             }
         }
-        if (r.job != nullptr) {
+        if (r.job) {
             for (const Slice& s : slices_for(*r.job)) {
                 DeadlineMissReport::PathItem item;
                 item.start = s.start;

@@ -4,8 +4,8 @@
 //
 // An online rtos::Observer fed by the engine hooks and task-state
 // notifications of both scheduler engines. Every job (one response episode,
-// same release/completion rule as obs::MetricsCollector and
-// trace::ConstraintMonitor) is tiled into contiguous segments at every edge
+// delimited by rtos::job_edge like obs::MetricsCollector's and
+// trace::ConstraintMonitor's) is tiled into contiguous segments at every edge
 // that can change who occupies the CPU; each closed segment is charged to
 // exactly one causal account:
 //
@@ -33,9 +33,9 @@
 #include <deque>
 #include <functional>
 #include <map>
+#include <optional>
 #include <span>
 #include <string>
-#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -73,7 +73,7 @@ public:
     };
 
     /// Exact decomposition of one completed (or aborted) job, without the
-    /// names: what JobRecord and JobView share.
+    /// names.
     struct JobBlame {
         std::uint64_t index = 0;     ///< activation ordinal, 0-based per task
         kernel::Time release{};
@@ -109,24 +109,20 @@ public:
         [[nodiscard]] kernel::Time components_sum() const noexcept {
             return exec + preemption + blocking + overhead + interrupt;
         }
+        friend bool operator==(const JobBlame&, const JobBlame&) = default;
     };
 
-    /// One completed (or aborted) job with its names.
-    struct JobRecord : JobBlame {
-        std::string task;
-        /// Per-culprit shares, name-sorted, only non-zero entries.
-        std::vector<std::pair<std::string, kernel::Time>> preempted_by;
-        std::vector<std::pair<std::string, kernel::Time>> blocked_on;
-    };
-
-    /// One completed job read straight from the analyzer's compact record:
-    /// the JobRecord it materializes to, with names as views into the
-    /// model (tasks) and the analyzer (resources) instead of copies.
-    /// `preempted_by` is valid until the next job_view() call.
+    /// One completed (or aborted) job: its decomposition and its per-culprit
+    /// shares, name-merged, name-sorted and non-zero. A preempted_by entry
+    /// stands for every preempting task of its name (same-named tasks merge
+    /// into one entry); the ISR share is blame.interrupt, not an entry. A
+    /// view stays valid until the next job is recorded, and while the
+    /// scenario's Tasks live.
     struct JobView {
         const rtos::Task* task = nullptr;
+        std::size_t ordinal = 0; ///< completion order: job_view(ordinal)
         JobBlame blame;
-        std::span<const std::pair<std::string_view, kernel::Time>>
+        std::span<const std::pair<const rtos::Task*, kernel::Time>>
             preempted_by;
         std::span<const std::pair<std::string, kernel::Time>> blocked_on;
     };
@@ -164,8 +160,7 @@ public:
         kernel::Time at{};        ///< detection instant (= completion)
         kernel::Time measured{};
         kernel::Time bound{};
-        const JobRecord* job = nullptr; ///< matched decomposition (owned by
-                                        ///< the Attribution, stable)
+        std::optional<JobView> job; ///< matched decomposition
         struct PathItem {
             kernel::Time start{};
             kernel::Time duration{};
@@ -173,29 +168,6 @@ public:
             std::string reason;   ///< human-readable classification
         };
         std::vector<PathItem> critical_path;
-    };
-
-    /// Zero-allocation view of one completed job, handed to the completion
-    /// hook straight from the analyzer's compact per-job record —
-    /// no strings, no vectors, no JobRecord materialization. `preemptors`
-    /// holds every slot that took the CPU during the job's ready windows
-    /// (ISR tasks included — split on Task::isr_task); `blockers` are
-    /// name-merged resource shares. Pointers are valid only for the duration
-    /// of the callback.
-    struct CompletionView {
-        const rtos::Task* task = nullptr;
-        std::uint64_t index = 0;
-        kernel::Time release{}, end{};
-        bool aborted = false;
-        kernel::Time exec{}, preemption{}, blocking{}, overhead{},
-            interrupt{};
-        rtos::Energy energy_exec = 0;     ///< DVFS: job execution energy
-        rtos::Energy energy_overhead = 0; ///< DVFS: attributed overhead energy
-        const std::pair<const rtos::Task*, kernel::Time>* preemptors =
-            nullptr;
-        std::size_t preemptor_count = 0;
-        const std::pair<std::string, kernel::Time>* blockers = nullptr;
-        std::size_t blocker_count = 0;
     };
 
     Attribution() = default;
@@ -210,59 +182,39 @@ public:
     void attach(rtos::Processor& cpu);
 
     // ---- results ----
-    /// All completed jobs in completion order. JobRecords are materialized
-    /// lazily from the analyzer's compact per-job cores on first access (the
-    /// hot path never builds the strings/vectors); the returned reference
-    /// stays valid and grows as more jobs complete. Call while the scenario's
-    /// Task objects are still alive.
-    [[nodiscard]] const std::vector<JobRecord>& jobs() const {
-        materialize();
-        return jobs_;
-    }
     [[nodiscard]] const std::vector<BlockEpisode>& episodes() const noexcept {
         return episodes_;
     }
     /// Episodes flagged as priority inversions.
     [[nodiscard]] std::vector<const BlockEpisode*> inversions() const;
-    /// Completed jobs of one task, in release order.
-    [[nodiscard]] std::vector<const JobRecord*> jobs_for(
-        const std::string& task) const;
-    /// How many jobs have completed: the length of jobs(), without
-    /// materializing it.
+    /// How many jobs have completed.
     [[nodiscard]] std::size_t job_count() const noexcept {
         return cores_.size();
     }
-    /// The task of job `i` of jobs().
-    [[nodiscard]] const rtos::Task& job_task(std::size_t i) const {
-        return *cores_[i].task;
-    }
-    /// Job `i` of jobs() without building its JobRecord: the export reads
-    /// every job this way, and jobs() materializes from it. Call while the
-    /// scenario's Task objects are still alive.
+    /// Job `i` in completion order, read from the analyzer's compact record.
     [[nodiscard]] JobView job_view(std::size_t i) const;
+    /// Completed jobs of the tasks named `task`, in completion order.
+    [[nodiscard]] std::vector<JobView> jobs_for(const std::string& task) const;
 
-    /// Materialize the ordered tiling of [release, end] for one recorded job
-    /// (the critical path). Built on demand from the job's segment skeleton
+    /// The ordered tiling of [release, end] for one recorded job (the
+    /// critical path), built on demand from the job's segment skeleton
     /// and the CPU's runner log — the hot path only appends to those, which
     /// is what keeps the online overhead low; reconstructing here yields the
     /// exact same slices the analyzer used to store eagerly (same
     /// subdivision at every runner edge, same culprit and overhead shares,
-    /// zero-width slices dropped). `j` must be an element of jobs().
-    [[nodiscard]] std::vector<Slice> slices_for(const JobRecord& j) const;
+    /// zero-width slices dropped).
+    [[nodiscard]] std::vector<Slice> slices_for(const JobView& j) const;
 
     /// Match every response violation of `monitor` against the recorded job
-    /// decompositions and render its critical path. Pointers into jobs()
-    /// stay valid while the Attribution lives.
+    /// decompositions and render its critical path.
     [[nodiscard]] std::vector<DeadlineMissReport> miss_reports(
         const trace::ConstraintMonitor& monitor) const;
 
-    /// Invoked on every job completion/abort with an allocation-free
-    /// CompletionView over the compact per-job record (no JobRecord is
-    /// materialized). MetricsCollector::set_attribution installs it for the
-    /// blame counters/histograms.
-    void set_completion_hook_lite(
-        std::function<void(const CompletionView&)> hook) {
-        on_complete_lite_ = std::move(hook);
+    /// Invoked on every job completion/abort with job_view() of that job.
+    /// MetricsCollector::set_attribution installs it for the blame
+    /// counters/histograms.
+    void set_completion_hook(std::function<void(const JobView&)> hook) {
+        on_complete_ = std::move(hook);
     }
 
     // ---- rtos::Observer ----
@@ -297,7 +249,7 @@ private:
     /// CPU. That walk is the exact per-edge subdivision the eager
     /// implementation performed, with the same uint64 subtractions, so the
     /// per-slot totals are bit-identical; slices_for() reuses the same log
-    /// to materialize tilings on demand.
+    /// to rebuild tilings on demand.
     struct CpuCtx {
         const rtos::Processor* cpu = nullptr;
         const rtos::Task* runner = nullptr;
@@ -328,10 +280,10 @@ private:
     /// One entry of a job's segment skeleton: where a segment started and
     /// what the job was doing. Segment ends are implicit (the next entry's
     /// start, or the job end); ready segments are subdivided at the CPU's
-    /// runner edges only when slices_for() materializes the tiling.
+    /// runner edges only when slices_for() rebuilds the tiling.
     /// Trivially copyable on purpose — the hot path memcpys these into the
     /// shared arena; the blocked culprit is the Relation pointer (nullptr =
-    /// unknown, rendered "?"), its name materialized only in slices_for().
+    /// unknown, rendered "?"), its name read only in slices_for().
     struct SkelSeg {
         kernel::Time start{};
         kernel::Time ov_at_start{};  ///< CPU total ov integral at `start`
@@ -363,7 +315,7 @@ private:
         std::size_t episode = SIZE_MAX; ///< open episode index or SIZE_MAX
 
         // accumulators
-        kernel::Time exec, residual;
+        kernel::Time exec;
         kernel::Time ov[kOvKinds];
         std::vector<kernel::Time> pre;  ///< slot -> ready time while it ran
         /// Slots with a non-zero pre entry, in first-charge order; the
@@ -374,25 +326,21 @@ private:
         std::vector<SkelSeg> skel;      ///< segment skeleton of the open job
     };
 
-    /// Compact completed-job record — plain data, appended on the hot path;
-    /// deliberately small, since writing it is the per-job memory traffic.
-    /// The public JobRecord (strings, sorted per-culprit vectors, derived
-    /// sums) is materialized from this lazily, in jobs():
-    ///   preemption/interrupt = the pre span split on Task::isr_task,
-    ///   blocking             = sum of the blk span,
-    ///   residual             = response minus every other component (exact
-    ///                          by the conservation invariant).
-    /// skel_count == 0 means the job had no (non-zero) blocked segment and
-    /// its exec/ready tiling is reconstructed from the CPU's runner log
-    /// instead of a stored skeleton: a job's segment boundaries inside
-    /// (release, end] are exactly the edges that install the task as runner
-    /// (exec begins) or remove it (ready begins).
+    /// Completed-job record — plain data, appended on the hot path;
+    /// deliberately small, since its pages are most of the per-job memory
+    /// traffic. job_view() derives the rest of JobBlame from it. skel_count
+    /// == 0 means the job had no (non-zero) blocked segment and its
+    /// exec/ready tiling is reconstructed from the CPU's runner log instead
+    /// of a stored skeleton: a job's segment boundaries inside (release,
+    /// end] are exactly the edges that install the task as runner (exec
+    /// begins) or remove it (ready begins).
     struct JobCore {
         const rtos::Task* task = nullptr;
         std::uint64_t index = 0;
         kernel::Time release{}, end{};
         kernel::Time exec{};
         kernel::Time ov[kOvKinds]{};
+        kernel::Time interrupt{};     ///< the ISR tasks' ready shares
         rtos::Energy energy_exec = 0; ///< job energy at completion (DVFS)
         rtos::Energy energy_ov = 0;
         const CpuCtx* cpu = nullptr;
@@ -425,9 +373,6 @@ private:
     void finish_job(TaskCtx& c, kernel::Time now, bool aborted);
     void start_episode(TaskCtx& c, kernel::Time now);
     void end_episode(TaskCtx& c, kernel::Time now);
-    /// Build jobs_ (the public JobRecords) from cores_ for every job not yet
-    /// materialized. Idempotent; called by every results accessor.
-    void materialize() const;
 
     // deques: contexts cross-reference each other, references must be stable
     std::deque<CpuCtx> cpus_;
@@ -446,21 +391,13 @@ private:
     TaskCtx* cached_ctx2_ = nullptr;
     std::vector<SkelSeg> skel_pool_;  ///< finished jobs' skeletons, packed
     std::vector<JobCore> cores_;      ///< completed jobs, completion order
-    /// Per-culprit shares of finished jobs, packed arenas referenced by
-    /// JobCore spans. pre_pool_ keeps ISR entries too (the materializer and
-    /// the completion hook split on Task::isr_task); blk_pool_ is
-    /// name-merged and name-sorted already (map iteration order at finish
-    /// time).
+    /// Per-culprit shares of finished jobs, name-merged and name-sorted,
+    /// packed arenas referenced by JobCore spans (JobView points into them).
     std::vector<std::pair<const rtos::Task*, kernel::Time>> pre_pool_;
     std::vector<std::pair<std::string, kernel::Time>> blk_pool_;
-    /// job_view() scratch behind JobView::preempted_by (kept across jobs to
-    /// avoid per-job allocation)
-    mutable std::vector<std::pair<std::string_view, kernel::Time>>
-        preempted_scratch_;
     std::map<const mcse::Relation*, const rtos::Task*> owner_of_;
-    mutable std::vector<JobRecord> jobs_;  ///< lazy cache over cores_
     std::vector<BlockEpisode> episodes_;
-    std::function<void(const CompletionView&)> on_complete_lite_;
+    std::function<void(const JobView&)> on_complete_;
     std::vector<rtos::Processor*> attached_;
     MetricsCollector* collector_ = nullptr; ///< recording this analyzer's blame
 };

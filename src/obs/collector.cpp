@@ -40,21 +40,18 @@ MetricsCollector::CpuMetrics& MetricsCollector::cpu_metrics(
     return cpus_.back();
 }
 
-MetricsCollector::TaskMetrics& MetricsCollector::task_metrics(
+MetricsCollector::TaskMetrics* MetricsCollector::find_task_metrics(
     const r::Task& t) {
     // Transposition scan: a hit swaps one step toward the front, so the
     // busiest tasks (ISRs completing thousands of jobs) quickly settle at
     // the head without paying a full move-to-front rotate per lookup.
     for (std::size_t i = 0; i < tasks_.size(); ++i) {
         if (tasks_[i].task != &t) continue;
-        if (i == 0) return tasks_[0];
+        if (i == 0) return &tasks_[0];
         std::swap(tasks_[i - 1], tasks_[i]);
-        return tasks_[i - 1];
+        return &tasks_[i - 1];
     }
-    const std::string p = "task." + t.name() + ".";
-    tasks_.push_back({&t, &reg_.counter(p + "activations"),
-                      &reg_.histogram(p + "response_ps")});
-    return tasks_.back();
+    return nullptr;
 }
 
 void MetricsCollector::on_scheduler_run(const r::Processor& cpu,
@@ -104,15 +101,6 @@ MetricsCollector::BlameMetrics& MetricsCollector::blame_metrics(
     return blames_.back();
 }
 
-Counter& MetricsCollector::preemptor_counter(BlameMetrics& m,
-                                             const r::Task& by) {
-    for (auto& [t, c] : m.preempted_by)
-        if (t == &by) return *c;
-    Counter& c = reg_.counter(m.prefix + "preempted_by." + by.name());
-    m.preempted_by.emplace_back(&by, &c);
-    return c;
-}
-
 Counter& MetricsCollector::culprit_counter(
     std::vector<std::pair<std::string, Counter*>>& cache,
     const std::string& prefix, const char* group, const std::string& name) {
@@ -125,7 +113,7 @@ Counter& MetricsCollector::culprit_counter(
 
 void MetricsCollector::set_attribution(Attribution* a) {
     if (attr_ != nullptr) {
-        attr_->set_completion_hook_lite(nullptr);
+        attr_->set_completion_hook(nullptr);
         attr_->collector_ = nullptr;
     }
     attr_ = a;
@@ -134,73 +122,57 @@ void MetricsCollector::set_attribution(Attribution* a) {
     if (a->collector_ != nullptr) a->collector_->set_attribution(nullptr);
     a->collector_ = this;
     for (r::Processor* cpu : attached_) a->attach(*cpu);
-    a->set_completion_hook_lite([this](const Attribution::CompletionView& v) {
+    a->set_completion_hook([this](const Attribution::JobView& v) {
         BlameMetrics& m = blame_metrics(*v.task);
-        // The preemptor view is per-slot (Task identity); the catalogue
-        // counts one inc per job per *name* (duplicate-named tasks merge
-        // into one counter), so dedup by resolved Counter identity.
-        culprits_seen_.clear();
-        for (std::size_t i = 0; i < v.preemptor_count; ++i) {
-            const r::Task* by = v.preemptors[i].first;
-            if (by->isr_task()) continue; // ISR share is `interrupt`
-            Counter& c = preemptor_counter(m, *by);
-            if (std::find(culprits_seen_.begin(), culprits_seen_.end(), &c) ==
-                culprits_seen_.end()) {
-                culprits_seen_.push_back(&c);
-                c.inc();
-            }
-        }
-        for (std::size_t i = 0; i < v.blocker_count; ++i)
-            culprit_counter(m.blocked_on, m.prefix, "blocked_on.",
-                            v.blockers[i].first)
+        // One inc per job per name: the view merges same-named preemptors
+        // and resources, and leaves the ISR share to `interrupt`.
+        for (const auto& [by, share] : v.preempted_by)
+            culprit_counter(m.preempted_by, m.prefix, "preempted_by.",
+                            by->name())
                 .inc();
-        m.exec->record(v.exec);
-        m.preempt->record(v.preemption);
-        m.block->record(v.blocking);
-        m.overhead->record(v.overhead);
-        m.interrupt->record(v.interrupt);
+        for (const auto& [name, share] : v.blocked_on)
+            culprit_counter(m.blocked_on, m.prefix, "blocked_on.", name).inc();
+        const Attribution::JobBlame& b = v.blame;
+        m.exec->record(b.exec);
+        m.preempt->record(b.preemption);
+        m.block->record(b.blocking);
+        m.overhead->record(b.overhead);
+        m.interrupt->record(b.interrupt);
         if (v.task->processor().dvfs_enabled()) {
             if (m.energy_exec == nullptr) {
                 m.energy_exec = &reg_.gauge(m.prefix + "energy_exec_j");
                 m.energy_ov = &reg_.gauge(m.prefix + "energy_overhead_j");
             }
-            m.energy_exec->set(r::energy_to_joules(v.energy_exec));
-            m.energy_ov->set(r::energy_to_joules(v.energy_overhead));
+            m.energy_exec->set(r::energy_to_joules(b.energy_exec));
+            m.energy_ov->set(r::energy_to_joules(b.energy_overhead));
         }
     });
 }
 
 void MetricsCollector::on_task_state(const r::Task& task, r::TaskState from,
                                      r::TaskState to) {
-    if (from == to) return; // creation announcement
-    // Release: leaving a synchronization wait (or creation) for Ready starts
-    // a response episode — same rule as trace::ConstraintMonitor. Completion:
-    // the running task blocks again or terminates. Every other transition
-    // (dispatch, preemption, resource waits) records nothing, so the metric
-    // lookup and the now() query only run on the two episode edges.
-    const bool release =
-        to == r::TaskState::ready &&
-        (from == r::TaskState::waiting || from == r::TaskState::created);
-    const bool completion =
-        from == r::TaskState::running &&
-        (to == r::TaskState::waiting || to == r::TaskState::terminated);
-    if (!release && !completion) return;
-    TaskMetrics& m = task_metrics(task);
+    // Only a job edge records anything, so the metric lookup and the now()
+    // query run on those alone.
+    const r::JobEdge edge = r::job_edge(task, from, to);
+    if (edge == r::JobEdge::none) return;
+    TaskMetrics* m = find_task_metrics(task);
     const k::Time now = task.processor().simulator().now();
-    if (release) {
-        m.activations->inc();
-        m.active = true;
-        m.released = now;
+    if (edge == r::JobEdge::release) {
+        if (m == nullptr) {
+            const std::string p = "task." + task.name() + ".";
+            m = &tasks_.emplace_back(TaskMetrics{
+                &task, &reg_.counter(p + "activations"),
+                &reg_.histogram(p + "response_ps")});
+        }
+        m->activations->inc();
+        m->active = true;
+        m->released = now;
         return;
     }
-    // A kill/crash leaves the episode open — an aborted activation has no
-    // response time.
-    if (m.active) {
-        m.active = false;
-        if (!(to == r::TaskState::terminated &&
-              (task.killed() || task.crashed())))
-            m.response->record(now - m.released);
-    }
+    // An aborted activation closes its episode without a response time.
+    if (m == nullptr || !m->active) return;
+    m->active = false;
+    if (edge == r::JobEdge::completion) m->response->record(now - m->released);
 }
 
 } // namespace rtsc::obs

@@ -105,7 +105,7 @@ private:
     /// hook fires once per job — resolving five histograms plus per-culprit
     /// counters through string-keyed registry lookups every time dominated
     /// the attribution overhead, so the pointers are resolved once and the
-    /// per-culprit counters accumulate in small pointer caches. Keyed by
+    /// per-culprit counters accumulate in small name-keyed caches. Keyed by
     /// Task identity; two tasks sharing a name get two cache entries whose
     /// pointers land on the same registry objects, preserving the name-merged
     /// catalogue.
@@ -117,7 +117,7 @@ private:
         Histogram* block;
         Histogram* overhead;
         Histogram* interrupt;
-        std::vector<std::pair<const rtos::Task*, Counter*>> preempted_by;
+        std::vector<std::pair<std::string, Counter*>> preempted_by;
         std::vector<std::pair<std::string, Counter*>> blocked_on;
         /// Resolved on first job of a DVFS processor only — non-DVFS runs
         /// keep the catalogue free of dead-zero energy metrics.
@@ -126,10 +126,9 @@ private:
     };
 
     [[nodiscard]] CpuMetrics& cpu_metrics(const rtos::Processor& cpu);
-    [[nodiscard]] TaskMetrics& task_metrics(const rtos::Task& t);
+    /// The task's response metrics, or nullptr before its first release.
+    [[nodiscard]] TaskMetrics* find_task_metrics(const rtos::Task& t);
     [[nodiscard]] BlameMetrics& blame_metrics(const rtos::Task& t);
-    [[nodiscard]] Counter& preemptor_counter(BlameMetrics& m,
-                                             const rtos::Task& by);
     [[nodiscard]] Counter& culprit_counter(
         std::vector<std::pair<std::string, Counter*>>& cache,
         const std::string& prefix, const char* group, const std::string& name);
@@ -140,7 +139,6 @@ private:
     std::deque<BlameMetrics> blames_; ///< deque: blame_order_ holds pointers,
                                       ///< growth must not invalidate them
     std::vector<BlameMetrics*> blame_order_; ///< move-to-front scan order
-    std::vector<Counter*> culprits_seen_; ///< per-job dedup scratch
 
     std::vector<rtos::Processor*> attached_;
     Attribution* attr_ = nullptr;

@@ -197,11 +197,15 @@ void meta_head(Out& o, std::string_view kind, int pid, int tid) {
       << ", \"tid\": " << tid << ", \"args\": {\"name\": \"";
 }
 
-template <class Name>
-void time_map(Out& o, std::span<const std::pair<Name, k::Time>> m) {
+const std::string& name_of(const std::string& resource) { return resource; }
+const std::string& name_of(const rtos::Task* task) { return task->name(); }
+
+/// `{"<culprit>": <ps>, ...}` of one job's per-culprit shares.
+template <class Culprit>
+void time_map(Out& o, std::span<const std::pair<Culprit, k::Time>> m) {
     o << '{';
     for (std::size_t i = 0; i < m.size(); ++i)
-        o << (i != 0 ? ", \"" : "\"") << Esc{m[i].first} << "\": "
+        o << (i != 0 ? ", \"" : "\"") << Esc{name_of(m[i].first)} << "\": "
           << Ps{m[i].second};
     o << '}';
 }
@@ -588,7 +592,7 @@ void emit_attribution(EventArray& events, const TrackIndex& tracks,
                          {}});
     std::unordered_map<const rtos::Task*, JobsTrack*> track_of;
     for (std::size_t i = 0; i < attribution.job_count(); ++i) {
-        const rtos::Task* task = &attribution.job_task(i);
+        const rtos::Task* task = attribution.job_view(i).task;
         const auto [it, fresh] = track_of.try_emplace(task, nullptr);
         if (fresh) {
             const auto found = tracks.find(task->name());

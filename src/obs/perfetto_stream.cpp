@@ -169,17 +169,6 @@ void PerfettoStreamWriter::counter(CounterHandle track, kernel::Time at,
     });
 }
 
-void PerfettoStreamWriter::counter(const rtos::Processor& cpu, kernel::Time at,
-                                   std::string_view name, double value) {
-    counter(counter_track(cpu, name), at, value);
-}
-
-void PerfettoStreamWriter::counter(std::string_view process, kernel::Time at,
-                                   std::string_view name, double value) {
-    require_finite(name, value); // before the process is allocated a pid
-    counter(counter_track(process, name), at, value);
-}
-
 void PerfettoStreamWriter::finish(
     const Attribution* attribution,
     const std::vector<Attribution::DeadlineMissReport>* misses) {

@@ -110,29 +110,18 @@ public:
     void on_marker(const std::string& category,
                    const std::string& name) override;
 
-    /// Emit one counter sample on `cpu`'s process track. The value renders
-    /// with %.17g; `at` must be non-decreasing per counter name (the
-    /// validator checks). Throws kernel::SimulationError when `cpu` was never
-    /// attached or `value` is not finite (JSON has no NaN or infinity).
-    void counter(const rtos::Processor& cpu, kernel::Time at,
-                 std::string_view name, double value);
-
-    /// Emit one counter sample on the auxiliary process `process` (e.g.
-    /// "kernel"), allocated a pid past the marker process on first use.
-    /// Throws kernel::SimulationError when `value` is not finite.
-    void counter(std::string_view process, kernel::Time at,
-                 std::string_view name, double value);
-
     /// The counter track `name` on `cpu`'s process, or on the auxiliary
-    /// process `process` (allocating its pid on first use): its template is
-    /// rendered once, and counter(handle, ...) skips the name lookup the
-    /// overloads above make. Throws kernel::SimulationError when `cpu` was
-    /// never attached.
+    /// process `process` (e.g. "kernel"; allocated a pid past the marker
+    /// process on first use). Its template is rendered once. Throws
+    /// kernel::SimulationError when `cpu` was never attached.
     [[nodiscard]] CounterHandle counter_track(const rtos::Processor& cpu,
                                               std::string_view name);
     [[nodiscard]] CounterHandle counter_track(std::string_view process,
                                               std::string_view name);
-    /// Emit one sample on `track`, as the overloads above do.
+    /// Emit one sample on `track`. The value renders with %.17g; `at` must
+    /// be non-decreasing per track (the validator checks). Throws
+    /// kernel::SimulationError when `value` is not finite (JSON has no NaN
+    /// or infinity).
     void counter(CounterHandle track, kernel::Time at, double value);
 
     /// Close open task segments at the end of the trace, emit process/thread

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
 
@@ -30,6 +31,20 @@ double need_num(const json::Value& obj, const std::string& key) {
     const json::Value& v = need(obj, key);
     if (!v.is_number()) bad("\"" + key + "\" is not a number");
     return v.num;
+}
+
+/// An integer field: integral and within T's range (doubles carry every
+/// integer the exporter writes exactly).
+template <class T>
+T need_int(const json::Value& obj, const std::string& key) {
+    const double v = need_num(obj, key);
+    // T's values are [min(), 2^digits); both bounds are exact doubles, and
+    // the comparisons are false for NaN.
+    const double lo = static_cast<double>(std::numeric_limits<T>::min());
+    const double hi = std::ldexp(1.0, std::numeric_limits<T>::digits);
+    if (!(v >= lo && v < hi) || std::trunc(v) != v)
+        bad("\"" + key + "\" is not an integer in range");
+    return static_cast<T>(v);
 }
 
 std::string need_str(const json::Value& obj, const std::string& key) {
@@ -155,7 +170,7 @@ TraceData load(const std::string& path) {
             if (args == nullptr || !args->is_object()) bad("job without args");
             JobRow r;
             r.task = need_str(*args, "task");
-            r.index = static_cast<std::uint64_t>(need_num(*args, "index"));
+            r.index = need_int<std::uint64_t>(*args, "index");
             r.release_ps = need_num(*args, "release_ps");
             r.end_ps = need_num(*args, "end_ps");
             r.response_ps = need_num(*args, "response_ps");
@@ -182,13 +197,11 @@ TraceData load(const std::string& path) {
                 bad("blocking_chain without args");
             ChainRow r;
             r.victim = need_str(*args, "victim");
-            r.job = static_cast<std::uint64_t>(need_num(*args, "job"));
+            r.job = need_int<std::uint64_t>(*args, "job");
             r.resource = need_str(*args, "resource");
             r.owner = need_str(*args, "owner");
-            r.victim_priority =
-                static_cast<int>(need_num(*args, "victim_priority"));
-            r.owner_priority =
-                static_cast<int>(need_num(*args, "owner_priority"));
+            r.victim_priority = need_int<int>(*args, "victim_priority");
+            r.owner_priority = need_int<int>(*args, "owner_priority");
             r.start_ps = ts_to_ps(need_num(ev, "ts"));
             r.duration_ps = need_num(*args, "duration_ps");
             r.inversion = need_bool(*args, "inversion");

@@ -279,11 +279,9 @@ void SchedulerEngine::leave_running(Task& t, TaskState to, PreemptReason reason,
     }
     if (to == TaskState::waiting || to == TaskState::waiting_resource)
         for (Observer* o : observers) o->on_block(processor_, t, to, on);
-    // Job boundary for the RT-DVS policies: waiting = job done until the next
-    // release; terminated = final job done. waiting_resource is mid-job
-    // blocking and does not complete the job.
+    // Job boundary for the RT-DVS policies: a completed or aborted job.
     if (processor_.dvfs_enabled() &&
-        (to == TaskState::waiting || to == TaskState::terminated))
+        job_edge(t, t.state(), to) != JobEdge::none)
         processor_.policy().on_job_completion(t, processor_.simulator().now());
     t.set_state(to);
 }
@@ -312,7 +310,8 @@ void SchedulerEngine::enter_running(Task& t) {
     }
 }
 
-void SchedulerEngine::await_dispatch(Task& t) {
+bool SchedulerEngine::await_dispatch(Task& t,
+                                     std::optional<k::Time> deadline) {
     // `notified` tracks whether the grant was observed via an ev_run_ wake.
     // A grant observed *synchronously* — this thread ran the scheduling pass
     // itself (procedural kicked branch) or continued inline after a sync
@@ -325,6 +324,7 @@ void SchedulerEngine::await_dispatch(Task& t) {
     // schedule-space explorer: a cross-CPU release/acquire race at the same
     // instant resolved differently per engine).
     bool notified = false;
+    bool timed_out = false;
     for (;;) {
         if (t.granted_) {
             t.granted_ = false;
@@ -354,11 +354,27 @@ void SchedulerEngine::await_dispatch(Task& t) {
         // task terminated without unwinding the thread; no grant can ever
         // arrive, so unwind here.
         if (t.killed_) throw k::ProcessKilled(t.name());
-        k::wait(t.ev_run_);
-        notified = true;
+        // Untimed, or already made ready by someone else (a delivery): only
+        // the grant is left to wait for.
+        if (!deadline || (t.state() != TaskState::waiting &&
+                          t.state() != TaskState::waiting_resource)) {
+            k::wait(t.ev_run_);
+            notified = true;
+            continue;
+        }
+        const k::Time remaining =
+            k::Time::sat_sub(*deadline, processor_.simulator().now());
+        if (remaining.is_zero()) {
+            timed_out = true;
+            make_ready(t); // self wake-up, normal dispatch rules apply
+            continue;
+        }
+        notified = k::Simulator::current().wait(remaining, t.ev_run_) ==
+                   k::Process::WakeReason::event;
     }
     charge(OverheadKind::context_load, &t);
     enter_running(t);
+    return !timed_out;
 }
 
 // ------------------------------------------------------ task-thread services
@@ -460,48 +476,7 @@ bool SchedulerEngine::block_timed(Task& t, TaskState kind, k::Time timeout,
     // sync for the same reason as sleep_for: the timeout wake must not enter
     // the ready queue before the scheduling pass caused by this very block.
     reschedule_after_leave(t, /*charge_save=*/true, /*sync=*/true);
-
-    bool timed_out = false;
-    bool notified = false; // see await_dispatch: sync grants yield once
-    for (;;) {
-        if (t.granted_) {
-            t.granted_ = false;
-            if (!notified) k::Simulator::current().yield();
-            break;
-        }
-        if (t.kicked_) {
-            t.kicked_ = false;
-            pass_runner_ = &t;
-            k::wait(k::Time::zero());
-            schedule_pass(&t);
-            pass_runner_ = nullptr;
-            dispatch_in_progress_ = false;
-            if (t.killed_) throw k::ProcessKilled(t.name());
-            notified = false;
-            continue;
-        }
-        // See await_dispatch: a kill during this thread's own deferred leave
-        // pass terminates the task without an unwind — no grant will come.
-        if (t.killed_) throw k::ProcessKilled(t.name());
-        if (t.state() != kind) {
-            // Someone already delivered (made us ready): just await the grant.
-            k::wait(t.ev_run_);
-            notified = true;
-            continue;
-        }
-        const k::Time remaining =
-            k::Time::sat_sub(deadline, processor_.simulator().now());
-        if (remaining.is_zero()) {
-            timed_out = true;
-            make_ready(t); // self wake-up, normal dispatch rules apply
-            continue;
-        }
-        notified = k::Simulator::current().wait(remaining, t.ev_run_) ==
-                   k::Process::WakeReason::event;
-    }
-    charge(OverheadKind::context_load, &t);
-    enter_running(t);
-    return !timed_out;
+    return await_dispatch(t, deadline);
 }
 
 void SchedulerEngine::sleep_for(Task& t, k::Time d) {
@@ -553,21 +528,19 @@ void SchedulerEngine::make_ready(Task& t) {
         case TaskState::waiting_resource:
             break;
     }
-    // Job boundary for the RT-DVS policies: a wake out of created/waiting
-    // releases a fresh job (reset the per-job accumulators before the policy
-    // sees it); waking from waiting_resource resumes the same job.
+    // Job boundary for the RT-DVS policies: a released job resets the
+    // per-job accumulators before the policy sees it; waking from
+    // waiting_resource resumes the same job.
     if (processor_.dvfs_enabled() &&
-        (t.state() == TaskState::created || t.state() == TaskState::waiting)) {
+        job_edge(t, t.state(), TaskState::ready) == JobEdge::release) {
         t.job_work_ = k::Time::zero();
         t.job_energy_exec_ = 0;
         t.job_energy_ov_ = 0;
         processor_.policy().on_job_release(t, processor_.simulator().now());
     }
     t.entered_ready_preempted_ = false;
-    ++t.stats_.activations;
     push_ready(t, /*front=*/false);
     t.set_state(TaskState::ready);
-    for (Observer* o : processor_.observers()) o->on_wake(processor_, t);
 
     Task* caller = current_task();
     // A killed/crashed caller is unwinding (ProcessKilled or a body

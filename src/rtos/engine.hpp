@@ -23,6 +23,7 @@
 // context-loaded preempts it immediately after the load completes.
 
 #include <cstdint>
+#include <optional>
 #include <vector>
 
 #include "kernel/event.hpp"
@@ -196,8 +197,11 @@ protected:
     void enter_running(Task& t);
 
     /// Wait until granted — executing scheduling passes when kicked
-    /// (procedural engine only) — then charge load and enter Running.
-    void await_dispatch(Task& t);
+    /// (procedural engine only) — then charge load and enter Running. With a
+    /// `deadline`, a task still blocked when it passes readies itself, and
+    /// the call returns false once it runs again; otherwise it returns true.
+    bool await_dispatch(Task& t,
+                        std::optional<kernel::Time> deadline = std::nullopt);
 
     /// Insert `t` into the ready queue at its pinned default slot (ahead of
     /// its equal-rank peers when `front`, behind them otherwise), or at the

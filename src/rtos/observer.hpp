@@ -90,10 +90,6 @@ public:
     virtual void on_block(const Processor& /*cpu*/, const Task& /*t*/,
                           TaskState /*kind*/, const mcse::Relation* /*on*/) {}
 
-    /// A waiting task was made ready (delivery, timer expiry or interrupt).
-    /// Fired right after the Ready transition is published.
-    virtual void on_wake(const Processor& /*cpu*/, const Task& /*t*/) {}
-
     /// `t` became the owner of a mutual-exclusion style resource (shared
     /// variable lock, semaphore unit). Fired from the owning task's thread at
     /// the instant ownership transfers (for reservation-style delivery this

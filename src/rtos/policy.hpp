@@ -13,7 +13,6 @@
 //   should_preempt() does a newly ready task displace the running one
 //   time_slice()     a non-zero value enables round-robin quantum rotation
 
-#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -136,37 +135,6 @@ public:
                                       const Task& running) const override;
     [[nodiscard]] bool ordered() const noexcept override { return true; }
     [[nodiscard]] bool before(const Task& a, const Task& b) const override;
-};
-
-/// User-defined policy from lambdas — the library-level counterpart of
-/// "overloading the SchedulingPolicy method" (which Processor also supports
-/// directly by overriding Processor::scheduling_policy).
-class LambdaPolicy final : public SchedulingPolicy {
-public:
-    using Select = std::function<Task*(const ReadyQueue&)>;
-    using Preempt = std::function<bool(const Task&, const Task&)>;
-
-    LambdaPolicy(std::string name, Select select, Preempt preempt,
-                 kernel::Time slice = kernel::Time::zero())
-        : name_(std::move(name)),
-          select_(std::move(select)),
-          preempt_(std::move(preempt)),
-          slice_(slice) {}
-
-    [[nodiscard]] std::string name() const override { return name_; }
-    [[nodiscard]] Task* select(const ReadyQueue& ready) const override {
-        return select_(ready);
-    }
-    [[nodiscard]] bool should_preempt(const Task& c, const Task& r) const override {
-        return preempt_(c, r);
-    }
-    [[nodiscard]] kernel::Time time_slice() const override { return slice_; }
-
-private:
-    std::string name_;
-    Select select_;
-    Preempt preempt_;
-    kernel::Time slice_;
 };
 
 /// Rate-monotonic priority assignment helper: maps shorter periods to higher

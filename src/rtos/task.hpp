@@ -151,7 +151,6 @@ public:
         kernel::Time waiting_resource_time{}; ///< time blocked on mutual exclusion
         std::uint64_t dispatches = 0;         ///< Ready -> Running transitions
         std::uint64_t preemptions = 0;        ///< involuntary Running -> Ready
-        std::uint64_t activations = 0;        ///< Waiting/Created -> Ready
     };
     [[nodiscard]] const Stats& stats() const noexcept { return stats_; }
 
@@ -255,6 +254,36 @@ private:
 
     Stats stats_;
 };
+
+/// A job boundary: where one activation of a task starts or ends.
+enum class JobEdge : std::uint8_t {
+    none,       ///< the change stays inside a job, or between two
+    release,    ///< waiting/created -> ready: a job starts (TaskIsReady())
+    completion, ///< running -> waiting/terminated: the job ends normally
+    abort,      ///< -> terminated by kill() or a crash: the job never completes
+};
+
+/// The one job rule (§6): a job runs from the release that readies a task
+/// after a synchronization wait or its creation until the task blocks on
+/// synchronization again or terminates; preemptions and resource waits in
+/// between belong to it. Call it at the state change `from` -> `to` of `t`:
+/// its killed()/crashed() flags tell an abort from a normal end.
+/// trace::ConstraintMonitor, obs::MetricsCollector, obs::Attribution and the
+/// RT-DVS policy hooks all classify through it.
+[[nodiscard]] inline JobEdge job_edge(const Task& t, TaskState from,
+                                      TaskState to) noexcept {
+    if (from == to) return JobEdge::none; // the creation announcement
+    if (to == TaskState::ready)
+        return from == TaskState::waiting || from == TaskState::created
+                   ? JobEdge::release
+                   : JobEdge::none;
+    if (to == TaskState::terminated && (t.killed() || t.crashed()))
+        return JobEdge::abort;
+    if (from == TaskState::running &&
+        (to == TaskState::waiting || to == TaskState::terminated))
+        return JobEdge::completion;
+    return JobEdge::none;
+}
 
 /// The Task whose simulation thread is currently executing, or nullptr when
 /// running in a hardware process / scheduler context. Communication relations

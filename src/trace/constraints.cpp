@@ -27,39 +27,27 @@ void ConstraintMonitor::require_latency(std::string name, mcse::Relation& from,
 void ConstraintMonitor::on_task_state(const rtos::Task& task,
                                       rtos::TaskState from,
                                       rtos::TaskState to) {
+    const rtos::JobEdge edge = rtos::job_edge(task, from, to);
+    if (edge == rtos::JobEdge::none) return;
     for (ResponseRule& rule : response_rules_) {
         if (rule.task != &task) continue;
         const k::Time now = task.processor().simulator().now();
-        // Release: leaving a synchronization wait (or creation) for ready.
-        if (to == rtos::TaskState::ready &&
-            (from == rtos::TaskState::waiting ||
-             from == rtos::TaskState::created)) {
+        if (edge == rtos::JobEdge::release) {
             rule.active = true;
             rule.released = now;
             continue;
         }
+        if (!rule.active) continue;
+        rule.active = false;
+        ++checks_;
+        const k::Time response = now - rule.released;
         // A kill/crash ends the task from *any* state: an open response
-        // episode can never complete, so it is closed as a violation (checked
-        // before the normal-completion rule — running -> terminated is
-        // ambiguous between a kill and a normal finish).
-        if (rule.active && to == rtos::TaskState::terminated &&
-            (task.killed() || task.crashed())) {
-            rule.active = false;
-            ++checks_;
-            add_violation({rule.name + " [killed]", now, now - rule.released,
-                           rule.bound, rule.task});
-            continue;
-        }
-        // Completion: the running task blocks again or terminates.
-        if (rule.active && from == rtos::TaskState::running &&
-            (to == rtos::TaskState::waiting ||
-             to == rtos::TaskState::terminated)) {
-            rule.active = false;
-            ++checks_;
-            const k::Time response = now - rule.released;
-            if (response > rule.bound)
-                add_violation({rule.name, now, response, rule.bound, rule.task});
-        }
+        // episode can never complete, so it is closed as a violation.
+        if (edge == rtos::JobEdge::abort)
+            add_violation({rule.name + " [killed]", now, response, rule.bound,
+                           rule.task});
+        else if (response > rule.bound)
+            add_violation({rule.name, now, response, rule.bound, rule.task});
     }
 }
 

@@ -31,7 +31,7 @@ PeriodicTaskSet::PeriodicTaskSet(rtos::Processor& cpu,
                     if (spec.edf_deadlines) self.set_absolute_deadline(abs_deadline);
                     if (sim.now() < release) self.sleep_until(release);
                     self.compute(spec.wcet);
-                    JobRecord job;
+                    JobOutcome job;
                     job.index = j;
                     job.release = release;
                     job.completion = sim.now();

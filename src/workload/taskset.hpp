@@ -33,7 +33,7 @@ struct PeriodicSpec {
 };
 
 /// Outcome of one released job.
-struct JobRecord {
+struct JobOutcome {
     std::uint64_t index = 0;
     kernel::Time release{};
     kernel::Time completion{};
@@ -53,7 +53,7 @@ public:
 
     struct TaskResult {
         std::string name;
-        std::vector<JobRecord> jobs;
+        std::vector<JobOutcome> jobs;
         kernel::Time max_response{};
         std::uint64_t misses = 0;
 

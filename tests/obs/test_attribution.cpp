@@ -6,7 +6,9 @@
 //     the interference term of exact response-time analysis (R_i - C_i);
 //   - blocking chains and priority-inversion detection on the paper's
 //     Figure 7 scenario, and chain depth 2 with nested critical sections;
-//   - deadline-miss reports naming the critical path.
+//   - deadline-miss reports naming the critical path;
+//   - job views: each keeps its own preemptors, and the completion hook
+//     sees the view job_view() returns afterwards.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -22,12 +24,14 @@
 #include "rtos/interrupt.hpp"
 #include "rtos/processor.hpp"
 #include "trace/constraints.hpp"
+#include "workload/mpeg2.hpp"
 
 namespace k = rtsc::kernel;
 namespace r = rtsc::rtos;
 namespace m = rtsc::mcse;
 namespace o = rtsc::obs;
 namespace an = rtsc::analysis;
+namespace w = rtsc::workload;
 using k::Time;
 using namespace rtsc::kernel::time_literals;
 
@@ -36,11 +40,20 @@ namespace {
 const r::EngineKind kEngines[] = {r::EngineKind::procedure_calls,
                                   r::EngineKind::rtos_thread};
 
+/// Every completed job, in completion order.
+std::vector<o::Attribution::JobView> all_jobs(const o::Attribution& a) {
+    std::vector<o::Attribution::JobView> out;
+    for (std::size_t i = 0; i < a.job_count(); ++i)
+        out.push_back(a.job_view(i));
+    return out;
+}
+
 /// Canonical text form of every decomposition field, for engine diffs.
 std::vector<std::string> serialize(const o::Attribution& a) {
     std::vector<std::string> rows;
-    for (const auto& j : a.jobs()) {
-        std::string row = j.task + " #" + std::to_string(j.index) +
+    for (const auto& v : all_jobs(a)) {
+        const auto& j = v.blame;
+        std::string row = v.task->name() + " #" + std::to_string(j.index) +
                           (j.aborted ? " aborted" : "") +
                           " rel=" + std::to_string(j.release.raw_ps()) +
                           " end=" + std::to_string(j.end.raw_ps()) +
@@ -51,10 +64,10 @@ std::vector<std::string> serialize(const o::Attribution& a) {
                           " resid=" + std::to_string(j.residual.raw_ps()) +
                           " intr=" + std::to_string(j.interrupt.raw_ps()) +
                           " pre[";
-        for (const auto& [who, t] : j.preempted_by)
-            row += who + ":" + std::to_string(t.raw_ps()) + " ";
+        for (const auto& [who, t] : v.preempted_by)
+            row += who->name() + ":" + std::to_string(t.raw_ps()) + " ";
         row += "] blk[";
-        for (const auto& [what, t] : j.blocked_on)
+        for (const auto& [what, t] : v.blocked_on)
             row += what + ":" + std::to_string(t.raw_ps()) + " ";
         row += "]";
         rows.push_back(std::move(row));
@@ -63,21 +76,23 @@ std::vector<std::string> serialize(const o::Attribution& a) {
 }
 
 void expect_conserving(const o::Attribution& a, const char* label) {
-    ASSERT_FALSE(a.jobs().empty()) << label;
-    for (const auto& j : a.jobs()) {
+    ASSERT_NE(a.job_count(), 0u) << label;
+    for (const auto& v : all_jobs(a)) {
+        const auto& j = v.blame;
+        const std::string& task = v.task->name();
         EXPECT_EQ(j.components_sum(), j.response())
-            << label << ": " << j.task << " #" << j.index;
+            << label << ": " << task << " #" << j.index;
         // The slices tile [release, end] without gaps or overlap.
         Time covered{};
         Time cursor = j.release;
-        for (const auto& s : a.slices_for(j)) {
+        for (const auto& s : a.slices_for(v)) {
             EXPECT_EQ(s.start, cursor)
-                << label << ": gap in " << j.task << " #" << j.index;
+                << label << ": gap in " << task << " #" << j.index;
             covered += s.end - s.start;
             cursor = s.end;
         }
-        EXPECT_EQ(cursor, j.end) << label << ": " << j.task;
-        EXPECT_EQ(covered, j.response()) << label << ": " << j.task;
+        EXPECT_EQ(cursor, j.end) << label << ": " << task;
+        EXPECT_EQ(covered, j.response()) << label << ": " << task;
     }
 }
 
@@ -153,20 +168,20 @@ TEST(Attribution, ConservationHoldsOnEveryJobBothEngines) {
 
         // Every component class showed up somewhere.
         Time pre{}, blk{}, ov{}, intr{};
-        for (const auto& j : app.attr.jobs()) {
-            pre += j.preemption;
-            blk += j.blocking;
-            ov += j.overhead;
-            intr += j.interrupt;
+        for (const auto& v : all_jobs(app.attr)) {
+            pre += v.blame.preemption;
+            blk += v.blame.blocking;
+            ov += v.blame.overhead;
+            intr += v.blame.interrupt;
         }
         EXPECT_GT(pre, Time::zero()) << label;
         EXPECT_GT(blk, Time::zero()) << label;
         EXPECT_GT(ov, Time::zero()) << label;
         EXPECT_GT(intr, Time::zero()) << label;
         // No unexplained idle slack inside any response window.
-        for (const auto& j : app.attr.jobs())
-            EXPECT_EQ(j.residual, Time::zero())
-                << label << ": " << j.task << " #" << j.index;
+        for (const auto& v : all_jobs(app.attr))
+            EXPECT_EQ(v.blame.residual, Time::zero())
+                << label << ": " << v.task->name() << " #" << v.blame.index;
     }
 }
 
@@ -214,8 +229,8 @@ TEST(Attribution, CollectorForwardsAndFeedsBlameMetrics) {
               Time::us(20).raw_ps());
     const auto l_jobs = attr.jobs_for("L");
     ASSERT_EQ(l_jobs.size(), 1u);
-    EXPECT_EQ(l_jobs[0]->preemption, 20_us);
-    EXPECT_EQ(l_jobs[0]->exec, 100_us);
+    EXPECT_EQ(l_jobs[0].blame.preemption, 20_us);
+    EXPECT_EQ(l_jobs[0].blame.exec, 100_us);
 }
 
 // ---------------------------------------------------------------------------
@@ -273,20 +288,21 @@ TEST(Attribution, RmPreemptionBlameMatchesResponseTimeAnalysis) {
             // Every job executes exactly its WCET; nothing blocks and the
             // model is overhead-free.
             Time worst{};
-            for (const auto* j : jobs) {
-                EXPECT_EQ(j->exec, set[i].wcet) << label << ": " << j->task;
-                EXPECT_EQ(j->blocking, Time::zero()) << label;
-                EXPECT_EQ(j->overhead, Time::zero()) << label;
-                EXPECT_EQ(j->interrupt, Time::zero()) << label;
-                EXPECT_EQ(j->residual, Time::zero()) << label;
-                worst = std::max(worst, j->response());
+            for (const auto& v : jobs) {
+                const auto& j = v.blame;
+                EXPECT_EQ(j.exec, set[i].wcet) << label << ": " << v.task->name();
+                EXPECT_EQ(j.blocking, Time::zero()) << label;
+                EXPECT_EQ(j.overhead, Time::zero()) << label;
+                EXPECT_EQ(j.interrupt, Time::zero()) << label;
+                EXPECT_EQ(j.residual, Time::zero()) << label;
+                worst = std::max(worst, j.response());
             }
             // Worst observed response == exact RTA bound.
             ASSERT_TRUE(rta[i].response.has_value()) << set[i].name;
             EXPECT_EQ(worst, *rta[i].response) << label << ": " << set[i].name;
             // Critical instant (job 0): preemption blame equals the RTA
             // interference term R_i - C_i, exactly.
-            EXPECT_EQ(jobs[0]->preemption, *rta[i].response - set[i].wcet)
+            EXPECT_EQ(jobs[0].blame.preemption, *rta[i].response - set[i].wcet)
                 << label << ": " << set[i].name;
         }
     }
@@ -371,11 +387,11 @@ TEST(Attribution, Figure7ReportsTheInversionChain) {
         // resource.
         const auto f2 = app.attr.jobs_for("Function_2");
         ASSERT_EQ(f2.size(), 2u) << label; // startup job + triggered job
-        const auto& late = *f2[1];
+        const auto& late = f2[1];
         ASSERT_EQ(late.blocked_on.size(), 1u) << label;
         EXPECT_EQ(late.blocked_on[0].first, "SharedVar_1") << label;
         EXPECT_EQ(late.blocked_on[0].second, 45_us) << label;
-        EXPECT_EQ(late.blocking, 45_us) << label;
+        EXPECT_EQ(late.blame.blocking, 45_us) << label;
     }
 }
 
@@ -388,8 +404,8 @@ TEST(Attribution, Figure7PreemptionLockPreventsTheEpisode) {
         // inversions, no blocking blame anywhere.
         EXPECT_TRUE(app.attr.episodes().empty());
         EXPECT_TRUE(app.attr.inversions().empty());
-        for (const auto& j : app.attr.jobs())
-            EXPECT_EQ(j.blocking, Time::zero()) << j.task;
+        for (const auto& v : all_jobs(app.attr))
+            EXPECT_EQ(v.blame.blocking, Time::zero()) << v.task->name();
     }
 }
 
@@ -503,8 +519,8 @@ TEST(Attribution, MissReportsNameTheCriticalPath) {
         EXPECT_EQ(rep.constraint, "L-deadline") << label;
         EXPECT_EQ(rep.measured, 160_us) << label;
         EXPECT_EQ(rep.bound, 110_us) << label;
-        ASSERT_NE(rep.job, nullptr) << label;
-        EXPECT_EQ(rep.job->preemption, 60_us) << label;
+        ASSERT_TRUE(rep.job.has_value()) << label;
+        EXPECT_EQ(rep.job->blame.preemption, 60_us) << label;
 
         // Critical path: exec, preempted-by-H, exec — and it tiles the
         // response exactly.
@@ -516,5 +532,84 @@ TEST(Attribution, MissReportsNameTheCriticalPath) {
         Time total{};
         for (const auto& item : rep.critical_path) total += item.duration;
         EXPECT_EQ(total, rep.measured) << label;
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Job views: one completed-job type for the results and the completion hook.
+// ---------------------------------------------------------------------------
+
+TEST(Attribution, ViewsReadInTurnKeepTheirOwnPreemptors) {
+    // L's first job is preempted by A, its second by B: two views read one
+    // after the other must each keep their own preempted_by.
+    k::Simulator sim;
+    r::Processor cpu("cpu", std::make_unique<r::PriorityPreemptivePolicy>());
+    o::Attribution attr;
+    attr.attach(cpu);
+    cpu.create_task({.name = "L", .priority = 1}, [](r::Task& self) {
+        self.compute(100_us);
+        self.sleep_until(200_us);
+        self.compute(100_us);
+    });
+    cpu.create_task({.name = "A", .priority = 5, .start_time = 20_us},
+                    [](r::Task& self) { self.compute(10_us); });
+    cpu.create_task({.name = "B", .priority = 6, .start_time = 220_us},
+                    [](r::Task& self) { self.compute(30_us); });
+    sim.run();
+
+    std::vector<std::size_t> l_jobs;
+    for (std::size_t i = 0; i < attr.job_count(); ++i)
+        if (attr.job_view(i).task->name() == "L") l_jobs.push_back(i);
+    ASSERT_EQ(l_jobs.size(), 2u);
+    const o::Attribution::JobView first = attr.job_view(l_jobs[0]);
+    const o::Attribution::JobView second = attr.job_view(l_jobs[1]);
+    ASSERT_EQ(first.preempted_by.size(), 1u);
+    EXPECT_EQ(first.preempted_by[0].first->name(), "A");
+    EXPECT_EQ(first.preempted_by[0].second, 10_us);
+    ASSERT_EQ(second.preempted_by.size(), 1u);
+    EXPECT_EQ(second.preempted_by[0].first->name(), "B");
+    EXPECT_EQ(second.preempted_by[0].second, 30_us);
+}
+
+TEST(Attribution, CompletionHookViewsMatchJobViewOnMpeg2) {
+    // A deep copy of one view: the hook's spans are valid only until the
+    // next job is recorded.
+    struct Copy {
+        const r::Task* task = nullptr;
+        std::size_t ordinal = 0;
+        o::Attribution::JobBlame blame;
+        std::vector<std::pair<std::string, Time>> preempted_by, blocked_on;
+        bool operator==(const Copy&) const = default;
+    };
+    const auto copy = [](const o::Attribution::JobView& v) {
+        Copy c{v.task, v.ordinal, v.blame, {}, {}};
+        for (const auto& [who, t] : v.preempted_by)
+            c.preempted_by.emplace_back(who->name(), t);
+        for (const auto& [what, t] : v.blocked_on)
+            c.blocked_on.emplace_back(what, t);
+        return c;
+    };
+    for (const auto kind : kEngines) {
+        SCOPED_TRACE(kind == r::EngineKind::procedure_calls ? "procedural"
+                                                             : "threaded");
+        k::Simulator sim;
+        w::Mpeg2Config cfg;
+        cfg.frames = 120;
+        cfg.engine = kind;
+        w::Mpeg2System soc(cfg);
+        o::Attribution attr;
+        std::vector<Copy> seen;
+        attr.set_completion_hook(
+            [&](const o::Attribution::JobView& v) { seen.push_back(copy(v)); });
+        for (r::Processor* cpu : soc.sw_processors()) attr.attach(*cpu);
+        sim.run_until(cfg.frame_period * cfg.frames + k::Time::ms(5));
+
+        ASSERT_EQ(seen.size(), attr.job_count());
+        std::size_t preempted = 0;
+        for (std::size_t i = 0; i < seen.size(); ++i) {
+            EXPECT_EQ(seen[i], copy(attr.job_view(i))) << "job " << i;
+            if (!seen[i].preempted_by.empty()) ++preempted;
+        }
+        EXPECT_GT(preempted, 0u);
     }
 }

@@ -34,8 +34,10 @@ const char* label_of(r::EngineKind kind) {
 
 std::vector<std::string> serialize(const o::Attribution& a) {
     std::vector<std::string> rows;
-    for (const auto& j : a.jobs())
-        rows.push_back(j.task + " #" + std::to_string(j.index) +
+    for (std::size_t i = 0; i < a.job_count(); ++i) {
+        const o::Attribution::JobView v = a.job_view(i);
+        const auto& j = v.blame;
+        rows.push_back(v.task->name() + " #" + std::to_string(j.index) +
                        (j.aborted ? " aborted" : "") +
                        " rel=" + std::to_string(j.release.raw_ps()) +
                        " end=" + std::to_string(j.end.raw_ps()) +
@@ -44,14 +46,17 @@ std::vector<std::string> serialize(const o::Attribution& a) {
                        " blk=" + std::to_string(j.blocking.raw_ps()) +
                        " ov=" + std::to_string(j.overhead.raw_ps()) +
                        " intr=" + std::to_string(j.interrupt.raw_ps()));
+    }
     return rows;
 }
 
 void expect_conserving(const o::Attribution& a, const char* label) {
-    ASSERT_FALSE(a.jobs().empty()) << label;
-    for (const auto& j : a.jobs())
-        EXPECT_EQ(j.components_sum(), j.response())
-            << label << ": " << j.task << " #" << j.index;
+    ASSERT_NE(a.job_count(), 0u) << label;
+    for (std::size_t i = 0; i < a.job_count(); ++i) {
+        const o::Attribution::JobView v = a.job_view(i);
+        EXPECT_EQ(v.blame.components_sum(), v.blame.response())
+            << label << ": " << v.task->name() << " #" << v.blame.index;
+    }
 }
 
 } // namespace
@@ -79,12 +84,12 @@ TEST(AttributionFaults, KillMidComputeYieldsAbortedConservingJob) {
 
         const auto jobs = attr.jobs_for("a");
         ASSERT_EQ(jobs.size(), 1u) << label;
-        EXPECT_TRUE(jobs[0]->aborted) << label;
+        EXPECT_TRUE(jobs[0].blame.aborted) << label;
         // Released at 0, killed at 50: sched+load overhead 0-10, then 40us
         // of its 100us compute.
-        EXPECT_EQ(jobs[0]->response(), 50_us) << label;
-        EXPECT_EQ(jobs[0]->exec, 40_us) << label;
-        EXPECT_EQ(jobs[0]->overhead, 10_us) << label;
+        EXPECT_EQ(jobs[0].blame.response(), 50_us) << label;
+        EXPECT_EQ(jobs[0].blame.exec, 40_us) << label;
+        EXPECT_EQ(jobs[0].blame.overhead, 10_us) << label;
     }
 }
 
@@ -116,12 +121,12 @@ TEST(AttributionFaults, RestartOpensAFreshJob) {
 
         const auto jobs = attr.jobs_for("a");
         ASSERT_EQ(jobs.size(), 2u) << label;
-        EXPECT_TRUE(jobs[0]->aborted) << label;
-        EXPECT_EQ(jobs[0]->response(), 30_us) << label;
-        EXPECT_EQ(jobs[0]->exec, 30_us) << label; // zero overheads
-        EXPECT_FALSE(jobs[1]->aborted) << label;
-        EXPECT_EQ(jobs[1]->release, 40_us) << label; // kill + 10us delay
-        EXPECT_EQ(jobs[1]->exec, 20_us) << label;
+        EXPECT_TRUE(jobs[0].blame.aborted) << label;
+        EXPECT_EQ(jobs[0].blame.response(), 30_us) << label;
+        EXPECT_EQ(jobs[0].blame.exec, 30_us) << label; // zero overheads
+        EXPECT_FALSE(jobs[1].blame.aborted) << label;
+        EXPECT_EQ(jobs[1].blame.release, 40_us) << label; // kill + 10us delay
+        EXPECT_EQ(jobs[1].blame.exec, 20_us) << label;
         EXPECT_EQ(incarnation, 2) << label;
     }
 }
@@ -159,10 +164,10 @@ TEST(AttributionFaults, KillWhileBlockedClosesTheEpisode) {
         // closed at the kill instant.
         const auto jobs = attr.jobs_for("high");
         ASSERT_EQ(jobs.size(), 1u) << label;
-        EXPECT_TRUE(jobs[0]->aborted) << label;
-        EXPECT_EQ(jobs[0]->blocking, 50_us) << label;
-        ASSERT_EQ(jobs[0]->blocked_on.size(), 1u) << label;
-        EXPECT_EQ(jobs[0]->blocked_on[0].first, "sv") << label;
+        EXPECT_TRUE(jobs[0].blame.aborted) << label;
+        EXPECT_EQ(jobs[0].blame.blocking, 50_us) << label;
+        ASSERT_EQ(jobs[0].blocked_on.size(), 1u) << label;
+        EXPECT_EQ(jobs[0].blocked_on[0].first, "sv") << label;
         ASSERT_EQ(attr.episodes().size(), 1u) << label;
         EXPECT_EQ(attr.episodes()[0].victim, "high") << label;
         EXPECT_EQ(attr.episodes()[0].end, 60_us) << label;
@@ -209,11 +214,11 @@ TEST(AttributionFaults, WatchdogRestartRecoveryStaysConservingAndEquivalent) {
         EXPECT_EQ(incarnation, 2) << label;
         const auto jobs = attr.jobs_for("a");
         ASSERT_EQ(jobs.size(), 2u) << label;
-        EXPECT_TRUE(jobs[0]->aborted) << label;
-        EXPECT_EQ(jobs[0]->response(), 50_us) << label;
-        EXPECT_FALSE(jobs[1]->aborted) << label;
-        EXPECT_EQ(jobs[1]->release, 60_us) << label;
-        EXPECT_EQ(jobs[1]->exec, 30_us) << label;
+        EXPECT_TRUE(jobs[0].blame.aborted) << label;
+        EXPECT_EQ(jobs[0].blame.response(), 50_us) << label;
+        EXPECT_FALSE(jobs[1].blame.aborted) << label;
+        EXPECT_EQ(jobs[1].blame.release, 60_us) << label;
+        EXPECT_EQ(jobs[1].blame.exec, 30_us) << label;
         runs.push_back(serialize(attr));
     }
     EXPECT_EQ(runs[0], runs[1]);

@@ -124,14 +124,16 @@ ObservedRun run_resource_block(r::EngineKind engine, Wiring wiring) {
     ObservedRun out;
     for (const o::MetricSample& sample : reg.snapshot())
         out.metrics.push_back(sample.name + "=" + std::to_string(sample.value));
-    for (const auto& j : attr.jobs()) {
-        std::string row = j.task + " #" + std::to_string(j.index) +
+    for (std::size_t i = 0; i < attr.job_count(); ++i) {
+        const o::Attribution::JobView v = attr.job_view(i);
+        const auto& j = v.blame;
+        std::string row = v.task->name() + " #" + std::to_string(j.index) +
                           " response=" + j.response().to_string() +
                           " exec=" + j.exec.to_string() +
                           " overhead=" + j.overhead.to_string();
-        for (const auto& [who, t] : j.preempted_by)
-            row += " preempted_by:" + who + "=" + t.to_string();
-        for (const auto& [what, t] : j.blocked_on)
+        for (const auto& [who, t] : v.preempted_by)
+            row += " preempted_by:" + who->name() + "=" + t.to_string();
+        for (const auto& [what, t] : v.blocked_on)
             row += " blocked_on:" + what + "=" + t.to_string();
         out.jobs.push_back(row);
     }
@@ -354,5 +356,5 @@ TEST(MetricsEquivalence, DestroyedObserversAreUnsubscribed) {
     // ...and a collector outlived by its processor stops counting.
     EXPECT_EQ(reg.find_counter("cpu.cpu.ctx_switches")->value(), 0u);
     EXPECT_GT(survivor_reg.find_counter("cpu.cpu.ctx_switches")->value(), 0u);
-    EXPECT_EQ(survivor.jobs().size(), 3u);
+    EXPECT_EQ(survivor.job_count(), 3u);
 }

@@ -247,43 +247,44 @@ TEST(PerfettoStreamTest, CounterOnUnattachedProcessorThrows) {
     r::Processor unattached("u");
     o::PerfettoStreamWriter stream("stream_counter.perfetto.json");
     stream.attach(attached);
-    EXPECT_THROW(stream.counter(unattached, 0_us, "x", 1.0),
+    EXPECT_THROW((void)stream.counter_track(unattached, "x"),
                  k::SimulationError);
-    stream.counter(attached, 0_us, "x", 1.0); // fine
+    stream.counter(stream.counter_track(attached, "x"), 0_us, 1.0); // fine
     stream.finish();
     std::remove("stream_counter.perfetto.json");
 }
 
 TEST(PerfettoStreamTest, NonFiniteCounterValueThrows) {
     // JSON has no NaN or infinity literal: rendering one would make the
-    // whole export unparseable, so both overloads refuse the sample.
+    // whole export unparseable, so a sample on either kind of track is
+    // refused.
     const std::string path = "stream_nonfinite.perfetto.json";
     k::Simulator sim;
     r::Processor cpu("cpu");
     o::PerfettoStreamWriter stream(path);
     stream.attach(cpu);
+    const auto on_cpu = stream.counter_track(cpu, "x");
+    const auto on_kernel = stream.counter_track(std::string_view{"kernel"}, "x");
     for (const double bad : {std::numeric_limits<double>::quiet_NaN(),
                              std::numeric_limits<double>::infinity(),
                              -std::numeric_limits<double>::infinity()}) {
-        EXPECT_THROW(stream.counter(cpu, 0_us, "x", bad), k::SimulationError);
-        EXPECT_THROW(stream.counter("kernel", 0_us, "x", bad),
-                     k::SimulationError);
+        EXPECT_THROW(stream.counter(on_cpu, 0_us, bad), k::SimulationError);
+        EXPECT_THROW(stream.counter(on_kernel, 0_us, bad), k::SimulationError);
     }
-    stream.counter(cpu, 0_us, "x", 1.0); // fine
+    stream.counter(on_cpu, 0_us, 1.0); // fine
     stream.finish();
 
     std::ifstream is(path);
     std::stringstream buf;
     buf << is.rdbuf();
     const auto root = o::json::parse(buf.str());
-    std::size_t counters = 0;
-    for (const auto& ev : root->get("traceEvents")->arr) {
-        if (ev->get("ph")->str == "C") ++counters;
-        // A refused sample allocates no auxiliary counter process.
-        if (ev->get("name")->str == "process_name")
-            EXPECT_NE(ev->get("args")->get("name")->str, "kernel");
-    }
-    EXPECT_EQ(counters, 1u);
+    // A refused sample emits nothing: the one counter event is the finite
+    // sample.
+    std::vector<double> values;
+    for (const auto& ev : root->get("traceEvents")->arr)
+        if (ev->get("ph")->str == "C")
+            values.push_back(ev->get("args")->get("value")->num);
+    EXPECT_EQ(values, std::vector<double>{1.0});
     std::remove(path.c_str());
 }
 
@@ -472,9 +473,10 @@ TEST(PerfettoStreamTest, HostileCounterNamesRoundTrip) {
         r::Processor cpu("cpu");
         o::PerfettoStreamWriter stream(path);
         stream.attach(cpu);
-        stream.counter(cpu, 0_us, name, 1.5);
-        stream.counter("kern\"el\n", 1_us, name, -2.0);
         const auto track = stream.counter_track(cpu, name);
+        stream.counter(track, 0_us, 1.5);
+        stream.counter(stream.counter_track(std::string_view{"kern\"el\n"}, name),
+                       1_us, -2.0);
         stream.counter(track, 2_us, 0.25);
         stream.finish();
     }

@@ -9,6 +9,7 @@
 #include <cstdio>
 #include <fstream>
 #include <iterator>
+#include <limits>
 #include <memory>
 #include <string>
 
@@ -273,5 +274,69 @@ TEST(TraceQuery, TruncatedExportFailsInsteadOfReturningPartialData) {
     out.write(text.data(), static_cast<std::streamsize>(text.size() / 2));
     out.close();
     EXPECT_THROW(q::load(path), std::runtime_error);
+    std::remove(path.c_str());
+}
+
+TEST(TraceQuery, HostileIntegerFieldsThrowNamingTheField) {
+    // Job ordinals are unsigned 64-bit and priorities int: a negative, huge,
+    // fractional or out-of-range number is a malformed field, not a value to
+    // cast.
+    const std::string path = "query_hostile.perfetto.json";
+    const auto write = [&path](const std::string& index, const std::string& job,
+                               const std::string& victim_priority,
+                               const std::string& owner_priority) {
+        std::ofstream(path)
+            << "{\"traceEvents\": [\n"
+               "{\"name\": \"job #0\", \"cat\": \"job\", \"ph\": \"X\", "
+               "\"ts\": 0, \"dur\": 1, \"pid\": 1, \"tid\": 2, \"args\": "
+               "{\"task\": \"H\", \"index\": "
+            << index
+            << ", \"release_ps\": 0, \"end_ps\": 1000000, \"response_ps\": "
+               "1000000, \"aborted\": false, \"exec_ps\": 1000000, "
+               "\"preempt_ps\": 0, \"block_ps\": 0, \"overhead_ps\": 0, "
+               "\"interrupt_ps\": 0, \"preempted_by\": {}, \"blocked_on\": "
+               "{}}},\n"
+               "{\"name\": \"blocked on sv\", \"cat\": \"blocking_chain\", "
+               "\"ph\": \"i\", \"ts\": 0, \"pid\": 1, \"tid\": 2, \"args\": "
+               "{\"victim\": \"H\", \"job\": "
+            << job << ", \"resource\": \"sv\", \"owner\": \"L\", "
+            << "\"victim_priority\": " << victim_priority
+            << ", \"owner_priority\": " << owner_priority
+            << ", \"duration_ps\": 0, \"inversion\": true, \"chain\": [\"H\", "
+               "\"L\"], \"aggravators\": []}}\n]}\n";
+    };
+    const auto expect_rejected = [&path](const std::string& field,
+                                         const std::string& value) {
+        try {
+            (void)q::load(path);
+            ADD_FAILURE() << field << " = " << value << " was accepted";
+        } catch (const std::runtime_error& e) {
+            EXPECT_NE(std::string(e.what()).find("\"" + field + "\""),
+                      std::string::npos)
+                << field << " = " << value << ": " << e.what();
+        }
+    };
+
+    write("3", "3", "-2147483648", "2147483647");
+    const q::TraceData d = q::load(path);
+    ASSERT_EQ(d.jobs.size(), 1u);
+    EXPECT_EQ(d.jobs[0].index, 3u);
+    ASSERT_EQ(d.chains.size(), 1u);
+    EXPECT_EQ(d.chains[0].job, 3u);
+    EXPECT_EQ(d.chains[0].victim_priority, std::numeric_limits<int>::min());
+    EXPECT_EQ(d.chains[0].owner_priority, std::numeric_limits<int>::max());
+
+    for (const std::string bad : {"-1", "1e300", "2.5", "18446744073709551616"}) {
+        write(bad, "0", "5", "1");
+        expect_rejected("index", bad);
+        write("0", bad, "5", "1");
+        expect_rejected("job", bad);
+    }
+    for (const std::string bad : {"-2147483649", "2147483648", "1e300", "2.5"}) {
+        write("0", "0", bad, "1");
+        expect_rejected("victim_priority", bad);
+        write("0", "0", "5", bad);
+        expect_rejected("owner_priority", bad);
+    }
     std::remove(path.c_str());
 }

@@ -151,35 +151,6 @@ TEST_P(PolicyTest, EdfTaskWithoutDeadlineRanksLast) {
     EXPECT_EQ(order, (std::vector<std::string>{"rt", "background"}));
 }
 
-TEST_P(PolicyTest, LambdaPolicyImplementsCustomRule) {
-    // Shortest-job-first by a user lambda reading per-task deadline fields as
-    // "remaining work" stand-ins.
-    k::Simulator sim;
-    auto select = [](const r::ReadyQueue& q) -> r::Task* {
-        r::Task* best = nullptr;
-        for (r::Task* t : q)
-            if (best == nullptr || t->absolute_deadline() < best->absolute_deadline())
-                best = t;
-        return best;
-    };
-    auto preempt = [](const r::Task&, const r::Task&) { return false; };
-    r::Processor cpu("cpu",
-                     std::make_unique<r::LambdaPolicy>("sjf", select, preempt),
-                     GetParam());
-    EXPECT_EQ(cpu.policy().name(), "sjf");
-    std::vector<std::string> order;
-    auto body = [&](r::Task& self) {
-        order.push_back(self.name());
-        self.compute(5_us);
-    };
-    auto& big = cpu.create_task({.name = "big", .priority = 0}, body);
-    auto& small = cpu.create_task({.name = "small", .priority = 0}, body);
-    big.set_absolute_deadline(500_us);
-    small.set_absolute_deadline(5_us);
-    sim.run();
-    EXPECT_EQ(order, (std::vector<std::string>{"small", "big"}));
-}
-
 namespace {
 /// The paper's extension idiom: override Processor::scheduling_policy.
 class LowestPriorityFirstProcessor final : public r::Processor {

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <stdexcept>
 
 #include "kernel/simulator.hpp"
 #include "rtos/processor.hpp"
@@ -118,4 +119,57 @@ TEST(TaskApiTest, PreemptionLockUnderflowDetected) {
     k::Simulator sim;
     r::Processor cpu("cpu");
     EXPECT_THROW(cpu.unlock_preemption(), k::SimulationError);
+}
+
+TEST(TaskApiTest, JobEdgeTableOverEveryTransition) {
+    // The one job rule, cell by cell: a release readies a task out of a
+    // synchronization wait or its creation; a running task that blocks on
+    // synchronization or terminates completes its job; a kill or crash
+    // aborts it from any state. Everything else, self-transitions included,
+    // is no boundary.
+    using S = r::TaskState;
+    using E = r::JobEdge;
+    k::Simulator sim;
+    r::Processor cpu("cpu");
+    r::Task& plain = cpu.create_task({.name = "plain", .priority = 1},
+                                     [](r::Task&) {});
+    r::Task& killed = cpu.create_task({.name = "killed", .priority = 1},
+                                      [](r::Task&) {});
+    r::Task& crashed = cpu.create_task(
+        {.name = "crashed", .priority = 2},
+        [](r::Task&) { throw std::runtime_error("expected crash"); });
+    killed.kill();
+    sim.run();
+    ASSERT_FALSE(plain.killed() || plain.crashed());
+    ASSERT_TRUE(killed.killed());
+    ASSERT_TRUE(crashed.crashed());
+
+    // The boundary cells; every other (from, to) pair is E::none.
+    struct Cell {
+        S from, to;
+        E plain, faulted; ///< faulted: the task was killed or crashed
+    };
+    const Cell boundaries[] = {
+        {S::created, S::ready, E::release, E::release},
+        {S::waiting, S::ready, E::release, E::release},
+        {S::running, S::waiting, E::completion, E::completion},
+        {S::running, S::terminated, E::completion, E::abort},
+        {S::created, S::terminated, E::none, E::abort},
+        {S::ready, S::terminated, E::none, E::abort},
+        {S::waiting, S::terminated, E::none, E::abort},
+        {S::waiting_resource, S::terminated, E::none, E::abort},
+    };
+    const S states[] = {S::created, S::ready, S::running,
+                        S::waiting, S::waiting_resource, S::terminated};
+    for (const r::Task* t : {&plain, &killed, &crashed})
+        for (const S from : states)
+            for (const S to : states) {
+                E want = E::none;
+                for (const Cell& c : boundaries)
+                    if (c.from == from && c.to == to)
+                        want = t == &plain ? c.plain : c.faulted;
+                EXPECT_EQ(r::job_edge(*t, from, to), want)
+                    << t->name() << ": " << r::to_string(from) << " -> "
+                    << r::to_string(to);
+            }
 }
