@@ -67,7 +67,8 @@ int main() {
     const std::string json_path = env != nullptr ? env : "BENCH_campaign.json";
 
     const auto serial =
-        c::CampaignRunner({.workers = 1, .seed = kSeed}).run(scenarios);
+        c::CampaignRunner({.workers = 1, .seed = kSeed, .on_progress = {}})
+            .run(scenarios);
     if (serial.failures() != 0) {
         std::cerr << "campaign_shard bench: serial reference failed\n"
                   << serial.to_string();

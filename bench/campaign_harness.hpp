@@ -29,9 +29,12 @@ inline HarnessOutcome run_and_record(const std::string& bench_name,
     const unsigned workers = cores > 4 ? cores : 4;
 
     HarnessOutcome out;
-    out.serial = c::CampaignRunner({.workers = 1, .seed = seed}).run(scenarios);
+    out.serial =
+        c::CampaignRunner({.workers = 1, .seed = seed, .on_progress = {}})
+            .run(scenarios);
     const auto parallel =
-        c::CampaignRunner({.workers = workers, .seed = seed}).run(scenarios);
+        c::CampaignRunner({.workers = workers, .seed = seed, .on_progress = {}})
+            .run(scenarios);
     out.digests_match = parallel.digest() == out.serial.digest();
 
     c::BenchEntry entry;

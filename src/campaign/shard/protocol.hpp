@@ -31,6 +31,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "campaign/campaign.hpp"
@@ -65,7 +66,7 @@ public:
         for (int i = 0; i < 8; ++i) buf_.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
     }
     void f64(double v);
-    void str(const std::string& s) {
+    void str(std::string_view s) {
         u64(s.size());
         buf_.insert(buf_.end(), s.begin(), s.end());
     }

@@ -70,6 +70,35 @@ std::vector<std::string> decision_rows(const DecisionLog& log) {
     return rows;
 }
 
+bool same_streams(const DecisionLog& a, const DecisionLog& b) {
+    if (a.size() != b.size()) return false;
+    const auto same = [](const Decision& x, const Decision& y) {
+        return x.cpu == y.cpu && x.at_ps == y.at_ps && x.task == y.task &&
+               x.front == y.front && x.n == y.n && x.chosen == y.chosen;
+    };
+    if (std::equal(a.begin(), a.end(), b.begin(), same)) return true;
+    // The CPUs interleave differently: walk each CPU's stream on its own.
+    for (std::size_t first = 0; first < a.size(); ++first) {
+        const std::string& cpu = a[first].cpu;
+        if (std::any_of(a.begin(), a.begin() + static_cast<std::ptrdiff_t>(first),
+                        [&](const Decision& d) { return d.cpu == cpu; }))
+            continue; // walked already
+        std::size_t x = first, y = 0;
+        while (true) {
+            while (x < a.size() && a[x].cpu != cpu) ++x;
+            while (y < b.size() && b[y].cpu != cpu) ++y;
+            if (x == a.size() || y == b.size()) {
+                if (x != a.size() || y != b.size()) return false;
+                break;
+            }
+            if (!same(a[x++], b[y++])) return false;
+        }
+    }
+    // Every stream of `a` matched one of `b` of the same length, and the
+    // logs are equally long: `b` has no other CPU.
+    return true;
+}
+
 std::string log_to_text(const DecisionLog& log) {
     std::string out;
     for (const Decision& d : log) {

@@ -15,9 +15,10 @@
 // Streams are per-CPU (keyed by processor name) because cross-CPU decision
 // interleaving within one instant is a kernel activation-order detail that
 // legitimately differs between the two engines; per-CPU order is simulated
-// behaviour and must match — decision_rows() canonicalizes a log into
-// comparable per-CPU projections and the model checker diffs them across
-// all four runs as an extra equivalence invariant.
+// behaviour and must match — the model checker compares the per-CPU
+// streams of all four runs (same_streams) as an extra equivalence
+// invariant, and decision_rows() canonicalizes a log into per-CPU rows for
+// its report.
 
 #include <cstdint>
 #include <map>
@@ -55,6 +56,12 @@ using DecisionTrace = std::map<std::string, std::vector<std::uint32_t>>;
 /// grouped by CPU in name order, decisions in observation order. Two runs
 /// with equal rows consumed the identical per-CPU decision streams.
 [[nodiscard]] std::vector<std::string> decision_rows(const DecisionLog& log);
+
+/// Whether `a` and `b` consumed the same per-CPU decision streams, compared
+/// field by field (cpu, at_ps, task, front, n, chosen) per CPU in
+/// observation order, without building decision_rows(). Equal streams give
+/// equal rows.
+[[nodiscard]] bool same_streams(const DecisionLog& a, const DecisionLog& b);
 
 /// Human-readable dump of a full log (diagnostics).
 [[nodiscard]] std::string log_to_text(const DecisionLog& log);

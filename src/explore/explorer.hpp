@@ -1,5 +1,5 @@
 #pragma once
-// Bounded exhaustive schedule-space exploration (ROADMAP item 5): enumerate
+// Bounded exhaustive schedule-space exploration (ROADMAP item 6): enumerate
 // every reachable resolution of the model's same-instant ready-queue
 // tie-breaks, running an arbitrary checker on each one.
 //

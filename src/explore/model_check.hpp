@@ -7,9 +7,9 @@
 // skip-ahead on/off), all replaying the same DecisionTrace. A schedule
 // *violates* when
 //   - a prescribed slot did not fit its decision window (replay desync),
-//   - fuzz::check_legs reports a divergence: a leg pair differs on any
+//   - fuzz::check_records reports a divergence: a leg pair differs on any
 //     stream (states, overheads, comms, markers, metrics incl. the energy
-//     ledger rows, attribution incl. the per-job invariant), or a
+//     ledgers, attribution incl. the per-job invariant), or a
 //     BROKEN-ENERGY / BROKEN-INVARIANT row broke identically on every leg,
 //   - the four per-CPU decision streams disagree (the engines consumed
 //     different tie-breaks: the same-instant structure itself diverged),
@@ -17,7 +17,7 @@
 //     triggered a deadlock / lost-wakeup / stall diagnostic).
 //
 // On top of the tie-break DFS, explore_model() enumerates the *spec-level*
-// decision points of ISSUE/ROADMAP item 5: sporadic arrival offsets (tasks
+// decision points of ROADMAP item 6: sporadic arrival offsets (tasks
 // with a single time-triggered release get their start quantized over a
 // window) and fault-plan crash placements. Each variant spec runs its own
 // full DFS; reports carry per-variant schedule counts.

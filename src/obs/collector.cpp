@@ -29,14 +29,16 @@ MetricsCollector::CpuMetrics& MetricsCollector::cpu_metrics(
     const r::Processor& cpu) {
     for (auto& m : cpus_)
         if (m.cpu == &cpu) return m;
-    const std::string p = "cpu." + cpu.name() + ".";
-    cpus_.push_back({&cpu, &reg_.counter(p + "scheduler_runs"),
-                     &reg_.counter(p + "ctx_switches"),
-                     &reg_.counter(p + "preemptions"),
-                     &reg_.histogram(p + "ready_queue_len"),
-                     &reg_.histogram(p + "preempt_depth"),
-                     &reg_.histogram(p + "sched_latency_ps"),
-                     &reg_.histogram(p + "dispatch_latency_ps")});
+    const auto counter = [&](std::string_view field) {
+        return &reg_.counter(metric_name("cpu.", cpu.name(), field));
+    };
+    const auto histogram = [&](std::string_view field) {
+        return &reg_.histogram(metric_name("cpu.", cpu.name(), field));
+    };
+    cpus_.push_back({&cpu, counter("scheduler_runs"), counter("ctx_switches"),
+                     counter("preemptions"), histogram("ready_queue_len"),
+                     histogram("preempt_depth"), histogram("sched_latency_ps"),
+                     histogram("dispatch_latency_ps")});
     return cpus_.back();
 }
 
@@ -89,24 +91,35 @@ MetricsCollector::BlameMetrics& MetricsCollector::blame_metrics(
             return *blame_order_.front();
         }
     }
-    const std::string p = "task." + t.name() + ".";
-    blames_.push_back({&t, p, &reg_.histogram(p + "blame.exec_ps"),
-                       &reg_.histogram(p + "blame.preempt_ps"),
-                       &reg_.histogram(p + "blame.block_ps"),
-                       &reg_.histogram(p + "blame.overhead_ps"),
-                       &reg_.histogram(p + "blame.interrupt_ps"),
+    const auto histogram = [&](std::string_view field) {
+        return &reg_.histogram(metric_name("task.", t.name(), field));
+    };
+    blames_.push_back({&t, histogram("blame.exec_ps"),
+                       histogram("blame.preempt_ps"),
+                       histogram("blame.block_ps"),
+                       histogram("blame.overhead_ps"),
+                       histogram("blame.interrupt_ps"),
                        {},
                        {}});
     blame_order_.insert(blame_order_.begin(), &blames_.back());
     return blames_.back();
 }
 
+std::string_view MetricsCollector::metric_name(std::string_view kind,
+                                              std::string_view owner,
+                                              std::string_view field) {
+    name_.assign(kind).append(owner).append(1, '.').append(field);
+    return name_;
+}
+
 Counter& MetricsCollector::culprit_counter(
-    std::vector<std::pair<std::string, Counter*>>& cache,
-    const std::string& prefix, const char* group, const std::string& name) {
+    std::vector<std::pair<std::string, Counter*>>& cache, const r::Task& t,
+    std::string_view group, const std::string& name) {
     for (auto& [n, c] : cache)
         if (n == name) return *c;
-    Counter& c = reg_.counter(prefix + group + name);
+    (void)metric_name("task.", t.name(), group);
+    name_.append(name);
+    Counter& c = reg_.counter(name_);
     cache.emplace_back(name, &c);
     return c;
 }
@@ -127,11 +140,11 @@ void MetricsCollector::set_attribution(Attribution* a) {
         // One inc per job per name: the view merges same-named preemptors
         // and resources, and leaves the ISR share to `interrupt`.
         for (const auto& [by, share] : v.preempted_by)
-            culprit_counter(m.preempted_by, m.prefix, "preempted_by.",
+            culprit_counter(m.preempted_by, *v.task, "preempted_by.",
                             by->name())
                 .inc();
         for (const auto& [name, share] : v.blocked_on)
-            culprit_counter(m.blocked_on, m.prefix, "blocked_on.", name).inc();
+            culprit_counter(m.blocked_on, *v.task, "blocked_on.", name).inc();
         const Attribution::JobBlame& b = v.blame;
         m.exec->record(b.exec);
         m.preempt->record(b.preemption);
@@ -140,8 +153,11 @@ void MetricsCollector::set_attribution(Attribution* a) {
         m.interrupt->record(b.interrupt);
         if (v.task->processor().dvfs_enabled()) {
             if (m.energy_exec == nullptr) {
-                m.energy_exec = &reg_.gauge(m.prefix + "energy_exec_j");
-                m.energy_ov = &reg_.gauge(m.prefix + "energy_overhead_j");
+                m.energy_exec =
+                    &reg_.gauge(metric_name("task.", v.task->name(),
+                                            "energy_exec_j"));
+                m.energy_ov = &reg_.gauge(
+                    metric_name("task.", v.task->name(), "energy_overhead_j"));
             }
             m.energy_exec->set(r::energy_to_joules(b.energy_exec));
             m.energy_ov->set(r::energy_to_joules(b.energy_overhead));
@@ -159,10 +175,13 @@ void MetricsCollector::on_task_state(const r::Task& task, r::TaskState from,
     const k::Time now = task.processor().simulator().now();
     if (edge == r::JobEdge::release) {
         if (m == nullptr) {
-            const std::string p = "task." + task.name() + ".";
+            // A braced list runs in order: each name is registered before
+            // the buffer is reused.
             m = &tasks_.emplace_back(TaskMetrics{
-                &task, &reg_.counter(p + "activations"),
-                &reg_.histogram(p + "response_ps")});
+                &task,
+                &reg_.counter(metric_name("task.", task.name(), "activations")),
+                &reg_.histogram(
+                    metric_name("task.", task.name(), "response_ps"))});
         }
         m->activations->inc();
         m->active = true;

@@ -37,6 +37,7 @@
 
 #include <deque>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "obs/metrics.hpp"
@@ -111,7 +112,6 @@ private:
     /// catalogue.
     struct BlameMetrics {
         const rtos::Task* task;
-        std::string prefix;        ///< "task.<name>."
         Histogram* exec;
         Histogram* preempt;
         Histogram* block;
@@ -131,9 +131,15 @@ private:
     [[nodiscard]] BlameMetrics& blame_metrics(const rtos::Task& t);
     [[nodiscard]] Counter& culprit_counter(
         std::vector<std::pair<std::string, Counter*>>& cache,
-        const std::string& prefix, const char* group, const std::string& name);
+        const rtos::Task& t, std::string_view group, const std::string& name);
+    /// "<kind><owner>.<field>" built in name_, which the view shows until
+    /// the next call: every metric name is built in that one buffer.
+    [[nodiscard]] std::string_view metric_name(std::string_view kind,
+                                               std::string_view owner,
+                                               std::string_view field);
 
     MetricsRegistry& reg_;
+    std::string name_; ///< metric_name's buffer
     std::vector<CpuMetrics> cpus_;
     std::vector<TaskMetrics> tasks_;
     std::deque<BlameMetrics> blames_; ///< deque: blame_order_ holds pointers,

@@ -69,7 +69,8 @@ TEST(CampaignRunner, RunsEveryScenarioAndKeepsSubmissionOrder) {
                                  ctx.metric("id", i);
                              }});
     const auto report =
-        c::CampaignRunner({.workers = 3, .seed = 99}).run(scenarios);
+        c::CampaignRunner({.workers = 3, .seed = 99, .on_progress = {}})
+            .run(scenarios);
     ASSERT_EQ(report.results.size(), 8u);
     EXPECT_EQ(report.failures(), 0u);
     EXPECT_EQ(report.workers, 3u);
@@ -89,7 +90,8 @@ TEST(CampaignRunner, ScenarioFailureIsIsolated) {
         {"ugly", [](c::ScenarioContext&) { throw 42; }},
         {"good2", [](c::ScenarioContext& ctx) { ctx.metric("v", 2); }},
     };
-    const auto report = c::CampaignRunner({.workers = 2}).run(scenarios);
+    const auto report =
+        c::CampaignRunner({.workers = 2, .on_progress = {}}).run(scenarios);
     EXPECT_EQ(report.failures(), 2u);
     EXPECT_TRUE(report.results[0].ok);
     EXPECT_FALSE(report.results[1].ok);
@@ -128,9 +130,11 @@ TEST(CampaignRunner, ProgressReportsEveryCompletion) {
 TEST(CampaignRunner, WorkerCountIsClampedToScenarioCount) {
     std::vector<c::ScenarioSpec> scenarios = {
         {"only", [](c::ScenarioContext&) {}}};
-    const auto report = c::CampaignRunner({.workers = 16}).run(scenarios);
+    const auto report =
+        c::CampaignRunner({.workers = 16, .on_progress = {}}).run(scenarios);
     EXPECT_EQ(report.workers, 1u);
-    const auto empty = c::CampaignRunner({.workers = 16}).run({});
+    const auto empty =
+        c::CampaignRunner({.workers = 16, .on_progress = {}}).run({});
     EXPECT_EQ(empty.results.size(), 0u);
     EXPECT_EQ(empty.failures(), 0u);
 }
@@ -138,12 +142,14 @@ TEST(CampaignRunner, WorkerCountIsClampedToScenarioCount) {
 TEST(CampaignDeterminism, AggregateReportIdenticalAcrossWorkerCounts) {
     const auto scenarios = taskset_campaign(10);
     const auto serial =
-        c::CampaignRunner({.workers = 1, .seed = 2026}).run(scenarios);
+        c::CampaignRunner({.workers = 1, .seed = 2026, .on_progress = {}})
+            .run(scenarios);
     ASSERT_EQ(serial.failures(), 0u);
 
     for (const unsigned workers : {2u, 4u, 7u}) {
         const auto parallel =
-            c::CampaignRunner({.workers = workers, .seed = 2026}).run(scenarios);
+            c::CampaignRunner({.workers = workers, .seed = 2026, .on_progress = {}})
+                .run(scenarios);
         EXPECT_EQ(parallel.digest(), serial.digest()) << workers << " workers";
         // The digest claim, verified field by field.
         ASSERT_EQ(parallel.results.size(), serial.results.size());
@@ -161,8 +167,12 @@ TEST(CampaignDeterminism, AggregateReportIdenticalAcrossWorkerCounts) {
 
 TEST(CampaignDeterminism, DifferentCampaignSeedChangesTheScience) {
     const auto scenarios = taskset_campaign(4);
-    const auto a = c::CampaignRunner({.workers = 2, .seed = 1}).run(scenarios);
-    const auto b = c::CampaignRunner({.workers = 2, .seed = 2}).run(scenarios);
+    const auto a =
+        c::CampaignRunner({.workers = 2, .seed = 1, .on_progress = {}})
+            .run(scenarios);
+    const auto b =
+        c::CampaignRunner({.workers = 2, .seed = 2, .on_progress = {}})
+            .run(scenarios);
     EXPECT_NE(a.digest(), b.digest());
 }
 
@@ -208,7 +218,9 @@ TEST(CampaignReport, TextAndCsvRenderings) {
         {"alpha", [](c::ScenarioContext& ctx) { ctx.metric("m", 1.5); }},
         {"beta", [](c::ScenarioContext&) { throw std::runtime_error("bad"); }},
     };
-    const auto report = c::CampaignRunner({.workers = 1, .seed = 5}).run(scenarios);
+    const auto report =
+        c::CampaignRunner({.workers = 1, .seed = 5, .on_progress = {}})
+            .run(scenarios);
     const std::string text = report.to_string();
     EXPECT_NE(text.find("alpha"), std::string::npos);
     EXPECT_NE(text.find("FAILED"), std::string::npos);

@@ -79,7 +79,8 @@ struct TempPath {
 TEST(Shard, DigestMatchesInProcessRunnerForEveryWorkerCount) {
     const auto scenarios = taskset_campaign(8);
     const auto in_process =
-        c::CampaignRunner({.workers = 1, .seed = 2026}).run(scenarios);
+        c::CampaignRunner({.workers = 1, .seed = 2026, .on_progress = {}})
+            .run(scenarios);
     ASSERT_EQ(in_process.failures(), 0u);
 
     for (const unsigned workers : {1u, 2u, 4u}) {
@@ -110,7 +111,8 @@ TEST(Shard, ThrowingScenarioIsTerminalAndMatchesInProcessRunner) {
         throw std::runtime_error("deliberate");
     };
     const auto in_process =
-        c::CampaignRunner({.workers = 1, .seed = 5}).run(scenarios);
+        c::CampaignRunner({.workers = 1, .seed = 5, .on_progress = {}})
+            .run(scenarios);
 
     shard::ShardOptions opt;
     opt.workers = 2;
@@ -150,7 +152,9 @@ TEST(Shard, CrashingScenarioExhaustsRetryBudgetGracefully) {
     EXPECT_EQ(outcome.retries, 1u);
     EXPECT_EQ(outcome.timeouts, 0u);
     for (std::size_t i = 0; i < 6; ++i) {
-        if (i != 3) EXPECT_TRUE(outcome.report.results[i].ok) << i;
+        if (i != 3) {
+            EXPECT_TRUE(outcome.report.results[i].ok) << i;
+        }
     }
 
     // Graceful degradation never changes healthy results: same campaign with
@@ -241,7 +245,8 @@ TEST(Shard, KillNineMidCampaignThenResumeMatchesUninterruptedRun) {
     // The uninterrupted reference, computed in-process (also proves
     // cross-runner digest identity once the resumed run matches it).
     const auto reference =
-        c::CampaignRunner({.workers = 1, .seed = 71}).run(taskset_campaign(n));
+        c::CampaignRunner({.workers = 1, .seed = 71, .on_progress = {}})
+            .run(taskset_campaign(n));
 
     // Coordinator in a child process so we can SIGKILL it mid-campaign. The
     // child's scenarios sleep to guarantee the kill lands while the journal

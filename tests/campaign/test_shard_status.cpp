@@ -190,7 +190,8 @@ TEST(ShardStatus, FileAppearsMidRunAndFinalSnapshotIsDone) {
 TEST(ShardStatus, StatusOutputNeverChangesTheDigest) {
     const auto scenarios = taskset_campaign(8);
     const auto in_process =
-        c::CampaignRunner({.workers = 1, .seed = 2026}).run(scenarios);
+        c::CampaignRunner({.workers = 1, .seed = 2026, .on_progress = {}})
+            .run(scenarios);
 
     TempStatus tmp;
     shard::ShardOptions with_status;

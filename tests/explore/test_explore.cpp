@@ -224,6 +224,44 @@ TEST(DecisionTrace, SlotsMustFitU32) {
         EXPECT_THROW(ex::trace_from_text(bad), std::runtime_error) << bad;
 }
 
+TEST(DecisionTrace, StreamsCompareAsTheirRows) {
+    // same_streams compares per-CPU streams field by field; it agrees with
+    // comparing decision_rows, including when the CPUs interleave
+    // differently.
+    const auto decision = [](const char* cpu, std::uint64_t at,
+                             const char* task, std::uint32_t chosen) {
+        ex::Decision d;
+        d.cpu = cpu;
+        d.task = task;
+        d.at_ps = at;
+        d.n = 3;
+        d.chosen = chosen;
+        return d;
+    };
+    const ex::DecisionLog a = {decision("cpu0", 5, "A", 0),
+                               decision("cpu1", 5, "B", 1),
+                               decision("cpu0", 9, "C", 2)};
+    const ex::DecisionLog interleaved = {a[1], a[0], a[2]};
+    ex::DecisionLog chosen = interleaved;
+    chosen[2].chosen = 1;
+    ex::DecisionLog front = a;
+    front[1].front = true;
+    const ex::DecisionLog per_cpu_order = {a[2], a[1], a[0]};
+    const ex::DecisionLog other_cpu = {a[0], decision("cpu2", 5, "B", 1), a[2]};
+    const ex::DecisionLog shorter = {a[0], a[1]};
+    for (const ex::DecisionLog& b :
+         {a, interleaved, chosen, front, per_cpu_order, other_cpu, shorter}) {
+        EXPECT_EQ(ex::same_streams(a, b),
+                  ex::decision_rows(a) == ex::decision_rows(b))
+            << ex::log_to_text(b);
+        EXPECT_EQ(ex::same_streams(b, a), ex::same_streams(a, b));
+    }
+    EXPECT_TRUE(ex::same_streams(a, interleaved));
+    EXPECT_FALSE(ex::same_streams(a, chosen));
+    EXPECT_FALSE(ex::same_streams(a, per_cpu_order));
+    EXPECT_FALSE(ex::same_streams(a, other_cpu));
+}
+
 // ---------------------------------------------------------- model adapter
 
 TEST(ExploreModel, TwoEqualTasksHaveExactlyTwoSchedules) {

@@ -64,8 +64,9 @@ TEST(ExploreCorpus, EveryScheduleOfEveryModelIsClean) {
         EXPECT_TRUE(r.complete)
             << "corpus models must fit the default bounds entirely";
         const auto it = kPinnedSchedules.find(path.filename().string());
-        if (it != kPinnedSchedules.end())
+        if (it != kPinnedSchedules.end()) {
             EXPECT_EQ(r.schedules, it->second)
                 << "enumerated schedule count drifted";
+        }
     }
 }

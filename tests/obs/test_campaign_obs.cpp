@@ -28,7 +28,8 @@ TEST(CampaignObs, ExportMetricsFillsScenarioContext) {
     c::ScenarioSpec spec{"s", [&reg](c::ScenarioContext& inner) {
                              o::export_metrics(reg, inner);
                          }};
-    const auto report = c::CampaignRunner({.workers = 1, .seed = 1}).run({spec});
+    const auto report =
+        c::CampaignRunner({.workers = 1, .seed = 1, .on_progress = {}}).run({spec});
     ASSERT_EQ(report.results.size(), 1u);
     const auto& metrics = report.results[0].metrics;
     ASSERT_FALSE(metrics.empty());

@@ -3,15 +3,20 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cstdint>
 #include <cstdio>
+#include <cstdlib>
 #include <limits>
 #include <map>
+#include <new>
 #include <random>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
+#include "campaign/shard/protocol.hpp"
 #include "kernel/simulator.hpp"
 #include "kernel/time.hpp"
 #include "obs/attribution.hpp"
@@ -20,6 +25,85 @@
 #include "workload/mpeg2.hpp"
 
 namespace o = rtsc::obs;
+
+// Every global allocation of this test binary is counted, so the registry
+// tests can tell how often creating metrics reaches the heap.
+namespace {
+std::atomic<std::size_t> g_allocations{0};
+std::atomic<std::ptrdiff_t> g_live{0}; ///< allocations not yet freed
+
+void* counted(std::size_t n, std::size_t align) {
+    ++g_allocations;
+    ++g_live;
+    n = n == 0 ? 1 : n;
+    void* p = align <= alignof(std::max_align_t)
+                  ? std::malloc(n)
+                  : std::aligned_alloc(align, (n + align - 1) / align * align);
+    if (p == nullptr) throw std::bad_alloc();
+    return p;
+}
+void uncounted(void* p) noexcept {
+    if (p == nullptr) return;
+    --g_live;
+    std::free(p);
+}
+} // namespace
+
+// Every form is replaced, so no allocation is released by another
+// allocator's delete.
+void* operator new(std::size_t n) { return counted(n, 0); }
+void* operator new[](std::size_t n) { return counted(n, 0); }
+void* operator new(std::size_t n, std::align_val_t a) {
+    return counted(n, static_cast<std::size_t>(a));
+}
+void* operator new[](std::size_t n, std::align_val_t a) {
+    return counted(n, static_cast<std::size_t>(a));
+}
+void* operator new(std::size_t n, const std::nothrow_t&) noexcept {
+    try {
+        return counted(n, 0);
+    } catch (const std::bad_alloc&) {
+        return nullptr;
+    }
+}
+void* operator new[](std::size_t n, const std::nothrow_t& t) noexcept {
+    return operator new(n, t);
+}
+void* operator new(std::size_t n, std::align_val_t a,
+                   const std::nothrow_t&) noexcept {
+    try {
+        return counted(n, static_cast<std::size_t>(a));
+    } catch (const std::bad_alloc&) {
+        return nullptr;
+    }
+}
+void* operator new[](std::size_t n, std::align_val_t a,
+                     const std::nothrow_t& t) noexcept {
+    return operator new(n, a, t);
+}
+void operator delete(void* p) noexcept { uncounted(p); }
+void operator delete[](void* p) noexcept { uncounted(p); }
+void operator delete(void* p, std::size_t) noexcept { uncounted(p); }
+void operator delete[](void* p, std::size_t) noexcept { uncounted(p); }
+void operator delete(void* p, std::align_val_t) noexcept { uncounted(p); }
+void operator delete[](void* p, std::align_val_t) noexcept { uncounted(p); }
+void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
+    uncounted(p);
+}
+void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
+    uncounted(p);
+}
+void operator delete(void* p, const std::nothrow_t&) noexcept { uncounted(p); }
+void operator delete[](void* p, const std::nothrow_t&) noexcept {
+    uncounted(p);
+}
+void operator delete(void* p, std::align_val_t, const std::nothrow_t&) noexcept {
+    uncounted(p);
+}
+void operator delete[](void* p, std::align_val_t,
+                       const std::nothrow_t&) noexcept {
+    uncounted(p);
+}
 using o::Histogram;
 
 namespace {
@@ -363,14 +447,16 @@ TEST(RegistryTest, SnapshotOrderMatchesSortByName) {
 
     std::map<std::string, double> want;
     for (const auto& [n, c] : reg.counters())
-        want[n] = static_cast<double>(c.value());
-    for (const auto& [n, g] : reg.gauges()) {
+        want[std::string(n)] = static_cast<double>(c.value());
+    for (const auto& [key, g] : reg.gauges()) {
+        const std::string n(key);
         want[n + ".last"] = g.last();
         want[n + ".max"] = g.max();
         want[n + ".mean"] = g.mean();
         want[n + ".min"] = g.min();
     }
-    for (const auto& [n, h] : reg.histograms()) {
+    for (const auto& [key, h] : reg.histograms()) {
+        const std::string n(key);
         want[n + ".count"] = static_cast<double>(h.count());
         want[n + ".max"] = static_cast<double>(h.max());
         want[n + ".p50"] = h.p50();
@@ -390,14 +476,16 @@ std::vector<std::pair<std::string, double>> reference_samples(
     const o::MetricsRegistry& reg) {
     std::vector<std::pair<std::string, double>> out;
     for (const auto& [n, c] : reg.counters())
-        out.emplace_back(n, static_cast<double>(c.value()));
-    for (const auto& [n, g] : reg.gauges()) {
+        out.emplace_back(std::string(n), static_cast<double>(c.value()));
+    for (const auto& [key, g] : reg.gauges()) {
+        const std::string n(key);
         out.emplace_back(n + ".last", g.last());
         out.emplace_back(n + ".max", g.max());
         out.emplace_back(n + ".mean", g.mean());
         out.emplace_back(n + ".min", g.min());
     }
-    for (const auto& [n, h] : reg.histograms()) {
+    for (const auto& [key, h] : reg.histograms()) {
+        const std::string n(key);
         out.emplace_back(n + ".count", static_cast<double>(h.count()));
         out.emplace_back(n + ".max", static_cast<double>(h.max()));
         out.emplace_back(n + ".p50", h.p50());
@@ -423,6 +511,156 @@ void expect_walk_is_snapshot(const o::MetricsRegistry& reg) {
         EXPECT_EQ(walked[i].second, snap[i].value) << snap[i].name;
     }
     EXPECT_EQ(walked, reference_samples(reg));
+}
+
+// ------------------------------------------------------- registry storage
+
+TEST(RegistryStorage, AFiftyMetricCatalogueAllocatesOnce) {
+    // The collector's catalogue for two processors and four tasks, named as
+    // the collector names it, one buffer for every name: the registry's
+    // arena holds every node and key, so creating the 50 metrics reaches
+    // the heap once, and ten times as many metrics only a few times more.
+    std::string name;
+    name.reserve(64);
+    const auto metric = [&name](std::string_view kind, std::string_view owner,
+                                std::string_view field) {
+        name.assign(kind).append(owner).append(1, '.').append(field);
+        return std::string_view(name);
+    };
+    const auto catalogue = [&](o::MetricsRegistry& reg, int cpus, int tasks) {
+        for (int c = 0; c < cpus; ++c) {
+            const std::string cpu = "cpu" + std::to_string(c);
+            for (const char* f : {"scheduler_runs", "ctx_switches", "preemptions"})
+                (void)reg.counter(metric("cpu.", cpu, f));
+            for (const char* f : {"ready_queue_len", "preempt_depth",
+                                  "sched_latency_ps", "dispatch_latency_ps"})
+                (void)reg.histogram(metric("cpu.", cpu, f));
+        }
+        for (int t = 0; t < tasks; ++t) {
+            const std::string task = "T" + std::to_string(t);
+            (void)reg.counter(metric("task.", task, "activations"));
+            for (const char* f :
+                 {"response_ps", "blame.exec_ps", "blame.preempt_ps",
+                  "blame.block_ps", "blame.overhead_ps", "blame.interrupt_ps"})
+                (void)reg.histogram(metric("task.", task, f));
+            for (const char* f : {"energy_exec_j", "energy_overhead_j"})
+                (void)reg.gauge(metric("task.", task, f));
+        }
+        return reg.counters().size() + reg.gauges().size() +
+               reg.histograms().size();
+    };
+
+    o::MetricsRegistry reg;
+    std::size_t before = g_allocations;
+    std::size_t metrics = catalogue(reg, 2, 4);
+    // The owners' names ("cpu0", "T3") are short strings: no allocation.
+    EXPECT_EQ(metrics, 50u);
+    EXPECT_EQ(g_allocations - before, 1u);
+
+    o::MetricsRegistry big;
+    before = g_allocations;
+    metrics = catalogue(big, 20, 40);
+    EXPECT_EQ(metrics, 500u);
+    EXPECT_LE(g_allocations - before, 8u);
+}
+
+TEST(RegistryStorage, ClearReleasesTheArena) {
+    // The shard worker's delta registry: filled, shipped and cleared on
+    // every heartbeat. Memory stays bounded over 10,000 cycles.
+    o::MetricsRegistry delta;
+    const std::ptrdiff_t live_before = g_live;
+    std::ptrdiff_t most = 0;
+    for (std::uint64_t i = 0; i < 10000; ++i) {
+        delta.counter("shard.worker.scenarios_run").inc();
+        delta.histogram("shard.worker.scenario_wall_us").record(1000 + i);
+        delta.histogram("shard.worker.result_bytes").record(200 + i % 7);
+        most = std::max<std::ptrdiff_t>(most, g_live - live_before);
+        delta.clear();
+        ASSERT_EQ(g_live - live_before, 0) << "cycle " << i;
+        ASSERT_TRUE(delta.empty());
+    }
+    EXPECT_LE(most, 3); // the arena and two histogram spans
+}
+
+TEST(RegistryStorage, MovesKeepReferencesAndOrder) {
+    o::MetricsRegistry a;
+    o::Counter& c = a.counter("b.runs");
+    o::Gauge& g = a.gauge("a.level");
+    o::Histogram& h = a.histogram("c.latency");
+    c.inc(3);
+    g.set(1.5);
+    h.record(40);
+    a.counter("a.first").inc();
+    const std::vector<o::MetricSample> snap = a.snapshot();
+
+    o::MetricsRegistry b(std::move(a));
+    EXPECT_EQ(b.find_counter("b.runs"), &c);
+    EXPECT_EQ(b.find_gauge("a.level"), &g);
+    EXPECT_EQ(b.find_histogram("c.latency"), &h);
+    std::vector<std::string_view> order;
+    for (const auto& [n, counter] : b.counters()) order.push_back(n);
+    EXPECT_EQ(order, (std::vector<std::string_view>{"a.first", "b.runs"}));
+
+    o::MetricsRegistry d;
+    d.counter("gone").inc();
+    d = std::move(b);
+    EXPECT_EQ(&d.histogram("c.latency"), &h);
+    EXPECT_EQ(d.find_counter("gone"), nullptr);
+    const std::vector<o::MetricSample> moved = d.snapshot();
+    ASSERT_EQ(moved.size(), snap.size());
+    for (std::size_t i = 0; i < snap.size(); ++i) {
+        EXPECT_EQ(moved[i].name, snap[i].name);
+        EXPECT_EQ(moved[i].value, snap[i].value) << snap[i].name;
+    }
+
+    // A registry moved from holds nothing and takes new metrics.
+    EXPECT_TRUE(a.empty());
+    a.counter("fresh").inc();
+    EXPECT_EQ(a.find_counter("fresh")->value(), 1u);
+}
+
+TEST(RegistryStorage, WalkMergeAndWireKeepTheirBytes) {
+    // An MPEG-2 collector's registry (SampleViewsWalkAnMpeg2CollectorsRegistry
+    // pins its snapshot bytes), moved, merged into an empty registry and
+    // sent through the shard protocol: every path gives the same samples.
+    namespace k = rtsc::kernel;
+    namespace w = rtsc::workload;
+    namespace shard = rtsc::campaign::shard;
+    k::Simulator sim;
+    w::Mpeg2Config cfg;
+    cfg.frames = 120;
+    w::Mpeg2System soc(cfg);
+    o::MetricsRegistry reg;
+    {
+        o::MetricsCollector collector(reg);
+        o::Attribution attribution;
+        collector.set_attribution(&attribution);
+        for (rtsc::rtos::Processor* cpu : soc.sw_processors())
+            collector.attach(*cpu);
+        sim.run_until(cfg.frame_period * cfg.frames + k::Time::ms(5));
+    }
+    const auto rows = [](const o::MetricsRegistry& r) {
+        std::vector<std::string> out;
+        for (const o::MetricSampleView& v : r.sample_views()) {
+            std::string row = std::string(v.name) + std::string(v.suffix) + "=";
+            o::append_g17(row, v.value);
+            out.push_back(std::move(row));
+        }
+        return out;
+    };
+    const std::vector<std::string> want = rows(reg);
+    ASSERT_EQ(want.size(), 412u);
+
+    const o::MetricsRegistry moved(std::move(reg));
+    EXPECT_EQ(rows(moved), want);
+    o::MetricsRegistry merged;
+    merged.merge(moved);
+    EXPECT_EQ(rows(merged), want);
+    const std::vector<std::uint8_t> wire = shard::encode_registry(moved);
+    o::MetricsRegistry back;
+    ASSERT_TRUE(shard::decode_registry(wire, back));
+    EXPECT_EQ(rows(back), want);
+    EXPECT_EQ(shard::encode_registry(back), wire);
 }
 
 } // namespace

@@ -122,10 +122,11 @@ TEST(PerfettoTest, SlicesPerTrackAreMonotonicAndDisjoint) {
         const double ts = num_field(*ev, "ts");
         const double dur = num_field(*ev, "dur");
         const auto it = track_end.find(key);
-        if (it != track_end.end())
+        if (it != track_end.end()) {
             EXPECT_GE(ts, it->second - 1e-9)
                 << "overlapping slices on track pid=" << key.first
                 << " tid=" << key.second;
+        }
         track_end[key] = std::max(it != track_end.end() ? it->second : 0.0,
                                   ts + dur);
     }

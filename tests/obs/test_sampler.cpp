@@ -82,14 +82,18 @@ TEST(MetricsSamplerTest, EmitsMonotonicCounterTracks) {
         const double ts = ev->get("ts")->num;
         const double value = ev->get("args")->get("value")->num;
         const auto it = last_ts.find(name);
-        if (it != last_ts.end()) EXPECT_GE(ts, it->second) << name;
+        if (it != last_ts.end()) {
+            EXPECT_GE(ts, it->second) << name;
+        }
         last_ts[name] = ts;
         ++count[name];
         if (name == "utilization_pct" || name == "overhead_pct") {
             EXPECT_GE(value, 0.0) << name;
             EXPECT_LE(value, 100.0) << name;
         }
-        if (name == "ready_depth") EXPECT_GE(value, 0.0);
+        if (name == "ready_depth") {
+            EXPECT_GE(value, 0.0);
+        }
     }
     for (const char* required :
          {"utilization_pct", "overhead_pct", "ready_depth", "dispatches",
@@ -123,9 +127,12 @@ TEST(MetricsSamplerTest, KernelCountersLiveOnTheirOwnProcess) {
         if (ev->get("ph")->str != "C") continue;
         const std::string name = ev->get("name")->str;
         const int pid = static_cast<int>(ev->get("pid")->num);
-        if (name == "delta_cycles" || name == "activations")
+        if (name == "delta_cycles" || name == "activations") {
             EXPECT_EQ(pid, kernel_pid) << name;
-        if (name == "utilization_pct") EXPECT_EQ(pid, 1) << name;
+        }
+        if (name == "utilization_pct") {
+            EXPECT_EQ(pid, 1) << name;
+        }
     }
 }
 

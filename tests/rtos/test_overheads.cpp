@@ -23,7 +23,10 @@ TEST_P(OverheadTest, DistinctComponentsChargeSeparately) {
     k::Simulator sim;
     r::Processor cpu("cpu", std::make_unique<r::PriorityPreemptivePolicy>(),
                      GetParam());
-    cpu.set_overheads({.scheduling = 3_us, .context_load = 7_us, .context_save = 11_us});
+    cpu.set_overheads({.scheduling = 3_us,
+                       .context_load = 7_us,
+                       .context_save = 11_us,
+                       .frequency_switch = {}});
     RecordingObserver rec;
     cpu.add_observer(rec);
     cpu.create_task({.name = "A", .priority = 1},
@@ -35,17 +38,19 @@ TEST_P(OverheadTest, DistinctComponentsChargeSeparately) {
     EXPECT_EQ(a[1].at, 10_us);
     EXPECT_EQ(a[2].at, 60_us);
 
-    Time sched{}, load{}, save{};
+    Time sched{}, load{}, save{}, fswitch{};
     for (const auto& o : rec.overheads) {
         switch (o.kind) {
             case r::OverheadKind::scheduling: sched += o.duration; break;
             case r::OverheadKind::context_load: load += o.duration; break;
             case r::OverheadKind::context_save: save += o.duration; break;
+            case r::OverheadKind::frequency_switch: fswitch += o.duration; break;
         }
     }
     EXPECT_EQ(sched, 6_us); // two passes
     EXPECT_EQ(load, 7_us);
     EXPECT_EQ(save, 11_us);
+    EXPECT_EQ(fswitch, Time{}); // no DVFS model: no operating-point change
 }
 
 TEST_P(OverheadTest, FormulaDependsOnReadyTaskCount) {

@@ -255,7 +255,8 @@ TEST(RotationEquivalence, RotationUnderOverheadsStaysEquivalent) {
         [](r::Processor& cpu) {
             cpu.set_overheads({.scheduling = r::OverheadModel(500_ns),
                                .context_load = r::OverheadModel(200_ns),
-                               .context_save = r::OverheadModel(200_ns)});
+                               .context_save = r::OverheadModel(200_ns),
+                               .frequency_switch = {}});
             for (const char* name : {"A", "B", "C"})
                 cpu.create_task({.name = name, .priority = 1},
                                 [](r::Task& self) { self.compute(23_us); });

@@ -32,8 +32,8 @@ TEST(TaskApiTest, IdentityAndDefaults) {
 TEST(TaskApiTest, AutoNamingWhenEmpty) {
     k::Simulator sim;
     r::Processor cpu("cpu0");
-    auto& t0 = cpu.create_task({.priority = 1}, [](r::Task&) {});
-    auto& t1 = cpu.create_task({.priority = 1}, [](r::Task&) {});
+    auto& t0 = cpu.create_task({.name = "", .priority = 1}, [](r::Task&) {});
+    auto& t1 = cpu.create_task({.name = "", .priority = 1}, [](r::Task&) {});
     EXPECT_EQ(t0.name(), "cpu0.task0");
     EXPECT_EQ(t1.name(), "cpu0.task1");
 }

@@ -1,4 +1,4 @@
-// Bounded exhaustive schedule-space explorer (ROADMAP item 5).
+// Bounded exhaustive schedule-space explorer (ROADMAP item 6).
 //
 // Where fuzz_engines samples one pinned schedule per seed, this tool
 // enumerates EVERY reachable resolution of a model's scheduling decision

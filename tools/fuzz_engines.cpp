@@ -117,9 +117,14 @@ int report_divergence(const fuzz::ModelSpec& spec, const fuzz::Divergence& d,
 }
 
 int run_one(const fuzz::ModelSpec& spec, const Options& opt) {
-    fuzz::RunResult proc, thrd;
-    const fuzz::Divergence d = fuzz::diff_engines(spec, &proc, &thrd);
-    if (opt.dump) std::fputs(fuzz::dump_streams(proc, thrd).c_str(), stdout);
+    const fuzz::LegRuns runs = fuzz::run_legs(spec);
+    const fuzz::LegRecord& proc = runs.legs[0];
+    const fuzz::LegRecord& thrd = runs.legs[1];
+    const fuzz::Divergence& d = runs.verdict;
+    if (opt.dump)
+        std::fputs(
+            fuzz::dump_streams(fuzz::render(proc), fuzz::render(thrd)).c_str(),
+            stdout);
     if (!opt.quiet)
         std::printf("seed %llu: %s (%zu state records, end %llu ps, "
                     "activations %llu/%llu)\n",
@@ -145,8 +150,9 @@ campaign::CampaignReport sweep_campaign(const Options& opt, unsigned workers,
         scenarios.push_back(
             {"fuzz_seed_" + std::to_string(seed),
              [seed, &d = found[i]](campaign::ScenarioContext& ctx) {
-                 fuzz::RunResult proc, thrd;
-                 d = fuzz::diff_engines(fuzz::generate(seed), &proc, &thrd);
+                 const fuzz::LegRuns runs = fuzz::run_legs(fuzz::generate(seed));
+                 const fuzz::LegRecord& proc = runs.legs[0];
+                 d = runs.verdict;
                  ctx.metric("diverged", d.diverged ? 1.0 : 0.0);
                  ctx.metric("state_records",
                             static_cast<double>(proc.states.size()));
